@@ -16,7 +16,6 @@ from .errors import (
     NonIntegrable,
     NotCanonicalizable,
     NotSymmetrizableError,
-    NumericalBreakdown,
     ParameterRange,
     PoleAtZero,
     UnsupportedPoint,

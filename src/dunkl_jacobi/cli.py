@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,19 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads every token starting ``-<digit>`` or ``-.<digit>`` as a value.
+
+    Stock argparse takes only ``-1`` and ``-0.5`` shapes as values, so
+    ``--alpha -9/10`` or ``--c -1e-3`` fails with "expected one argument".
+    No option here starts with a digit, so nothing else changes.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
 def _add_family_flags(parser, with_raw: bool = True):
@@ -183,16 +197,12 @@ def cmd_certify(args, parser) -> int:
     hmin = min(g.normalization(n) for n in range(args.N + 1))
     record("positivity", hmin > 0.0, f"min_h={hmin:.3e}")
 
-    # operator symmetry on monomial pairs
-    worst_sym = 0.0
+    # operator symmetry on monomial pairs: B[i, j] = <x^i, L x^j>
     top = min(args.N, 10)
-    for i in range(top + 1):
-        for j in range(i + 1, top + 1):
-            vi, vj = Polynomial.monomial(i), Polynomial.monomial(j)
-            lv_w = quad_mod.inner_product(w, op.apply(vi), vj, order=args.order)
-            v_lw = quad_mod.inner_product(w, vi, op.apply(vj), order=args.order)
-            scale = abs(lv_w) + abs(v_lw) + 1.0
-            worst_sym = max(worst_sym, abs(lv_w - v_lw) / scale)
+    monos = [Polynomial.monomial(k) for k in range(top + 1)]
+    gs = quad_mod.gram_matrix(w, monos + [op.apply(v) for v in monos], order=args.order)
+    b = gs.entries[:top + 1, top + 1:]
+    worst_sym = float((abs(b - b.T) / (abs(b) + abs(b.T) + 1.0)).max())
     record("symmetry", worst_sym <= SYMMETRY_TOL,
            f"max_residual={worst_sym:.3e} tol={SYMMETRY_TOL:.0e}")
 
@@ -215,7 +225,7 @@ def cmd_certify(args, parser) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dunkl-jacobi",
         description="Generate, classify, and certify eigenpolynomial families of "
                     "first-order differential-reflection operators.",

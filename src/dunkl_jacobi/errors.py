@@ -50,9 +50,5 @@ class NonIntegrable(DunklJacobiError):
     """Weight exponents make the integral diverge."""
 
 
-class NumericalBreakdown(DunklJacobiError):
-    """A computed normalization fell below the trust threshold."""
-
-
 class InternalConsistencyError(DunklJacobiError):
-    """A sampled regression check contradicted a hard-coded verdict."""
+    """A cross-check contradicted a hard-coded verdict or an exact identity."""

@@ -8,10 +8,10 @@ machine accuracy.  The equivalent x-space rule (mirrored nodes, positive
 weights) is what gets exposed.
 
 Polynomials are evaluated at the nodes in exact rational arithmetic and
-rounded once; sums use ``math.fsum``.  This keeps cancellation-heavy
-quantities (high-degree orthogonality defects) at the rounding floor
-without extended precision; an extended-precision accumulation toggle is
-available for cross-checks.
+rounded once.  Single inner products sum with ``math.fsum``; a Gram matrix
+is one float64 matmul of that node table against the rule weights.  The
+three-term recurrence needs no quadrature: it is read exactly off the
+eigenpolynomials.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .dunkl import build
-from .errors import NonIntegrable, NumericalBreakdown, UnsupportedWeight
+from .errors import InternalConsistencyError, NonIntegrable, UnsupportedWeight
 from .laurent import LaurentPoly, Polynomial
 from .weights import BigJacobiParams, WeightFunction, big_operator
 
@@ -240,36 +240,22 @@ class GramMatrix:
         return "\n".join(lines) + "\n"
 
 
-def gram_matrix(w: WeightFunction, polys, order: int | None = None,
-                extended: bool = False) -> GramMatrix:
+def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatrix:
     """All pairwise inner products of ``polys`` under ``w``.
 
-    With ``extended=True`` the accumulation runs in extended precision
-    (80-bit on x86) instead of exact node values + ``fsum``; both meet the
-    certification tolerances, the default is faster and bitwise
-    deterministic.
+    One float64 matmul of the exact node table against the rule weights.
+    With positive weights, Cauchy-Schwarz bounds ``sum_k w_k |P_i P_j|`` by
+    ``sqrt(h_i h_j)``, so each entry's summation error relative to
+    ``sqrt(h_i h_j)`` stays below about ``n_nodes * eps`` (~2e-14 at the
+    default order) without compensated summation.
     """
     polys = tuple(polys)
     max_deg = max((p.degree or 0) for p in polys) if polys else 0
     rule = quadrature_rule(w, order if order is not None else _default_order(2 * max_deg))
-    table = np.array([_exact_node_values(p, rule.nodes) for p in polys], dtype=float)
-    m = len(polys)
-    entries = np.zeros((m, m), dtype=float)
-    if extended:
-        wts = np.asarray(rule.weights, dtype=np.longdouble)
-        t = table.astype(np.longdouble)
-        g = (t * wts) @ t.T
-        entries = np.asarray(g, dtype=float)
-        entries = (entries + entries.T) / 2.0
-    else:
-        wts = rule.weights
-        for i in range(m):
-            for j in range(i, m):
-                entries[i, j] = math.fsum(
-                    wt * a * b for wt, a, b in zip(wts, table[i], table[j])
-                )
-                entries[j, i] = entries[i, j]
-    return GramMatrix(entries=entries, basis=polys)
+    table = np.array([_exact_node_values(p, rule.nodes) for p in polys],
+                     dtype=float).reshape(len(polys), len(rule.nodes))
+    g = (table * np.asarray(rule.weights)) @ table.T
+    return GramMatrix(entries=(g + g.T) / 2.0, basis=polys)
 
 
 def symmetry_residual(w: WeightFunction, op, V: Polynomial, W: Polynomial,
@@ -283,13 +269,15 @@ def symmetry_residual(w: WeightFunction, op, V: Polynomial, W: Polynomial,
     return inner_product(w, lv, W, order) - inner_product(w, V, lw, order)
 
 
-def recurrence_coefficients(w: WeightFunction, N: int, order: int | None = None,
-                            h_floor: float = 1e-300) -> list:
+def recurrence_coefficients(w: WeightFunction, N: int) -> list:
     """Three-term coefficients ``x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}``.
 
-    Computed from inner products of the exact eigenpolynomials of the
-    weight's family operator; ``u_n = h_n / h_{n-1} > 0`` for a positive
-    weight.  Entry ``n`` is ``(b_n, u_n)`` with ``u_0 = None``.
+    Read exactly off the monic eigenpolynomials of the weight's family
+    operator: ``b_n`` is the leading coefficient of ``x P_n - P_{n+1}`` and
+    ``u_n`` that of what is left after removing ``b_n P_n``; the final
+    remainder must vanish identically.  By Favard's theorem ``u_n > 0`` for
+    all ``n`` certifies a positive-definite functional.  Entry ``n`` is
+    ``(b_n, u_n)`` as ``Fraction``s, with ``u_0 = None``.
     """
     from .eigen import eigen_sequence
 
@@ -297,21 +285,21 @@ def recurrence_coefficients(w: WeightFunction, N: int, order: int | None = None,
         raise UnsupportedWeight("weight carries no family parameters")
     if N < 0:
         raise ValueError("N must be >= 0")
-    if order is None:
-        order = _default_order(2 * N + 2)
-    op = build(big_operator(w.source_params))
-    eigs = eigen_sequence(op, N)
+    eigs = [e.poly for e in eigen_sequence(build(big_operator(w.source_params)), N + 1)]
     x = Polynomial.monomial(1)
-    h = []
     out = []
-    for n, e in enumerate(eigs):
-        hn = inner_product(w, e.poly, e.poly, order)
-        if not (hn > h_floor):
-            raise NumericalBreakdown(f"normalization h_{n} = {hn} below trust floor")
-        h.append(hn)
-        xpn = Polynomial.from_laurent(x * e.poly)
-        bn = inner_product(w, xpn, e.poly, order) / hn
-        un = h[n] / h[n - 1] if n >= 1 else None
+    for n in range(N + 1):
+        rem = x * eigs[n] - eigs[n + 1]
+        bn = rem.coefficient(n)
+        rem = rem - bn * eigs[n]
+        un = None
+        if n >= 1:
+            un = rem.coefficient(n - 1)
+            rem = rem - un * eigs[n - 1]
+        if not rem.is_zero:
+            raise InternalConsistencyError(
+                f"x P_{n} is not a three-term combination of the eigenpolynomials"
+            )
         out.append((bn, un))
     return out
 
@@ -319,5 +307,5 @@ def recurrence_coefficients(w: WeightFunction, N: int, order: int | None = None,
 def recurrence_table_csv(coeffs) -> str:
     lines = ["n,b,u"]
     for n, (b, u) in enumerate(coeffs):
-        lines.append(f"{n},{b!r},{'' if u is None else repr(u)}")
+        lines.append(f"{n},{b},{'' if u is None else u}")
     return "\n".join(lines) + "\n"

@@ -145,12 +145,16 @@ class WeightFunction:
         if self.exponential_factor is not None:
             fac = self.exponential_factor
             if fac.kind == "gauss":
-                value *= math.exp(float(fac.coefficient) * xf * xf)
+                arg = float(fac.coefficient) * xf * xf
             else:
                 denom = xf * xf - float(fac.shift)
                 if denom == 0.0:
                     raise UnsupportedPoint("x is a singular point of the exponential factor")
-                value *= math.exp(float(fac.coefficient) / denom)
+                arg = float(fac.coefficient) / denom
+            try:
+                value *= math.exp(arg)
+            except OverflowError:  # beyond float range, as at a pole
+                return math.inf if value >= 0 else -math.inf
         return value
 
     def log_derivative(self, x) -> float:

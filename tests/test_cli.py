@@ -83,6 +83,14 @@ class TestClassify:
         assert code == 0
         assert out.startswith("NotSymmetrizable positive=false")
 
+    def test_case_iii_exponential_overflow(self, capsys):
+        # some sign probes overflow exp(coefficient / (x^2 - z^2)) near the
+        # inner endpoint; they count as infinite, not as a crash
+        code, out, _ = run(["classify", "--tau1=2", "--rho1=-4", "--nu1=2",
+                            "--xi=3", "--eta=1"], capsys)
+        assert code == 0
+        assert out.startswith("Case_iii positive=false")
+
 
 class TestWeightSample:
     def test_little_values(self, tmp_path, capsys):
@@ -148,6 +156,17 @@ class TestEigenvaluesAndGram:
         assert rows[0] == "g0,g1,g2"
         first = float(rows[1].split(",")[0])
         assert first == pytest.approx(2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("value", ["-9/10", "-0.9", "-.9", "-9e-1", "-90E-2"])
+    def test_negative_rational_as_separate_argument(self, value, capsys):
+        code, out, _ = run(["certify", "--alpha", value, "--beta", "0", "--N", "3"],
+                           capsys)
+        assert code == 0
+        assert out.count("PASS") == 5
+        code, out, _ = run(["eigenvalues", "--tau1", "2", "--eta", value, "--N", "2"],
+                           capsys)
+        assert code == 0
+        assert out.strip().splitlines()[1:] == ["0,even,0", "1,odd,-19/5", "2,even,4"]
 
     def test_bad_rational_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

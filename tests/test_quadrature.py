@@ -9,7 +9,6 @@ import pytest
 from dunkl_jacobi import (
     BigJacobiParams,
     NonIntegrable,
-    NumericalBreakdown,
     Polynomial,
     UnsupportedWeight,
     big_operator,
@@ -178,13 +177,18 @@ class TestGram:
             assert g.max_relative_off_diagonal() <= 1e-10
             assert all(g.normalization(n) > 0 for n in range(13))
 
-    def test_extended_matches_default(self):
-        op = build(big_operator(BigJacobiParams(1, 1, HALF)))
-        eigs = eigen_sequence(op, 6)
-        w = big_weight(BigJacobiParams(1, 1, HALF))
-        g0 = gram_matrix(w, [e.poly for e in eigs])
-        g1 = gram_matrix(w, [e.poly for e in eigs], extended=True)
-        assert np.allclose(g0.entries, g1.entries, rtol=1e-12, atol=1e-15)
+    def test_matmul_matches_fsum_inner_products(self):
+        # per-pair fsum is the reference; with positive weights Cauchy-Schwarz
+        # bounds the matmul's summation error by ~n_nodes * eps * sqrt(h_i h_j)
+        params = BigJacobiParams(1, 1, HALF)
+        w = big_weight(params)
+        polys = [e.poly for e in eigen_sequence(build(big_operator(params)), 10)]
+        g = gram_matrix(w, polys, order=40).entries
+        bound = len(quadrature_rule(w, 40).nodes) * np.finfo(float).eps
+        for i in range(11):
+            for j in range(i, 11):
+                ref = inner_product(w, polys[i], polys[j], order=40)
+                assert abs(g[i, j] - ref) <= bound * math.sqrt(g[i, i] * g[j, j])
 
     def test_csv_export(self):
         g = gram_matrix(W_LITTLE_10, [Polynomial.one(), Polynomial.monomial(1)])
@@ -262,9 +266,22 @@ class TestRecurrence:
                 assert approx.get(k, 0.0) == pytest.approx(model.get(k, 0.0),
                                                            rel=1e-9, abs=1e-11)
 
-    def test_breakdown_guard(self):
-        with pytest.raises(NumericalBreakdown):
-            recurrence_coefficients(W_LITTLE_10, 3, h_floor=1e10)
+    def test_exact_u_matches_quadrature_norm_ratios(self):
+        params = BigJacobiParams(HALF, 2, Fraction(1, 4))
+        w = big_weight(params)
+        coeffs = recurrence_coefficients(w, 12)
+        assert all(isinstance(b, Fraction) for b, _ in coeffs)
+        eigs = eigen_sequence(build(big_operator(params)), 12)
+        h = np.diag(gram_matrix(w, [e.poly for e in eigs]).entries)
+        for n in range(1, 13):
+            assert float(coeffs[n][1]) == pytest.approx(h[n] / h[n - 1], rel=1e-12)
+
+    def test_no_underflow_near_c_one(self):
+        # monic norms h_n underflow float64 near n = 56 here; u_n does not
+        w = big_weight(BigJacobiParams(1, 1, Fraction(99999, 100000)))
+        coeffs = recurrence_coefficients(w, 60)
+        assert len(coeffs) == 61
+        assert all(u > 0 for _, u in coeffs[1:])
 
     def test_recurrence_csv(self):
         from dunkl_jacobi.quadrature import recurrence_table_csv
@@ -274,3 +291,4 @@ class TestRecurrence:
         assert lines[0] == "n,b,u"
         assert lines[1].startswith("0,") and lines[1].endswith(",")
         assert len(lines) == 4
+        assert lines[1:] == ["0,1/3,", "1,1/15,2/9", "2,1/35,6/25"]
