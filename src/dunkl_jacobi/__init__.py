@@ -25,6 +25,7 @@ from .laurent import LaurentPoly, Polynomial, Rational, as_rational
 from .dunkl import (
     DegreeConditionReport,
     DunklOperator,
+    OperatorBand,
     OperatorParams,
     apply_raw,
     build,
@@ -68,6 +69,7 @@ from .quadrature import (
     quadrature_rule,
     recurrence_coefficients,
     symmetry_residual,
+    three_term_recurrence,
 )
 
 __version__ = "0.1.0"

@@ -174,7 +174,10 @@ def cmd_certify(args, parser) -> int:
         print("degenerate parameters", file=sys.stderr)
         return 2
     op = build(params)
-    eigs = eigen_mod.eigen_sequence(op, args.N)
+    # Degree N+1 only feeds the three-term recurrence behind positivity.
+    eigs = eigen_mod.eigen_sequence(op, args.N + 1)
+    recurrence = quad_mod.three_term_recurrence([e.poly for e in eigs])
+    eigs = eigs[:-1]
     lines = []
     all_ok = True
 
@@ -194,8 +197,14 @@ def cmd_certify(args, parser) -> int:
     off = g.max_relative_off_diagonal()
     record("orthogonality", off <= ORTHOGONALITY_TOL,
            f"max_offdiag={off:.3e} tol={ORTHOGONALITY_TOL:.0e}")
-    hmin = min(g.normalization(n) for n in range(args.N + 1))
-    record("positivity", hmin > 0.0, f"min_h={hmin:.3e}")
+    # Favard: h_0 > 0 and exact u_n > 0 for n = 1..N make the functional
+    # positive definite, with no float h_n to underflow.
+    h0 = g.normalization(0)
+    detail = f"h0={h0:.3e}"
+    if args.N >= 1:
+        umin, nmin = min((u, n) for n, (_, u) in enumerate(recurrence) if n >= 1)
+        detail += f" min_u={float(umin):.3e} at n={nmin}"
+    record("positivity", h0 > 0.0 and all(u > 0 for _, u in recurrence[1:]), detail)
 
     # operator symmetry on monomial pairs: B[i, j] = <x^i, L x^j>
     top = min(args.N, 10)

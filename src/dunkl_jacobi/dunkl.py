@@ -20,10 +20,11 @@ for odd ``n``.  Everything here is computed in exact rational arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .errors import NegativePowerResidue
+from .errors import InternalConsistencyError, NegativePowerResidue
 from .laurent import LaurentPoly, Polynomial, Rational, as_rational
 
 PARAM_NAMES = ("mu", "nu0", "nu1", "rho0", "rho1", "tau0", "tau1", "xi", "eta")
@@ -69,16 +70,40 @@ class OperatorParams:
 
 
 @dataclass(frozen=True)
+class OperatorBand:
+    """The operator on ``1, x, ..., x^n`` as integers over one denominator.
+
+    ``rows[k]`` holds ``scale * [L x^k]`` at ``x^k``, ``x^(k-1)``,
+    ``x^(k-2)`` and ``x^(k-3)``, with 0 below ``x^0``.  ``scale`` is the
+    positive lcm of the denominators of every column, so the diagonal
+    ``rows[k][0]`` is ``scale * lambda_k``.
+    """
+
+    scale: int
+    rows: tuple
+
+    @property
+    def degree(self) -> int:
+        return len(self.rows) - 1
+
+
+@dataclass(frozen=True)
 class DunklOperator:
     """The triple (F, G0, G1) plus the parameter record it was built from.
 
-    Immutable; all methods are pure functions, safe for concurrent use.
+    The coefficient functions and parameters never change, and ``apply``
+    is a pure function.  The one piece of state is the cached
+    :class:`OperatorBand`, which :meth:`band` grows on demand.  A growth
+    builds a new band from ``apply`` and publishes it with one attribute
+    store, so two threads growing it at once only repeat work: both
+    bands are correct, and each caller uses the one it got back.
     """
 
     F: LaurentPoly
     G0: LaurentPoly
     G1: LaurentPoly
     params: OperatorParams | None = None
+    _band: OperatorBand | None = field(default=None, init=False, repr=False, compare=False)
 
     def apply(self, p: LaurentPoly) -> Polynomial:
         """Apply the operator to a polynomial.
@@ -96,6 +121,38 @@ class DunklOperator:
                 f"operator application left negative powers (valuation {out.valuation})"
             )
         return Polynomial.from_laurent(out)
+
+    def band(self, n: int) -> OperatorBand:
+        """The integer band on degrees ``0..n`` or more, grown from ``apply``.
+
+        Column ``k`` is ``self.apply(x^k)``, read once per operator.  Raises
+        :class:`InternalConsistencyError` if a column has a term outside
+        ``x^(k-3)..x^k``.
+        """
+        band = self._band
+        if band is not None and band.degree >= n:
+            return band
+        rows = list(band.rows) if band is not None else []
+        columns = [(k, self.apply(Polynomial.monomial(k)).terms)
+                   for k in range(len(rows), n + 1)]
+        for k, col in columns:
+            outside = [e for e in col if not k - 3 <= e <= k]
+            if outside:
+                raise InternalConsistencyError(
+                    f"L x^{k} has a term at x^{outside[0]}, outside the band x^{k - 3}..x^{k}"
+                )
+        old = band.scale if band is not None else 1
+        scale = math.lcm(old, *(v.denominator for _, col in columns for v in col.values()))
+        if scale != old:
+            rows = [tuple(t * (scale // old) for t in row) for row in rows]
+        for k, col in columns:
+            rows.append(tuple(
+                v.numerator * (scale // v.denominator)
+                for v in (col.get(k - i, Fraction(0)) for i in range(4))
+            ))
+        band = OperatorBand(scale=scale, rows=tuple(rows))
+        object.__setattr__(self, "_band", band)
+        return band
 
 
 def apply_raw(F0: LaurentPoly, F1: LaurentPoly, G0: LaurentPoly,

@@ -1,10 +1,15 @@
-"""Exact monic eigenpolynomials by back-substitution on the monomial basis.
+"""Exact monic eigenpolynomials and residuals through the operator's integer band.
 
-Because the operator preserves degree, its matrix on ``1, x, ..., x^n`` is
-upper triangular with the eigenvalues on the diagonal, so the monic
-eigenpolynomial of degree ``n`` is found by one backward sweep.  All
-arithmetic is exact; the residual ``L P - lambda P`` of every returned pair
-is identically zero.
+The operator preserves degree and lowers it by at most three, so its matrix
+on ``1, x, ..., x^N`` is upper triangular with the eigenvalues on the
+diagonal and at most three superdiagonals.  :meth:`DunklOperator.band`
+holds those entries as integers over one common denominator ``M``, read
+once per operator from the Laurent ``apply``.  The monic eigenpolynomial of
+degree ``n`` is one fraction-free backward sweep over that band (after
+Bareiss, Math. Comp. 22, 1968): integer numerators and denominators, with
+one gcd per coefficient when it is formed at the end.  The residual
+``L p - lam p`` is an integer band product, exact for any polynomial; it is
+identically zero for every returned pair.
 """
 
 from __future__ import annotations
@@ -12,12 +17,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dunkl import DunklOperator, eigenvalue
-from .errors import DegenerateSpectrum
-from .laurent import LaurentPoly, Polynomial, Rational
+from .dunkl import DunklOperator, OperatorBand, eigenvalue
+from .errors import DegenerateSpectrum, InternalConsistencyError
+from .laurent import LaurentPoly, Polynomial, Rational, as_rational
 
 
 @dataclass(frozen=True)
@@ -29,31 +35,66 @@ class EigenPolynomial:
     eigenvalue: Rational
 
 
-def _check_spectrum(op: DunklOperator, n: int) -> Fraction:
-    lam = eigenvalue(op.params, n)
-    if n >= 1 and lam == 0:
-        raise DegenerateSpectrum(n, f"eigenvalue vanishes at degree {n}")
-    for m in range(n):
-        if eigenvalue(op.params, m) == lam:
+def _spectrum(op: DunklOperator, N: int) -> list:
+    """Eigenvalues of degrees 0..N, in one pass.
+
+    Raises :class:`DegenerateSpectrum` at the first degree whose eigenvalue
+    vanishes (n >= 1) or repeats an earlier one.
+    """
+    if op.params is None:
+        raise ValueError("operator must carry its parameter record")
+    if N < 0:
+        raise ValueError("degree must be >= 0")
+    lams, first = [], {}
+    for n in range(N + 1):
+        lam = eigenvalue(op.params, n)
+        if n >= 1 and lam == 0:
+            raise DegenerateSpectrum(n, f"eigenvalue vanishes at degree {n}")
+        m = first.setdefault(lam, n)
+        if m != n:
             raise DegenerateSpectrum(
                 n, f"eigenvalue at degree {n} collides with degree {m}"
             )
-    return lam
+        lams.append(lam)
+    return lams
 
 
-def _solve_degree(op: DunklOperator, columns, n: int, lam: Fraction) -> EigenPolynomial:
+def _band_diagonal(band: OperatorBand, lams: list) -> list:
+    """``M * lambda_k`` off the band, checked against the eigenvalue law."""
+    diag = [row[0] for row in band.rows[:len(lams)]]
+    for k, lam in enumerate(lams):
+        if diag[k] != band.scale * lam:
+            raise InternalConsistencyError(
+                f"diagonal of L x^{k} is {Fraction(diag[k], band.scale)}, "
+                f"the eigenvalue law gives {lam}"
+            )
+    return diag
+
+
+def _solve_degree(band: OperatorBand, diag: list, n: int, lam: Fraction) -> EigenPolynomial:
+    """Fraction-free back-substitution for the monic degree-``n`` eigenpolynomial.
+
+    With ``d_m = M(lambda_n - lambda_m)``, ``a_n = P_n = 1``,
+    ``a_j = t1 a_{j+1} + t2 a_{j+2} d_{j+1} + t3 a_{j+3} d_{j+1} d_{j+2}`` and
+    ``P_j = P_{j+1} d_j``, where ``t_i = M [L x^(j+i)]`` at ``x^j``, the
+    coefficient of ``x^j`` is ``a_j / P_j``.
+    """
+    rows = band.rows
     coeffs = {n: Fraction(1)}
+    a1, a2, a3 = 1, 0, 0  # a_{j+1}, a_{j+2}, a_{j+3}
+    d1 = d2 = 0  # d_{j+1}, d_{j+2}
+    p = 1  # P_{j+1}
     for j in range(n - 1, -1, -1):
-        s = Fraction(0)
-        # Only the three superdiagonals above j can contribute.
-        for k in range(j + 1, min(j + 3, n) + 1):
-            ck = coeffs.get(k)
-            if ck:
-                t = columns[k].coefficient(j)
-                if t:
-                    s += t * ck
-        if s:
-            coeffs[j] = s / (lam - eigenvalue(op.params, j))
+        a = rows[j + 1][1] * a1
+        if a2:
+            a += rows[j + 2][2] * a2 * d1
+        if a3:
+            a += rows[j + 3][3] * a3 * d1 * d2
+        d = diag[n] - diag[j]
+        p *= d
+        if a:
+            coeffs[j] = Fraction(a, p)
+        a1, a2, a3, d1, d2 = a, a1, a2, d, d1
     return EigenPolynomial(n=n, poly=Polynomial(coeffs), eigenvalue=lam)
 
 
@@ -63,37 +104,51 @@ def monic_eigenpolynomial(op: DunklOperator, n: int) -> EigenPolynomial:
     Raises :class:`DegenerateSpectrum` eagerly if the eigenvalue at ``n``
     vanishes (n >= 1) or coincides with an earlier one.
     """
-    if op.params is None:
-        raise ValueError("operator must carry its parameter record")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    lam = _check_spectrum(op, n)
-    # Columns of L on the monomial basis; column k holds L x^k.
-    columns = [op.apply(Polynomial.monomial(k)) for k in range(n + 1)]
-    return _solve_degree(op, columns, n, lam)
+    lams = _spectrum(op, n)
+    band = op.band(n)
+    return _solve_degree(band, _band_diagonal(band, lams), n, lams[n])
 
 
 def eigen_sequence(op: DunklOperator, N: int) -> list:
-    """Eigenpolynomials of degree 0..N.
+    """Eigenpolynomials of degrees 0..N, each solved on the band up to ``N``.
 
-    Degrees are independent, so this could run in parallel; the sequential
-    loop keeps the result trivially deterministic (the operator columns are
-    shared across degrees).
+    The spectrum is checked before any solving, so a degenerate degree
+    raises :class:`DegenerateSpectrum` without work on the ones below it.
     """
-    if op.params is None:
-        raise ValueError("operator must carry its parameter record")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    lams = [_check_spectrum(op, n) for n in range(N + 1)]
-    columns = [op.apply(Polynomial.monomial(k)) for k in range(N + 1)]
-    return [_solve_degree(op, columns, n, lams[n]) for n in range(N + 1)]
+    lams = _spectrum(op, N)
+    band = op.band(N)
+    diag = _band_diagonal(band, lams)
+    return [_solve_degree(band, diag, n, lams[n]) for n in range(N + 1)]
 
 
-def residual(op: DunklOperator, p: LaurentPoly, lam: Rational) -> LaurentPoly:
-    """Exact residual ``L p - lam p``; the zero polynomial certifies an eigenpair."""
+def residual(op: DunklOperator, p: LaurentPoly, lam: Rational) -> Polynomial:
+    """Exact residual ``L p - lam p``; the zero polynomial certifies an eigenpair.
+
+    With ``q = D p`` integral, ``lam = l / e`` and ``t_i = M [L x^(j+i)]``
+    at ``x^j`` off the band, entry ``j`` is
+    ``(e sum_i t_i q_(j+i) - M l q_j) / (M D e)``: integer products, with a
+    ``Fraction`` formed only for nonzero entries.
+    """
     if not p.is_polynomial:
         raise ValueError("residual expects a polynomial")
-    return op.apply(Polynomial.from_laurent(p)) - lam * p
+    lam = as_rational(lam)
+    terms = p.terms
+    if not terms:
+        return Polynomial()
+    n = max(terms)
+    band = op.band(n)
+    D = math.lcm(*(v.denominator for v in terms.values()))
+    e, ml = lam.denominator, band.scale * lam.numerator
+    acc = [0] * (n + 1)
+    for k, v in terms.items():
+        q = v.numerator * (D // v.denominator)
+        row = band.rows[k]
+        acc[k] -= ml * q
+        q *= e
+        for i in range(min(k, 3) + 1):
+            acc[k - i] += row[i] * q
+    den = band.scale * D * e
+    return Polynomial({j: Fraction(s, den) for j, s in enumerate(acc) if s})
 
 
 def coefficient_table_csv(eigs) -> str:

@@ -56,7 +56,8 @@ class LaurentPoly:
                 raise TypeError(f"exponent must be int, got {exponent!r}")
             c = as_rational(coeff)
             if c:
-                clean[exponent] = clean.get(exponent, Fraction(0)) + c
+                prev = clean.get(exponent)
+                clean[exponent] = c if prev is None else prev + c
         object.__setattr__(self, "_terms", {k: v for k, v in clean.items() if v})
 
     def __setattr__(self, name, value):

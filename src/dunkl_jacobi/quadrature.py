@@ -39,6 +39,7 @@ __all__ = [
     "gram_matrix",
     "symmetry_residual",
     "recurrence_coefficients",
+    "three_term_recurrence",
 ]
 
 
@@ -269,15 +270,39 @@ def symmetry_residual(w: WeightFunction, op, V: Polynomial, W: Polynomial,
     return inner_product(w, lv, W, order) - inner_product(w, V, lw, order)
 
 
+def three_term_recurrence(polys) -> list:
+    """Exact ``(b_n, u_n)`` with ``x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}``.
+
+    ``polys`` are monic ``P_0..P_{N+1}``; entry ``n`` for ``n = 0..N`` is
+    ``(b_n, u_n)`` as ``Fraction``s, with ``u_0 = None``.  ``b_n`` is the
+    leading coefficient of ``x P_n - P_{n+1}`` and ``u_n`` that of what is
+    left after removing ``b_n P_n``; the final remainder must vanish
+    identically, or :class:`InternalConsistencyError` is raised.
+    """
+    x = Polynomial.monomial(1)
+    out = []
+    for n in range(len(polys) - 1):
+        rem = x * polys[n] - polys[n + 1]
+        bn = rem.coefficient(n)
+        rem = rem - bn * polys[n]
+        un = None
+        if n >= 1:
+            un = rem.coefficient(n - 1)
+            rem = rem - un * polys[n - 1]
+        if not rem.is_zero:
+            raise InternalConsistencyError(
+                f"x P_{n} is not a three-term combination of the eigenpolynomials"
+            )
+        out.append((bn, un))
+    return out
+
+
 def recurrence_coefficients(w: WeightFunction, N: int) -> list:
-    """Three-term coefficients ``x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}``.
+    """Three-term coefficients ``x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}``, n = 0..N.
 
     Read exactly off the monic eigenpolynomials of the weight's family
-    operator: ``b_n`` is the leading coefficient of ``x P_n - P_{n+1}`` and
-    ``u_n`` that of what is left after removing ``b_n P_n``; the final
-    remainder must vanish identically.  By Favard's theorem ``u_n > 0`` for
-    all ``n`` certifies a positive-definite functional.  Entry ``n`` is
-    ``(b_n, u_n)`` as ``Fraction``s, with ``u_0 = None``.
+    operator by :func:`three_term_recurrence`.  By Favard's theorem
+    ``u_n > 0`` for all ``n`` certifies a positive-definite functional.
     """
     from .eigen import eigen_sequence
 
@@ -285,23 +310,8 @@ def recurrence_coefficients(w: WeightFunction, N: int) -> list:
         raise UnsupportedWeight("weight carries no family parameters")
     if N < 0:
         raise ValueError("N must be >= 0")
-    eigs = [e.poly for e in eigen_sequence(build(big_operator(w.source_params)), N + 1)]
-    x = Polynomial.monomial(1)
-    out = []
-    for n in range(N + 1):
-        rem = x * eigs[n] - eigs[n + 1]
-        bn = rem.coefficient(n)
-        rem = rem - bn * eigs[n]
-        un = None
-        if n >= 1:
-            un = rem.coefficient(n - 1)
-            rem = rem - un * eigs[n - 1]
-        if not rem.is_zero:
-            raise InternalConsistencyError(
-                f"x P_{n} is not a three-term combination of the eigenpolynomials"
-            )
-        out.append((bn, un))
-    return out
+    eigs = eigen_sequence(build(big_operator(w.source_params)), N + 1)
+    return three_term_recurrence([e.poly for e in eigs])
 
 
 def recurrence_table_csv(coeffs) -> str:

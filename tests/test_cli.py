@@ -133,6 +133,18 @@ class TestCertify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_positivity_exact_near_c_one(self, capsys):
+        # The monic h_n underflow float64 near n = 56 here; positivity is
+        # decided by Favard (h_0 > 0, exact u_n > 0), so it holds at N = 60.
+        # Orthogonality and Pearson still fail on this family.
+        code, out, _ = run(["certify", "--alpha", "1", "--beta", "1",
+                            "--c", "99999/100000", "--N", "60"], capsys)
+        lines = out.strip().splitlines()
+        assert [ln.split()[1] for ln in lines] == [
+            "eigen-residual", "orthogonality", "positivity", "symmetry", "pearson"]
+        assert lines[2].startswith("PASS positivity h0=")
+        assert "at n=" in lines[2]
+
     def test_parameter_error_exit_2(self, capsys):
         code, _, err = run(["certify", "--alpha", "-2", "--beta", "0"], capsys)
         assert code == 2

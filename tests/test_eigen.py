@@ -6,6 +6,9 @@ import pytest
 from dunkl_jacobi import (
     BigJacobiParams,
     DegenerateSpectrum,
+    DunklOperator,
+    InternalConsistencyError,
+    LaurentPoly,
     OperatorParams,
     Polynomial,
     big_operator,
@@ -19,7 +22,43 @@ from dunkl_jacobi import (
     residual,
 )
 
-from _helpers import random_nondegenerate_params, random_rational
+from _helpers import random_nondegenerate_params, random_params, random_rational
+
+
+def raw_and_family_operators(rng, count, N):
+    """``count`` raw operators with ``mu != 0`` and ``count`` (alpha, beta, c) families."""
+    ops = []
+    while len(ops) < count:
+        p = random_nondegenerate_params(rng, N)
+        if p.mu:
+            ops.append(build(p))
+    for _ in range(count):
+        alpha = random_rational(rng, -3, 8, 4)
+        beta = random_rational(rng, -3, 8, 4)
+        c = Fraction(rng.randint(0, 4), 5)
+        ops.append(build(big_operator(BigJacobiParams(alpha, beta, c))))
+    return ops
+
+
+def random_polynomial(rng, degree):
+    """Degree exactly ``degree``, some lower coefficients zero."""
+    p = {k: random_rational(rng, -9, 9, 7) for k in range(degree)}
+    p[degree] = random_rational(rng, -9, 9, 7, nonzero=True)
+    return Polynomial(p)
+
+
+def oracle_eigen_sequence(op, N):
+    """Plain ``Fraction`` back-substitution on the columns ``op.apply(x^k)``."""
+    columns = [op.apply(Polynomial.monomial(k)) for k in range(N + 1)]
+    lams = [columns[k].coefficient(k) for k in range(N + 1)]
+    out = []
+    for n in range(N + 1):
+        c = {n: Fraction(1)}
+        for j in range(n - 1, -1, -1):
+            s = sum(columns[k].coefficient(j) * c.get(k, 0) for k in range(j + 1, n + 1))
+            c[j] = s / (lams[n] - lams[j])
+        out.append((Polynomial(c), lams[n]))
+    return out
 
 
 class TestLowDegrees:
@@ -80,7 +119,92 @@ class TestResidual:
             assert not residual(op, perturbed, e.eigenvalue).is_zero
 
 
+class TestBand:
+    def test_banded_residual_matches_laurent(self):
+        # Random, zero and non-eigen inputs; the last call on each operator
+        # asks for a degree above every earlier one, so the band must grow.
+        rng = random.Random(79)
+        for op in raw_and_family_operators(rng, 6, 12):
+            degrees = [rng.randint(0, 12) for _ in range(4)]
+            for deg in degrees + [max(degrees) + rng.randint(1, 6)]:
+                before = op.band(0).degree
+                p = random_polynomial(rng, deg)
+                lam = random_rational(rng, -9, 9, 5)
+                assert residual(op, p, lam) == op.apply(p) - lam * p
+                assert op.band(0).degree == max(before, deg)
+            zero = Polynomial()
+            assert residual(op, zero, Fraction(3)).is_zero
+
+    def test_banded_residual_raw_operators(self):
+        # Operators outside any weight family, spectrum not screened.
+        rng = random.Random(83)
+        for _ in range(10):
+            op = build(random_params(rng))
+            p = random_polynomial(rng, rng.randint(0, 10))
+            lam = random_rational(rng)
+            assert residual(op, p, lam) == op.apply(p) - lam * p
+
+    def test_band_entries_come_from_apply(self):
+        rng = random.Random(89)
+        for op in raw_and_family_operators(rng, 3, 10):
+            band = op.band(10)
+            for k, row in enumerate(band.rows):
+                col = op.apply(Polynomial.monomial(k))
+                assert col == Polynomial(
+                    {k - i: Fraction(t, band.scale) for i, t in enumerate(row) if k >= i})
+
+    def test_grown_band_equals_fresh_band(self):
+        # One degree at a time, so the earlier rows are rescaled whenever a
+        # column brings a new denominator: nu0 enters at x^2, mu at x^3.
+        op = build(OperatorParams(mu=Fraction(1, 7), nu0=Fraction(1, 3), tau1=2, eta=-1))
+        assert [op.band(k).scale for k in range(5)] == [1, 1, 3, 21, 21]
+        assert op.band(14) == build(op.params).band(14)
+        rng = random.Random(97)
+        for op in raw_and_family_operators(rng, 3, 14):
+            for k in range(15):
+                op.band(k)
+            assert op.band(14) == build(op.params).band(14)
+
+    @pytest.mark.parametrize("name,exponent", [("F", 1), ("G0", 2), ("G1", 2)])
+    def test_term_outside_band_raises(self, name, exponent):
+        # Each of x (I - R), x^2 d/dx and x^2 d/dx R raises the degree by one.
+        # (A term four degrees down leaves a negative power in L x, so
+        # ``apply`` rejects it first.)
+        parts = dict.fromkeys(("F", "G0", "G1"), LaurentPoly.zero())
+        parts[name] = LaurentPoly({exponent: 1})
+        with pytest.raises(InternalConsistencyError, match="outside the band"):
+            DunklOperator(**parts).band(5)
+
+    def test_diagonal_checked_against_eigenvalue_law(self):
+        # A parameter record that disagrees with the coefficient functions.
+        op = build(OperatorParams(tau1=2, eta=-1))
+        wrong = DunklOperator(op.F, op.G0, op.G1, params=OperatorParams(tau1=3, eta=-1))
+        with pytest.raises(InternalConsistencyError, match="eigenvalue law"):
+            eigen_sequence(wrong, 3)
+
+    def test_eigen_sequence_matches_fraction_oracle(self):
+        rng = random.Random(101)
+        for op in raw_and_family_operators(rng, 4, 25):
+            N = rng.randint(0, 25)
+            eigs = eigen_sequence(op, N)
+            assert [(e.poly, e.eigenvalue) for e in eigs] == oracle_eigen_sequence(op, N)
+            n = rng.randint(0, N)
+            assert monic_eigenpolynomial(op, n) == eigs[n]
+            assert monic_eigenpolynomial(op, n) == eigen_sequence(op, n)[n]
+
+
 class TestDegeneracy:
+    def test_vanishing_reported_before_collision(self):
+        # lambda_1 = 0 = lambda_0: the vanishing check comes first.
+        with pytest.raises(DegenerateSpectrum, match="vanishes at degree 1"):
+            eigen_sequence(build(OperatorParams(tau1=2, eta=1)), 4)
+
+    def test_collision_names_first_degree(self):
+        p = OperatorParams(tau0=1, tau1=2, eta=Fraction(7, 2))
+        with pytest.raises(DegenerateSpectrum, match="degree 2 collides with degree 1") as exc:
+            eigen_sequence(build(p), 6)
+        assert exc.value.n == 2
+
     def test_lambda1_zero(self):
         # tau0=0, tau1=2, eta=1: lambda_1 = 2 - 2 = 0
         op = build(OperatorParams(tau1=2, eta=1))
