@@ -210,12 +210,6 @@ class LaurentPoly:
             raise ValueError("kappa must be nonzero")
         return _wrap({k: v * kappa**k for k, v in self._terms.items()})
 
-    def even_odd_parts(self):
-        """Split into (even, odd) parts: ``p = even + odd``."""
-        even = {k: v for k, v in self._terms.items() if k % 2 == 0}
-        odd = {k: v for k, v in self._terms.items() if k % 2 != 0}
-        return _wrap(even), _wrap(odd)
-
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, x) -> float:

@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .dunkl import build
 from .errors import InternalConsistencyError, NonIntegrable, UnsupportedWeight
@@ -51,9 +50,6 @@ class QuadratureRule:
     weights: tuple
     target: WeightFunction
     order: int
-
-    def integrate_values(self, values) -> float:
-        return math.fsum(w * v for w, v in zip(self.weights, values))
 
     def to_json_obj(self) -> dict:
         return {
@@ -94,6 +90,8 @@ def _jacobi_value_derivative(n: int, a: float, b: float, t):
 
 def _gauss_jacobi_refined(order: int, a: float, b: float):
     """Gauss-Jacobi nodes/weights polished in extended precision."""
+    from scipy.special import roots_jacobi  # scipy only loads once a rule is built
+
     t64, _ = roots_jacobi(order, a, b)
     t = t64.astype(np.longdouble)
     for _ in range(2):
@@ -112,7 +110,7 @@ def _gauss_jacobi_refined(order: int, a: float, b: float):
 
 
 def _require_positive_family(w: WeightFunction) -> None:
-    if w.family not in ("big", "little"):
+    if w.normal_form is None:
         raise UnsupportedWeight(
             f"family '{w.family}' is sign-indefinite; inner products need a positive weight"
         )
@@ -122,16 +120,12 @@ def _require_positive_family(w: WeightFunction) -> None:
 
 def _integrability_exponents(w: WeightFunction):
     """Jacobi exponents (at the outer and inner y-endpoints); both must be > -1."""
-    outer = next(f for f in w.algebraic_factors if f.a2 == -1).exponent
-    if w.family == "big":
-        inner = next(f for f in w.algebraic_factors if f.a2 == 1).exponent
-    else:
-        inner = (w.abs_power - 1) / 2
-    if outer <= -1 or inner <= -1:
+    alpha, beta = w.normal_form[:2]
+    if alpha <= -1 or beta <= -1:
         raise NonIntegrable(
             "endpoint exponents must exceed -1 (alpha > -1 and beta > -1)"
         )
-    return outer, inner
+    return (alpha - 1) / 2, (beta - 1) / 2
 
 
 @lru_cache(maxsize=256)
@@ -139,7 +133,10 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     """Gauss rule with ``order`` y-nodes (2*order mirrored x-nodes).
 
     Exact (to rounding) for polynomial integrands whose even/odd transform
-    has y-degree at most ``2*order - 1``.
+    has y-degree at most ``2*order - 1``.  With ``y = x^2`` on
+    ``[c^2, d^2]`` the node pair ``±x`` carries
+    ``const * v * (d ± x)(x ∓ c) / (2x)`` for the Gauss-Jacobi weight ``v``;
+    ``c = 0`` is the one-interval family.
     """
     _require_positive_family(w)
     a_exp, b_exp = _integrability_exponents(w)
@@ -148,32 +145,15 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     const = float(w.constant)
     t, wj = _gauss_jacobi_refined(order, float(a_exp), float(b_exp))
 
-    if w.family == "big":
-        # Affine roots are (-d, c); the outer algebraic base is d^2 - x^2.
-        dd_sq = next(f for f in w.algebraic_factors if f.a2 == -1).a0
-        r0, r1 = (f.root for f in w.affine_factors)
-        if r0 * r0 == dd_sq:
-            d, c = -r0, r1
-        else:
-            d, c = -r1, r0
-        lo, hi = float(c * c), float(d * d)
-        df, cf = float(d), float(c)
-    else:
-        kappa1 = -w.affine_factors[0].root
-        lo, hi = 0.0, float(kappa1 * kappa1)
-        df, cf = float(kappa1), 0.0
-
+    _, _, c, d = w.normal_form
+    lo, hi = float(c * c), float(d * d)
+    df, cf = float(d), float(c)
     half = (hi - lo) / 2.0
     y = half * t + (hi + lo) / 2.0
     v = wj * half ** (float(a_exp) + float(b_exp) + 1.0)
     x = np.sqrt(y)
-
-    if w.family == "big":
-        w_plus = const * v * (x + df) * (x - cf) / (2.0 * x)
-        w_minus = const * v * (df - x) * (x + cf) / (2.0 * x)
-    else:
-        w_plus = const * v * (df + x) / 2.0
-        w_minus = const * v * (df - x) / 2.0
+    w_plus = const * v * (x + df) * (x - cf) / (2.0 * x)
+    w_minus = const * v * (df - x) * (x + cf) / (2.0 * x)
 
     nodes = tuple(float(z) for z in -x[::-1]) + tuple(float(z) for z in x)
     weights = tuple(float(z) for z in w_minus[::-1]) + tuple(float(z) for z in w_plus)
@@ -224,15 +204,18 @@ class GramMatrix:
         return float(self.entries[n, n])
 
     def max_relative_off_diagonal(self) -> float:
+        """Largest ``|g_ij| / sqrt(|g_ii g_jj|)`` over ``i < j``.
+
+        A pair whose ``sqrt(|g_ii g_jj|)`` is zero in float64 (an underflowed
+        normalization) cannot be checked and counts as ``inf``.
+        """
         g = self.entries
-        n = g.shape[0]
-        worst = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                denom = math.sqrt(abs(g[i, i]) * abs(g[j, j]))
-                if denom > 0:
-                    worst = max(worst, abs(g[i, j]) / denom)
-        return worst
+        i, j = np.triu_indices(g.shape[0], 1)
+        h = np.abs(np.diag(g))
+        denom = np.sqrt(h[i] * h[j])
+        ratio = np.full(denom.shape, np.inf)
+        np.divide(np.abs(g[i, j]), denom, out=ratio, where=denom > 0)
+        return float(ratio.max(initial=0.0))
 
     def to_csv(self) -> str:
         lines = [",".join(f"g{j}" for j in range(self.entries.shape[1]))]
@@ -300,17 +283,19 @@ def three_term_recurrence(polys) -> list:
 def recurrence_coefficients(w: WeightFunction, N: int) -> list:
     """Three-term coefficients ``x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}``, n = 0..N.
 
-    Read exactly off the monic eigenpolynomials of the weight's family
-    operator by :func:`three_term_recurrence`.  By Favard's theorem
+    Read exactly off the monic eigenpolynomials of the family operator
+    ``big_operator((alpha, beta, c))`` by :func:`three_term_recurrence`;
+    the weight's normal form must have ``d = 1``.  By Favard's theorem
     ``u_n > 0`` for all ``n`` certifies a positive-definite functional.
     """
     from .eigen import eigen_sequence
 
-    if w.source_params is None:
-        raise UnsupportedWeight("weight carries no family parameters")
+    if w.normal_form is None or w.normal_form[3] != 1:
+        raise UnsupportedWeight("weight is not a positive family weight with d = 1")
     if N < 0:
         raise ValueError("N must be >= 0")
-    eigs = eigen_sequence(build(big_operator(w.source_params)), N + 1)
+    alpha, beta, c, _ = w.normal_form
+    eigs = eigen_sequence(build(big_operator(BigJacobiParams(alpha, beta, c))), N + 1)
     return three_term_recurrence([e.poly for e in eigs])
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -94,9 +94,14 @@ class ExponentialFactor:
 class WeightFunction:
     """Symbolic weight descriptor, evaluable pointwise with analytic derivative.
 
-    ``constant`` is the arbitrary overall normalization; it is ``1`` for the
-    catalogued constructors and may be ``-1`` for scaled-back operators when
-    that sign gives the positive representative on the support.
+    ``normal_form`` is ``(alpha, beta, c, d)`` for the two positive families
+    and ``None`` otherwise: the weight is
+    ``sign(x) (x + d)(x - c) (d^2 - x^2)^((alpha-1)/2) (x^2 - c^2)^((beta-1)/2)``,
+    and ``c = 0`` is the one-interval family
+    ``(x + d) |x|^beta (d^2 - x^2)^((alpha-1)/2)`` on ``[-|d|, |d|]``.
+    ``constant`` is the arbitrary overall normalization.  For the positive
+    families it is ``sign(d)`` when the support is nonempty, which makes the
+    weight positive there, and ``1`` otherwise; the other cases use ``1``.
     """
 
     family: str  # "big" | "little" | "case_ii" | "case_iii" | "case_iv" | "case_v"
@@ -107,7 +112,7 @@ class WeightFunction:
     exponential_factor: Optional[ExponentialFactor]
     support: tuple
     constant: Rational = Fraction(1)
-    source_params: Optional[BigJacobiParams] = None
+    normal_form: Optional[tuple] = None
 
     # -- evaluation -------------------------------------------------------
 
@@ -280,26 +285,38 @@ def big_operator(p: BigJacobiParams) -> OperatorParams:
     )
 
 
+def _positive_family_weight(alpha, beta, c, d) -> WeightFunction:
+    """The weight of normal form ``(alpha, beta, c, d)``; see :class:`WeightFunction`.
+
+    The support is ``[-|d|, -|c|] union [|c|, |d|]`` when ``0 < c/d < 1``,
+    ``[-|d|, |d|]`` when ``c = 0`` and empty otherwise.
+    """
+    s = abs(d)
+    outer = AlgebraicFactor(d * d, Fraction(-1), (alpha - 1) / 2)
+    if c == 0:  # sign(x) (x - 0) (x^2)^((beta-1)/2) is |x|^beta
+        shape = dict(family="little", sign_factor=False, abs_power=beta,
+                     affine_factors=(AffineFactor(-d, 1),),
+                     algebraic_factors=(outer,))
+        support = ((-s, s),)
+    else:
+        shape = dict(family="big", sign_factor=True, abs_power=Fraction(0),
+                     affine_factors=(AffineFactor(-d, 1), AffineFactor(c, 1)),
+                     algebraic_factors=(outer, AlgebraicFactor(-c * c, Fraction(1),
+                                                               (beta - 1) / 2)))
+        support = ((-s, -abs(c)), (abs(c), s)) if 0 < c / d < 1 else ()
+    # On the support (x + d)(x - c) sign(x) has the sign of d.
+    constant = Fraction(-1 if support and d < 0 else 1)
+    return WeightFunction(exponential_factor=None, support=support, constant=constant,
+                          normal_form=(alpha, beta, c, d), **shape)
+
+
 def big_weight(p: BigJacobiParams) -> WeightFunction:
     """Positive weight on ``[-1,-c] union [c,1]`` for alpha, beta > -1, 0 < c < 1."""
-    a, b, c = p.alpha, p.beta, p.c
-    if a <= -1 or b <= -1:
+    if p.alpha <= -1 or p.beta <= -1:
         raise ParameterRange("alpha and beta must each exceed -1")
-    if not (0 < c < 1):
+    if not (0 < p.c < 1):
         raise ParameterRange("c must lie strictly between 0 and 1")
-    return WeightFunction(
-        family="big",
-        sign_factor=True,
-        affine_factors=(AffineFactor(Fraction(-1), 1), AffineFactor(c, 1)),
-        abs_power=Fraction(0),
-        algebraic_factors=(
-            AlgebraicFactor(Fraction(1), Fraction(-1), (a - 1) / 2),
-            AlgebraicFactor(-c * c, Fraction(1), (b - 1) / 2),
-        ),
-        exponential_factor=None,
-        support=((-1, -c), (c, Fraction(1))),
-        source_params=p,
-    )
+    return _positive_family_weight(p.alpha, p.beta, p.c, Fraction(1))
 
 
 def little_weight(alpha, beta) -> WeightFunction:
@@ -307,16 +324,7 @@ def little_weight(alpha, beta) -> WeightFunction:
     a, b = as_rational(alpha), as_rational(beta)
     if a <= -1 or b <= -1:
         raise ParameterRange("alpha and beta must each exceed -1")
-    return WeightFunction(
-        family="little",
-        sign_factor=False,
-        affine_factors=(AffineFactor(Fraction(-1), 1),),
-        abs_power=b,
-        algebraic_factors=(AlgebraicFactor(Fraction(1), Fraction(-1), (a - 1) / 2),),
-        exponential_factor=None,
-        support=((Fraction(-1), Fraction(1)),),
-        source_params=BigJacobiParams(a, b, Fraction(0)),
-    )
+    return _positive_family_weight(a, b, Fraction(0), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -397,17 +405,19 @@ def canonicalize(params: OperatorParams):
     tag = _case_of(params)
     if tag is not CaseTag.GENERIC_BIG:
         raise NotCanonicalizable(f"case {tag} has no generic canonical form")
-    z1, z2 = _g1_zeros(params)
-    if abs(z1) > abs(z2):
-        d, other = z1, z2
-    elif abs(z2) > abs(z1):
-        d, other = z2, z1
-    else:
-        d, other = (z1, z2) if z1 > 0 else (z2, z1)
-    kappa1 = d
+    return _scale_to_reference(params)
+
+
+def _scale_to_reference(params: OperatorParams) -> CanonicalForm:
+    """:func:`canonicalize` without the case check.
+
+    With ``nu1 = 0`` (the one-interval case) the zeros of ``x G1`` are 0 and
+    ``-rho1/tau1``, so the latter goes to 1 and ``c = 0``.
+    """
+    # The zero of larger magnitude, the positive one on a tie.
+    d = max(_g1_zeros(params), key=lambda z: (abs(z), z))
     kappa0 = 2 / params.tau1
-    scaled = scale_params(params, kappa0, kappa1)
-    return CanonicalForm(params=scaled, kappa0=kappa0, kappa1=kappa1)
+    return CanonicalForm(params=scale_params(params, kappa0, d), kappa0=kappa0, kappa1=d)
 
 
 def _recovered_big_exponents(scaled: OperatorParams):
@@ -424,68 +434,13 @@ def _recovered_big_exponents(scaled: OperatorParams):
 # ---------------------------------------------------------------------------
 
 
-def _positive_representative(w: WeightFunction) -> WeightFunction:
-    """Flip the overall constant if the weight is negative on its support."""
-    if not w.support:
-        return w
-    lo, hi = w.support[-1]
-    probe = (float(lo) + float(hi)) / 2
-    try:
-        value = w(probe)
-    except UnsupportedPoint:
-        return w
-    if value < 0:
-        return replace(w, constant=-w.constant)
-    return w
-
-
-def _pearson_generic(params: OperatorParams):
-    form = canonicalize(params)
+def _pearson_positive(params: OperatorParams):
+    """GenericBig and LittleCase_i: the normal form read off the reference scaling."""
+    form = _scale_to_reference(params)
     alpha, beta, cprime = _recovered_big_exponents(form.params)
     d = form.kappa1
-    c = cprime * d
-    positive_regime = 0 < cprime < 1 and alpha > -1 and beta > -1
-    if 0 < cprime < 1:
-        s_lo, s_hi = abs(c), abs(d)
-        support = ((-s_hi, -s_lo), (s_lo, s_hi))
-    else:
-        support = ()
-    w = WeightFunction(
-        family="big",
-        sign_factor=True,
-        affine_factors=(AffineFactor(-d, 1), AffineFactor(c, 1)),
-        abs_power=Fraction(0),
-        algebraic_factors=(
-            AlgebraicFactor(d * d, Fraction(-1), (alpha - 1) / 2),
-            AlgebraicFactor(-c * c, Fraction(1), (beta - 1) / 2),
-        ),
-        exponential_factor=None,
-        support=support,
-    )
-    return _positive_representative(w), positive_regime, form
-
-
-def _pearson_little(params: OperatorParams):
-    kappa1 = -params.rho1 / params.tau1
-    kappa0 = 2 / params.tau1
-    scaled = scale_params(params, kappa0, kappa1)
-    form = CanonicalForm(params=scaled, kappa0=kappa0, kappa1=kappa1)
-    beta = scaled.xi
-    alpha = -1 - scaled.eta - beta
-    s = abs(kappa1)
-    w = WeightFunction(
-        family="little",
-        sign_factor=False,
-        affine_factors=(AffineFactor(-kappa1, 1),),
-        abs_power=beta,
-        algebraic_factors=(
-            AlgebraicFactor(kappa1 * kappa1, Fraction(-1), (alpha - 1) / 2),
-        ),
-        exponential_factor=None,
-        support=((-s, s),),
-    )
-    positive_regime = alpha > -1 and beta > -1
-    return _positive_representative(w), positive_regime, form
+    w = _positive_family_weight(alpha, beta, cprime * d, d)
+    return w, bool(w.support) and alpha > -1 and beta > -1, form
 
 
 def _pearson_case_ii(params: OperatorParams):
@@ -566,8 +521,8 @@ def _pearson_case_v(params: OperatorParams):
 
 
 _PEARSON_SOLVERS = {
-    CaseTag.GENERIC_BIG: _pearson_generic,
-    CaseTag.LITTLE_CASE_I: _pearson_little,
+    CaseTag.GENERIC_BIG: _pearson_positive,
+    CaseTag.LITTLE_CASE_I: _pearson_positive,
     CaseTag.CASE_II: _pearson_case_ii,
     CaseTag.CASE_III: _pearson_case_iii,
     CaseTag.CASE_IV: _pearson_case_iv,
@@ -673,10 +628,10 @@ def classify(params: OperatorParams) -> ClassificationVerdict:
         )
     notes = ""
     if tag is CaseTag.GENERIC_BIG and not positive:
-        alpha, beta, cprime = _recovered_big_exponents(canonical.params)
-        if not (0 < cprime < 1):
+        alpha, beta, c, d = weight.normal_form
+        if not weight.support:
             notes = (
-                f"canonical c={cprime} outside (0,1); regime equivalent to |c|>1, "
+                f"canonical c={c / d} outside (0,1); regime equivalent to |c|>1, "
                 "not analyzed"
             )
         else:

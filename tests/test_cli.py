@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dunkl_jacobi
 from dunkl_jacobi import (
     BigJacobiParams,
     Polynomial,
@@ -184,3 +189,21 @@ class TestEigenvaluesAndGram:
         with pytest.raises(SystemExit) as exc:
             main(["eigenvalues", "--alpha", "x", "--beta", "0", "--N", "1"])
         assert exc.value.code == 2
+
+
+class TestStartup:
+    def test_classify_leaves_scipy_unloaded(self):
+        # scipy is needed only to build a Gauss rule
+        code = (
+            "import sys, dunkl_jacobi\n"
+            "from dunkl_jacobi import cli\n"
+            "assert cli.main(['classify', '--alpha', '1', '--beta', '1', '--c', '1/2']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(dunkl_jacobi.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.splitlines() == ["GenericBig positive=true kappa0=1 kappa1=1 "
+                                            "nu1=-1 rho1=-1 tau1=2 xi=1/2 eta=-3", "[]"]

@@ -8,6 +8,7 @@ import pytest
 
 from dunkl_jacobi import (
     BigJacobiParams,
+    GramMatrix,
     NonIntegrable,
     Polynomial,
     UnsupportedWeight,
@@ -22,6 +23,8 @@ from dunkl_jacobi import (
     moment,
     quadrature_rule,
     recurrence_coefficients,
+    scale_params,
+    solve_pearson,
     symmetry_residual,
 )
 
@@ -190,6 +193,21 @@ class TestGram:
                 ref = inner_product(w, polys[i], polys[j], order=40)
                 assert abs(g[i, j] - ref) <= bound * math.sqrt(g[i, i] * g[j, j])
 
+    def test_zero_normalization_counts_as_unverified(self):
+        g = np.array([[4.0, 1e-12, 0.0], [1e-12, 1.0, 1e-300], [0.0, 1e-300, 0.0]])
+        assert GramMatrix(entries=g[:2, :2], basis=()).max_relative_off_diagonal() == 5e-13
+        assert GramMatrix(entries=g, basis=()).max_relative_off_diagonal() == math.inf
+        assert GramMatrix(entries=g[:1, :1], basis=()).max_relative_off_diagonal() == 0.0
+
+    def test_underflowed_normalization_is_not_skipped(self):
+        # h_60 underflows to 0.0 here; its 60 pairs cannot be checked, so the
+        # figure is inf rather than the largest ratio among the other pairs
+        params = BigJacobiParams(1, 1, Fraction(99999, 100000))
+        eigs = eigen_sequence(build(big_operator(params)), 60)
+        g = gram_matrix(big_weight(params), [e.poly for e in eigs], order=40)
+        assert g.normalization(60) == 0.0 and g.normalization(59) > 0.0
+        assert g.max_relative_off_diagonal() == math.inf
+
     def test_csv_export(self):
         g = gram_matrix(W_LITTLE_10, [Polynomial.one(), Polynomial.monomial(1)])
         text = g.to_csv()
@@ -282,6 +300,15 @@ class TestRecurrence:
         coeffs = recurrence_coefficients(w, 60)
         assert len(coeffs) == 61
         assert all(u > 0 for _, u in coeffs[1:])
+
+    def test_solved_weight_reads_its_normal_form(self):
+        params = BigJacobiParams(HALF, 2, Fraction(1, 4))
+        solved = solve_pearson(build(big_operator(params)))
+        assert recurrence_coefficients(solved, 6) == recurrence_coefficients(big_weight(params), 6)
+        rescaled = solve_pearson(build(scale_params(big_operator(params), 1, 2)))
+        assert rescaled.normal_form[3] == HALF
+        with pytest.raises(UnsupportedWeight):
+            recurrence_coefficients(rescaled, 6)
 
     def test_recurrence_csv(self):
         from dunkl_jacobi.quadrature import recurrence_table_csv

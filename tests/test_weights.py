@@ -12,6 +12,7 @@ from dunkl_jacobi import (
     NotSymmetrizableError,
     OperatorParams,
     ParameterRange,
+    Polynomial,
     UnsupportedPoint,
     UnsupportedWeight,
     big_operator,
@@ -19,6 +20,7 @@ from dunkl_jacobi import (
     build,
     canonicalize,
     classify,
+    inner_product,
     little_weight,
     pearson_residual,
     scale_params,
@@ -190,6 +192,48 @@ class TestClassify:
             assert (before.positive_on_symmetric_support
                     == after.positive_on_symmetric_support)
 
+    @pytest.mark.parametrize(
+        "params,alpha,beta,d",
+        [
+            (OperatorParams(tau1=2, rho1=2, xi=-HALF, eta=-2), HALF, HALF, -1),
+            (OperatorParams(tau1=2, rho1=6, xi=-3, eta=-4), 2, 1, -3),
+            (OperatorParams(tau1=-2, rho1=-1, xi=-Fraction(1, 4), eta=HALF), 0, -HALF, -HALF),
+            (OperatorParams(tau1=4, rho1=8, xi=-12, eta=-10), 1, 3, -2),
+        ],
+    )
+    def test_one_interval_negative_scale_is_positive(self, params, alpha, beta, d):
+        # d = -rho1/tau1 < 0 and beta != 0: the weight is zero or infinite at
+        # x = 0, so its sign has to come from d, not from a sample there
+        v = classify(params)
+        assert v.case_tag is CaseTag.LITTLE_CASE_I and v.positive_on_symmetric_support
+        w = v.weight
+        for x in w.interior_grid(20, eps=1e-3):
+            if x:
+                assert w(x) > 0
+        assert inner_product(w, Polynomial.one(), Polynomial.one()) > 0
+        assert w.normal_form == (alpha, beta, 0, d) and w.constant == -1
+
+    def test_rescaled_positive_families_stay_positive(self):
+        rng = random.Random(5)
+        fams = [BigJacobiParams(HALF, 2, 0), BigJacobiParams(-HALF, Fraction(1, 3), 0),
+                BigJacobiParams(1, 1, HALF), BigJacobiParams(HALF, -Fraction(1, 4), Fraction(3, 4))]
+        scaled = []
+        for fam in fams:
+            for _ in range(6):
+                k0 = random_rational(rng, nonzero=True)
+                k1 = random_rational(rng, nonzero=True)
+                v = classify(scale_params(big_operator(fam), k0, k1))
+                assert v.positive_on_symmetric_support
+                scaled.append((fam, k1, v.weight))
+        assert any(k1 < 0 for _, k1, _ in scaled)
+        for _, _, w in scaled:
+            for x in w.interior_grid(7, eps=1e-3):
+                if x:
+                    assert w(x) > 0
+            assert inner_product(w, Polynomial.one(), Polynomial.one()) > 0
+        for fam, k1, w in scaled:
+            assert w.normal_form == (fam.alpha, fam.beta, fam.c / k1, 1 / k1)
+
     def test_generic_positive_weight_positive_on_interior(self):
         for fam in (BigJacobiParams(1, 1, HALF), BigJacobiParams(HALF, 2, Fraction(1, 4)),
                     BigJacobiParams(2, 0, Fraction(3, 4))):
@@ -311,6 +355,17 @@ class TestPearson:
     def test_leftover_family_unsupported(self):
         with pytest.raises(UnsupportedWeight):
             solve_pearson(build(OperatorParams(rho1=3)))
+
+    @pytest.mark.parametrize("fam", [
+        BigJacobiParams(1, 1, HALF), BigJacobiParams(HALF, 2, Fraction(1, 4)),
+        BigJacobiParams(-HALF, Fraction(1, 3), Fraction(3, 4)),
+        BigJacobiParams(1, 0, 0), BigJacobiParams(HALF, 2, 0),
+        BigJacobiParams(-Fraction(9, 10), -HALF, 0),
+    ])
+    def test_solve_pearson_equals_family_constructor(self, fam):
+        ref = little_weight(fam.alpha, fam.beta) if fam.c == 0 else big_weight(fam)
+        assert solve_pearson(build(big_operator(fam))) == ref
+        assert ref.normal_form == (fam.alpha, fam.beta, fam.c, 1)
 
     def test_solve_pearson_matches_big_weight(self):
         params = BigJacobiParams(1, 1, HALF)
