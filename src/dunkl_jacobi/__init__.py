@@ -66,10 +66,10 @@ from .quadrature import (
     gram_matrix,
     inner_product,
     moment,
+    orthogonal_polynomials,
     quadrature_rule,
     recurrence_coefficients,
     symmetry_residual,
-    three_term_recurrence,
 )
 
 __version__ = "0.1.0"

@@ -7,11 +7,11 @@ rules matched to the endpoint exponents integrate polynomial inputs to
 machine accuracy.  The equivalent x-space rule (mirrored nodes, positive
 weights) is what gets exposed.
 
-Polynomials are evaluated at the nodes in exact rational arithmetic and
-rounded once.  Single inner products sum with ``math.fsum``; a Gram matrix
-is one float64 matmul of that node table against the rule weights.  The
-three-term recurrence needs no quadrature: it is read exactly off the
-eigenpolynomials.
+Each polynomial is written exactly in the monic orthogonal basis ``P_k``,
+whose recurrence is known in closed form (the big -1 Jacobi polynomials of
+Vinet and Zhedanov), and the ``P_k`` are evaluated at the nodes by the float
+recurrence (Golub & Welsch, 1969).  Single inner products sum with
+``math.fsum``; a Gram matrix is one float64 matmul.
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .dunkl import build
-from .errors import InternalConsistencyError, NonIntegrable, UnsupportedWeight
+from .errors import DegenerateSpectrum, NonIntegrable, UnsupportedWeight
 from .laurent import LaurentPoly, Polynomial
-from .weights import BigJacobiParams, WeightFunction, big_operator
+from .weights import WeightFunction
 
 __all__ = [
     "QuadratureRule",
@@ -38,7 +36,7 @@ __all__ = [
     "gram_matrix",
     "symmetry_residual",
     "recurrence_coefficients",
-    "three_term_recurrence",
+    "orthogonal_polynomials",
 ]
 
 
@@ -92,7 +90,9 @@ def _gauss_jacobi_refined(order: int, a: float, b: float):
     """Gauss-Jacobi nodes/weights polished in extended precision."""
     from scipy.special import roots_jacobi  # scipy only loads once a rule is built
 
-    t64, _ = roots_jacobi(order, a, b)
+    # At a + b = -1 scipy's np.where also computes a 0/0 branch it then discards.
+    with np.errstate(invalid="ignore"):
+        t64, _ = roots_jacobi(order, a, b)
     t = t64.astype(np.longdouble)
     for _ in range(2):
         p, dp = _jacobi_value_derivative(order, a, b, t)
@@ -160,9 +160,24 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, target=w, order=order)
 
 
-def _exact_node_values(p: LaurentPoly, nodes) -> list:
-    """p at each (binary-exact) node, computed rationally and rounded once."""
-    return [float(p.evaluate_exact(Fraction(x))) for x in nodes]
+def _node_table(rule: QuadratureRule, polys) -> np.ndarray:
+    """Rows of ``polys`` at the nodes: exact ``P_k`` expansions, rounded once."""
+    if not all(p.is_polynomial for p in polys):
+        raise ValueError("node values need polynomials")
+    top = max((p.degree or 0) for p in polys) if polys else 0
+    basis = orthogonal_polynomials(rule.target, top)
+    x = np.asarray(rule.nodes)
+    values = [np.ones_like(x)]
+    for n, (b, u) in enumerate(_recurrence(rule.target.normal_form, top - 1)):
+        nxt = (x - float(b)) * values[n]
+        values.append(nxt - float(u) * values[n - 1] if n else nxt)
+    expansion = np.zeros((len(polys), top + 1))
+    for row, p in zip(expansion, polys):
+        while not p.is_zero:
+            k, lead = p.degree, p.leading_coefficient
+            row[k] = float(lead)
+            p = p - lead * basis[k]
+    return expansion @ np.array(values)
 
 
 def _default_order(degree_sum: int) -> int:
@@ -177,12 +192,9 @@ def inner_product(w: WeightFunction, p: LaurentPoly, q: LaurentPoly,
     once ``order >= (deg p + deg q)/2 + 1``; the default order leaves a
     comfortable margin.
     """
-    if not (p.is_polynomial and q.is_polynomial):
-        raise ValueError("inner_product expects polynomials")
     deg = (p.degree or 0) + (q.degree or 0)
     rule = quadrature_rule(w, order if order is not None else _default_order(deg))
-    pv = _exact_node_values(p, rule.nodes)
-    qv = _exact_node_values(q, rule.nodes)
+    pv, qv = _node_table(rule, (p, q)).tolist()
     return math.fsum(wt * a * b for wt, a, b in zip(rule.weights, pv, qv))
 
 
@@ -227,7 +239,7 @@ class GramMatrix:
 def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatrix:
     """All pairwise inner products of ``polys`` under ``w``.
 
-    One float64 matmul of the exact node table against the rule weights.
+    One float64 matmul of the node table against the rule weights.
     With positive weights, Cauchy-Schwarz bounds ``sum_k w_k |P_i P_j|`` by
     ``sqrt(h_i h_j)``, so each entry's summation error relative to
     ``sqrt(h_i h_j)`` stays below about ``n_nodes * eps`` (~2e-14 at the
@@ -236,8 +248,7 @@ def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatri
     polys = tuple(polys)
     max_deg = max((p.degree or 0) for p in polys) if polys else 0
     rule = quadrature_rule(w, order if order is not None else _default_order(2 * max_deg))
-    table = np.array([_exact_node_values(p, rule.nodes) for p in polys],
-                     dtype=float).reshape(len(polys), len(rule.nodes))
+    table = _node_table(rule, polys)
     g = (table * np.asarray(rule.weights)) @ table.T
     return GramMatrix(entries=(g + g.T) / 2.0, basis=polys)
 
@@ -253,50 +264,59 @@ def symmetry_residual(w: WeightFunction, op, V: Polynomial, W: Polynomial,
     return inner_product(w, lv, W, order) - inner_product(w, V, lw, order)
 
 
-def three_term_recurrence(polys) -> list:
-    """Exact ``(b_n, u_n)`` with ``x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}``.
+def _recurrence(normal_form, N: int) -> list:
+    """Closed-form ``(b_n, u_n)``, n = 0..N, with ``u_0 = None``.
 
-    ``polys`` are monic ``P_0..P_{N+1}``; entry ``n`` for ``n = 0..N`` is
-    ``(b_n, u_n)`` as ``Fraction``s, with ``u_0 = None``.  ``b_n`` is the
-    leading coefficient of ``x P_n - P_{n+1}`` and ``u_n`` that of what is
-    left after removing ``b_n P_n``; the final remainder must vanish
-    identically, or :class:`InternalConsistencyError` is raised.
+    At ``d = 1``, ``b_n = 1 - A_n - C_n`` and ``u_n = A_{n-1} C_n``.  Stretching
+    the support by ``d`` puts ``c/d`` for ``c`` and scales ``b_n`` by ``d``
+    and ``u_n`` by ``d^2``.
     """
-    x = Polynomial.monomial(1)
+    alpha, beta, c, d = normal_form
+    c = c / d
+    m = -(alpha + beta) / 2
+    if m.denominator == 1 and 1 <= m <= N + 1:
+        raise DegenerateSpectrum(int(m), f"2n + alpha + beta vanishes at n = {m}")
     out = []
-    for n in range(len(polys) - 1):
-        rem = x * polys[n] - polys[n + 1]
-        bn = rem.coefficient(n)
-        rem = rem - bn * polys[n]
-        un = None
-        if n >= 1:
-            un = rem.coefficient(n - 1)
-            rem = rem - un * polys[n - 1]
-        if not rem.is_zero:
-            raise InternalConsistencyError(
-                f"x P_{n} is not a three-term combination of the eigenpolynomials"
-            )
-        out.append((bn, un))
+    for n in range(N + 1):
+        s = 2 * n + alpha + beta
+        if n % 2:
+            a_n, c_n = (1 - c) * (n + alpha + beta + 1) / (s + 2), (1 + c) * (n + beta) / s
+        else:
+            a_n, c_n = (1 + c) * (n + alpha + 1) / (s + 2), (1 - c) * n / s if n else 0
+        out.append((d * (1 - a_n - c_n), d * d * a_prev * c_n if n else None))
+        a_prev = a_n
     return out
+
+
+def orthogonal_polynomials(w: WeightFunction, n: int) -> list:
+    """Exact monic ``P_0..P_n`` orthogonal under a positive weight.
+
+    For the family weights these are the monic eigenpolynomials of
+    ``big_operator((alpha, beta, c))``.
+    """
+    _require_positive_family(w)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    x = Polynomial.monomial(1)
+    polys = [Polynomial.one()]
+    for k, (b, u) in enumerate(_recurrence(w.normal_form, n - 1)):
+        nxt = (x - b) * polys[k]
+        polys.append(Polynomial.from_laurent(nxt - u * polys[k - 1] if k else nxt))
+    return polys
 
 
 def recurrence_coefficients(w: WeightFunction, N: int) -> list:
     """Three-term coefficients ``x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}``, n = 0..N.
 
-    Read exactly off the monic eigenpolynomials of the family operator
-    ``big_operator((alpha, beta, c))`` by :func:`three_term_recurrence`;
-    the weight's normal form must have ``d = 1``.  By Favard's theorem
+    Exact ``Fraction``s from the closed form, with ``u_0 = None``; the
+    weight's normal form must have ``d = 1``.  By Favard's theorem
     ``u_n > 0`` for all ``n`` certifies a positive-definite functional.
     """
-    from .eigen import eigen_sequence
-
     if w.normal_form is None or w.normal_form[3] != 1:
         raise UnsupportedWeight("weight is not a positive family weight with d = 1")
     if N < 0:
         raise ValueError("N must be >= 0")
-    alpha, beta, c, _ = w.normal_form
-    eigs = eigen_sequence(build(big_operator(BigJacobiParams(alpha, beta, c))), N + 1)
-    return three_term_recurrence([e.poly for e in eigs])
+    return _recurrence(w.normal_form, N)
 
 
 def recurrence_table_csv(coeffs) -> str:

@@ -5,7 +5,9 @@ are computed interval by interval in the original variable (no y = x^2
 substitution), with Gauss-Jacobi rules built by Golub-Welsch (symmetric
 tridiagonal eigensolve, a different algorithm from the production rule's
 polished Newton nodes) and plain float polynomial evaluation, doubling
-the node count until two successive values agree.
+the node count until two successive values agree.  The three-term
+recurrence is read off given polynomials by exact remainders, not from a
+closed form.
 """
 
 import math
@@ -14,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from dunkl_jacobi import OperatorParams
+from dunkl_jacobi import OperatorParams, Polynomial
 
 
 # -- closed-form subleading coefficients of L x^n -------------------------
@@ -39,6 +41,32 @@ def kappa_closed_form(params: OperatorParams, n: int):
         (n - 1) * (params.nu0 - params.nu1),
         2 * params.mu * (n - 1),
     )
+
+
+# -- three-term recurrence by exact remainders ------------------------------
+
+def three_term_remainders(polys) -> list:
+    """Exact ``(b_n, u_n)`` with ``x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}``.
+
+    ``polys`` are monic ``P_0..P_{N+1}``; entry ``n`` for ``n = 0..N`` is
+    ``(b_n, u_n)``, with ``u_0 = None``.  ``b_n`` is the leading coefficient
+    of ``x P_n - P_{n+1}`` and ``u_n`` that of what is left after removing
+    ``b_n P_n``; the final remainder must vanish identically.
+    """
+    x = Polynomial.monomial(1)
+    out = []
+    for n in range(len(polys) - 1):
+        rem = x * polys[n] - polys[n + 1]
+        bn = rem.coefficient(n)
+        rem = rem - bn * polys[n]
+        un = None
+        if n >= 1:
+            un = rem.coefficient(n - 1)
+            rem = rem - un * polys[n - 1]
+        if not rem.is_zero:
+            raise AssertionError(f"x P_{n} is not a three-term combination of the inputs")
+        out.append((bn, un))
+    return out
 
 
 # -- interval-wise Gauss-Jacobi reference integrator ------------------------

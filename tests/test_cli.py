@@ -16,6 +16,7 @@ from dunkl_jacobi import (
     parse_coefficient_table_csv,
     residual,
 )
+from dunkl_jacobi import quadrature as quad_mod
 from dunkl_jacobi.cli import main
 
 
@@ -149,6 +150,24 @@ class TestCertify:
             "eigen-residual", "orthogonality", "positivity", "symmetry", "pearson"]
         assert lines[2].startswith("PASS positivity h0=")
         assert "at n=" in lines[2]
+
+    def test_large_n_passes(self, capsys):
+        code, out, _ = run(["certify", "--alpha", "1", "--beta", "1", "--c", "1/2",
+                            "--N", "80"], capsys)
+        assert code == 0
+        assert out.count("PASS") == 5
+
+    def test_positivity_needs_the_recurrence_polynomials(self, capsys, monkeypatch):
+        # The eigenpolynomials must equal the closed-form P_n exactly.  A wrong
+        # top P_n leaves h_0 and the exact u_n as they are, so only that link
+        # can fail positivity here (the Gram checks fail with it).
+        real = quad_mod.orthogonal_polynomials
+        monkeypatch.setattr(quad_mod, "orthogonal_polynomials",
+                            lambda w, n: real(w, n)[:-1] + [Polynomial.monomial(n)])
+        code, out, _ = run(["certify", "--alpha", "1", "--beta", "1", "--c", "1/2",
+                            "--N", "6"], capsys)
+        assert code == 1
+        assert "FAIL positivity h0=" in out
 
     def test_parameter_error_exit_2(self, capsys):
         code, _, err = run(["certify", "--alpha", "-2", "--beta", "0"], capsys)

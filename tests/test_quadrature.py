@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from dunkl_jacobi import (
     inner_product,
     little_weight,
     moment,
+    orthogonal_polynomials,
     quadrature_rule,
     recurrence_coefficients,
     scale_params,
@@ -32,10 +34,24 @@ from _oracles import (
     little_moment_closed_form,
     reference_big_integral,
     reference_little_integral,
+    three_term_remainders,
 )
 
 HALF = Fraction(1, 2)
 W_LITTLE_10 = little_weight(1, 0)  # w = x + 1 on [-1, 1]
+
+# the criterion-05 grid, then alpha and beta from {-1/2, -99/100, 1} (not
+# both 1) with c at 0 and near 1
+_EDGE_EXPONENTS = (Fraction(-1, 2), Fraction(-99, 100), 1)
+RECURRENCE_FAMILIES = [
+    (a, b, c)
+    for a in (0, HALF, 1, 2) for b in (0, HALF, 1, 2)
+    for c in (Fraction(1, 4), HALF, Fraction(3, 4), 0)
+] + [
+    (a, b, c)
+    for a in _EDGE_EXPONENTS for b in _EDGE_EXPONENTS if (a, b) != (1, 1)
+    for c in (0, Fraction(99999, 100000))
+]
 
 
 class TestRule:
@@ -45,6 +61,14 @@ class TestRule:
             assert len(rule.nodes) == 60
             assert all(wt > 0 for wt in rule.weights)
             assert all(w.contains_interior(x) for x in rule.nodes)
+
+    @pytest.mark.parametrize("w", [big_weight(BigJacobiParams(HALF, -HALF, Fraction(3, 4))),
+                                   little_weight(HALF, -HALF)])
+    def test_no_warning_when_jacobi_exponents_sum_to_minus_one(self, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rule = quadrature_rule.__wrapped__(w, 20)  # bypass the rule cache
+        assert all(wt > 0 for wt in rule.weights)
 
     def test_json_export(self):
         rule = quadrature_rule(W_LITTLE_10, 5)
@@ -193,6 +217,30 @@ class TestGram:
                 ref = inner_product(w, polys[i], polys[j], order=40)
                 assert abs(g[i, j] - ref) <= bound * math.sqrt(g[i, i] * g[j, j])
 
+    @pytest.mark.parametrize("params", [BigJacobiParams(HALF, 2, Fraction(1, 4)),
+                                        BigJacobiParams(1, HALF, 0)])
+    @pytest.mark.parametrize("k", [HALF, Fraction(-2, 3), Fraction(-1)])
+    def test_rescaled_weight_matches_exact_node_values(self, params, k):
+        # normal form d = 1/k != 1: the node table stretches the closed-form basis
+        op = build(scale_params(big_operator(params), 1, k))
+        w = solve_pearson(op)
+        assert w.normal_form[3] == 1 / k
+        eigs = [e.poly for e in eigen_sequence(op, 11)]
+        assert orthogonal_polynomials(w, 11) == eigs
+        rng = random.Random(131)
+        polys = eigs + [Polynomial.monomial(j) for j in range(12)] + [
+            Polynomial({j: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for j in range(12)})
+            for _ in range(4)
+        ]
+        g = gram_matrix(w, polys, order=40).entries
+        rule = quadrature_rule(w, 40)
+        exact = [[float(p.evaluate_exact(Fraction(x))) for x in rule.nodes] for p in polys]
+        h = [math.fsum(wt * v * v for wt, v in zip(rule.weights, row)) for row in exact]
+        for i in range(len(polys)):
+            for j in range(i, len(polys)):
+                ref = math.fsum(wt * a * b for wt, a, b in zip(rule.weights, exact[i], exact[j]))
+                assert abs(g[i, j] - ref) <= 1e-13 * math.sqrt(h[i] * h[j])
+
     def test_zero_normalization_counts_as_unverified(self):
         g = np.array([[4.0, 1e-12, 0.0], [1e-12, 1.0, 1e-300], [0.0, 1e-300, 0.0]])
         assert GramMatrix(entries=g[:2, :2], basis=()).max_relative_off_diagonal() == 5e-13
@@ -293,6 +341,15 @@ class TestRecurrence:
         h = np.diag(gram_matrix(w, [e.poly for e in eigs]).entries)
         for n in range(1, 13):
             assert float(coeffs[n][1]) == pytest.approx(h[n] / h[n - 1], rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, beta, c", RECURRENCE_FAMILIES)
+    def test_closed_form_matches_eigen_remainders(self, alpha, beta, c):
+        params = BigJacobiParams(alpha, beta, c)
+        w = little_weight(alpha, beta) if c == 0 else big_weight(params)
+        eigs = eigen_sequence(build(big_operator(params)), 31)
+        polys = [e.poly for e in eigs]
+        assert recurrence_coefficients(w, 30) == three_term_remainders(polys)
+        assert orthogonal_polynomials(w, 31) == polys
 
     def test_no_underflow_near_c_one(self):
         # monic norms h_n underflow float64 near n = 56 here; u_n does not
