@@ -38,6 +38,25 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _int_from(low: int):
+    """Argument type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_degree = _int_from(0)
+_order = _int_from(1)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reads every token starting ``-<digit>`` or ``-.<digit>`` as a value.
 
@@ -141,8 +160,6 @@ def cmd_classify(args, parser) -> int:
 
 
 def cmd_weight_sample(args, parser) -> int:
-    if args.samples < 2:
-        parser.error("--samples must be at least 2")
     family = _family_from_args(args, parser)
     w = _weight_for(family)
     lines = ["x,w"]
@@ -242,14 +259,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-poly", help="emit monic eigenpolynomial coefficient table")
     _add_family_flags(p)
-    p.add_argument("--N", type=int, required=True, help="largest degree")
+    p.add_argument("--N", type=_degree, required=True, help="largest degree")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_poly)
 
     p = sub.add_parser("eigenvalues", help="emit the eigenvalue table")
     _add_family_flags(p)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_degree, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eigenvalues)
@@ -260,23 +277,23 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weight-sample", help="sample the weight function over its support")
     _add_family_flags(p, with_raw=False)
-    p.add_argument("--samples", type=int, required=True, help="points per interval (>= 2)")
+    p.add_argument("--samples", type=_int_from(2), required=True, help="points per interval (>= 2)")
     p.add_argument("--eps", type=float, default=1e-6, help="margin from singular endpoints")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_weight_sample)
 
     p = sub.add_parser("gram", help="Gram matrix of the eigenpolynomials")
     _add_family_flags(p, with_raw=False)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--N", type=_degree, required=True)
+    p.add_argument("--order", type=_order, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("certify", help="run the full certification suite")
     _add_family_flags(p, with_raw=False)
-    p.add_argument("--N", type=int, default=10)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--N", type=_degree, default=10)
+    p.add_argument("--order", type=_order, default=None)
     p.set_defaults(func=cmd_certify)
 
     return parser

@@ -10,8 +10,18 @@ weights) is what gets exposed.
 Each polynomial is written exactly in the monic orthogonal basis ``P_k``,
 whose recurrence is known in closed form (the big -1 Jacobi polynomials of
 Vinet and Zhedanov), and the ``P_k`` are evaluated at the nodes by the float
-recurrence (Golub & Welsch, 1969).  Single inner products sum with
-``math.fsum``; a Gram matrix is one float64 matmul.
+recurrence (Golub & Welsch, 1969).  An input equal to ``P_k`` is a unit
+row.  Single inner products sum with ``math.fsum``; a Gram matrix is one
+float64 matmul.
+
+Every weight keeps one exact :class:`ThreeTermTable` on the instance: the
+closed-form ``(b_n, u_n)`` and the monic ``P_0..P_n``, grown on demand.
+The ``P_k`` come from a fraction-free integer recurrence, after the
+Bareiss idiom of :mod:`.eigen`.  ``recurrence_coefficients``,
+``orthogonal_polynomials`` and the node evaluation all read that table,
+so a ``certify`` call evaluates the recurrence once and builds the basis
+once.  The table belongs to the weight object, never to a key hashed from
+it, so a freshly built weight starts cold.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +41,7 @@ from .weights import WeightFunction
 __all__ = [
     "QuadratureRule",
     "GramMatrix",
+    "ThreeTermTable",
     "quadrature_rule",
     "inner_product",
     "moment",
@@ -160,15 +172,19 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, target=w, order=order)
 
 
-def _node_table(rule: QuadratureRule, polys) -> np.ndarray:
-    """Rows of ``polys`` at the nodes: exact ``P_k`` expansions, rounded once."""
+def _node_table(w: WeightFunction, rule: QuadratureRule, polys) -> np.ndarray:
+    """Rows of ``polys`` at the nodes: exact ``P_k`` expansions, rounded once.
+
+    The basis is ``w``'s own table: ``rule.target`` may be an older equal
+    weight held by the rule cache.  An input equal to ``P_k`` is a unit row.
+    """
     if not all(p.is_polynomial for p in polys):
         raise ValueError("node values need polynomials")
     top = max((p.degree or 0) for p in polys) if polys else 0
-    basis = orthogonal_polynomials(rule.target, top)
+    table = _basis(w, top)
     x = np.asarray(rule.nodes)
     values = [np.ones_like(x)]
-    for n, (b, u) in enumerate(_recurrence(rule.target.normal_form, top - 1)):
+    for n, (b, u) in enumerate(table.coefficients[:top]):
         nxt = (x - float(b)) * values[n]
         values.append(nxt - float(u) * values[n - 1] if n else nxt)
     expansion = np.zeros((len(polys), top + 1))
@@ -176,7 +192,9 @@ def _node_table(rule: QuadratureRule, polys) -> np.ndarray:
         while not p.is_zero:
             k, lead = p.degree, p.leading_coefficient
             row[k] = float(lead)
-            p = p - lead * basis[k]
+            if p == table.polys[k]:
+                break
+            p = p - lead * table.polys[k]
     return expansion @ np.array(values)
 
 
@@ -194,7 +212,7 @@ def inner_product(w: WeightFunction, p: LaurentPoly, q: LaurentPoly,
     """
     deg = (p.degree or 0) + (q.degree or 0)
     rule = quadrature_rule(w, order if order is not None else _default_order(deg))
-    pv, qv = _node_table(rule, (p, q)).tolist()
+    pv, qv = _node_table(w, rule, (p, q)).tolist()
     return math.fsum(wt * a * b for wt, a, b in zip(rule.weights, pv, qv))
 
 
@@ -248,7 +266,7 @@ def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatri
     polys = tuple(polys)
     max_deg = max((p.degree or 0) for p in polys) if polys else 0
     rule = quadrature_rule(w, order if order is not None else _default_order(2 * max_deg))
-    table = _node_table(rule, polys)
+    table = _node_table(w, rule, polys)
     g = (table * np.asarray(rule.weights)) @ table.T
     return GramMatrix(entries=(g + g.T) / 2.0, basis=polys)
 
@@ -288,21 +306,82 @@ def _recurrence(normal_form, N: int) -> list:
     return out
 
 
+@dataclass(frozen=True)
+class ThreeTermTable:
+    """A positive weight's closed-form ``(b_n, u_n)`` and the monic ``P_k`` they build.
+
+    ``coefficients[n]`` is ``(b_n, u_n)`` with ``u_0 = None``, and
+    ``polys[k]`` is ``P_k``, built from ``coefficients[:k]``.  ``forms``
+    holds the last two ``P_k`` as ``(D, v)``, integers with
+    ``P_k = sum_j v[j] x^j / D``, content 1 and ``v[k] = D``, from which
+    the next one grows.
+    """
+
+    coefficients: tuple = ()
+    polys: tuple = ()
+    forms: tuple = ()
+
+
+def _coefficients(w: WeightFunction, n: int) -> ThreeTermTable:
+    """``w``'s table with at least ``(b_k, u_k)`` for k < n, grown on demand."""
+    table = w._table or ThreeTermTable()
+    if len(table.coefficients) >= n:
+        return table
+    table = ThreeTermTable(tuple(_recurrence(w.normal_form, n - 1)), table.polys, table.forms)
+    object.__setattr__(w, "_table", table)
+    return table
+
+
+def _basis(w: WeightFunction, n: int) -> ThreeTermTable:
+    """``w``'s table with at least ``P_0..P_n``, grown on demand.
+
+    ``P_{k+1} = (x - b_k) P_k - u_k P_{k-1}`` runs fraction-free, after the
+    Bareiss idiom of :mod:`.eigen`: integer vectors over one common
+    denominator, divided by their content each step, with one ``Fraction``
+    per coefficient when ``P_{k+1}`` is formed.
+    """
+    table = _coefficients(w, n)
+    if len(table.polys) > n:
+        return table
+    polys = list(table.polys) or [Polynomial.one()]
+    prev, cur = table.forms or (None, (1, (1,)))
+    for k in range(len(polys) - 1, n):
+        b, u = table.coefficients[k]
+        d1, v1 = cur
+        # den P_{k+1} = (den/d1) x v1 - (den b/d1) v1 - (den u/d0) v0, all integral
+        den = b.denominator * d1
+        if prev is not None:
+            d0, v0 = prev
+            den = math.lcm(den, u.denominator * d0)
+        sx, sb = den // d1, den // (b.denominator * d1) * b.numerator
+        v = [0] + [sx * t for t in v1]
+        for j, t in enumerate(v1):
+            v[j] -= sb * t
+        if prev is not None:
+            su = den // (u.denominator * d0) * u.numerator
+            for j, t in enumerate(v0):
+                v[j] -= su * t
+        g = math.gcd(*v)  # v[k + 1] = den, so g divides den
+        den //= g
+        v = tuple(t // g for t in v)
+        polys.append(Polynomial({j: Fraction(t, den) for j, t in enumerate(v) if t}))
+        prev, cur = cur, (den, v)
+    table = ThreeTermTable(table.coefficients, tuple(polys), (prev, cur))
+    object.__setattr__(w, "_table", table)
+    return table
+
+
 def orthogonal_polynomials(w: WeightFunction, n: int) -> list:
     """Exact monic ``P_0..P_n`` orthogonal under a positive weight.
 
     For the family weights these are the monic eigenpolynomials of
-    ``big_operator((alpha, beta, c))``.
+    ``big_operator((alpha, beta, c))``.  They are read off the weight's
+    exact three-term table.
     """
     _require_positive_family(w)
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = Polynomial.monomial(1)
-    polys = [Polynomial.one()]
-    for k, (b, u) in enumerate(_recurrence(w.normal_form, n - 1)):
-        nxt = (x - b) * polys[k]
-        polys.append(Polynomial.from_laurent(nxt - u * polys[k - 1] if k else nxt))
-    return polys
+    return list(_basis(w, n).polys[:n + 1])
 
 
 def recurrence_coefficients(w: WeightFunction, N: int) -> list:
@@ -316,7 +395,7 @@ def recurrence_coefficients(w: WeightFunction, N: int) -> list:
         raise UnsupportedWeight("weight is not a positive family weight with d = 1")
     if N < 0:
         raise ValueError("N must be >= 0")
-    return _recurrence(w.normal_form, N)
+    return list(_coefficients(w, N + 1).coefficients[:N + 1])
 
 
 def recurrence_table_csv(coeffs) -> str:

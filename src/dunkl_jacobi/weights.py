@@ -20,9 +20,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .dunkl import DunklOperator, OperatorParams, build
 from .errors import (
@@ -34,6 +34,9 @@ from .errors import (
     UnsupportedWeight,
 )
 from .laurent import Rational, as_rational
+
+if TYPE_CHECKING:
+    from .quadrature import ThreeTermTable
 
 
 class CaseTag(str, enum.Enum):
@@ -102,6 +105,16 @@ class WeightFunction:
     ``constant`` is the arbitrary overall normalization.  For the positive
     families it is ``sign(d)`` when the support is nonempty, which makes the
     weight positive there, and ``1`` otherwise; the other cases use ``1``.
+
+    The descriptor never changes, and evaluation is a pure function.  The
+    one piece of state is the exact three-term table of a positive weight:
+    the closed-form ``(b_n, u_n)`` and the monic ``P_0..P_n`` they build,
+    which :mod:`.quadrature` grows on demand and keeps on the instance.  It
+    is left out of equality, hashing and ``repr``, so two equal weights
+    built separately share no table.  A growth builds a new table and
+    publishes it with one attribute store, so two threads growing it at
+    once only repeat work: both tables are correct, and each caller uses
+    the one it got back.
     """
 
     family: str  # "big" | "little" | "case_ii" | "case_iii" | "case_iv" | "case_v"
@@ -113,6 +126,8 @@ class WeightFunction:
     support: tuple
     constant: Rational = Fraction(1)
     normal_form: Optional[tuple] = None
+    _table: Optional[ThreeTermTable] = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     # -- evaluation -------------------------------------------------------
 

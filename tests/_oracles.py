@@ -7,7 +7,8 @@ tridiagonal eigensolve, a different algorithm from the production rule's
 polished Newton nodes) and plain float polynomial evaluation, doubling
 the node count until two successive values agree.  The three-term
 recurrence is read off given polynomials by exact remainders, not from a
-closed form.
+closed form, and the polynomials it builds are formed by plain
+``Fraction`` arithmetic, not fraction-free.
 """
 
 import math
@@ -67,6 +68,20 @@ def three_term_remainders(polys) -> list:
             raise AssertionError(f"x P_{n} is not a three-term combination of the inputs")
         out.append((bn, un))
     return out
+
+
+def recurrence_polynomials(coefficients) -> list:
+    """Monic ``P_0..P_n`` from ``(b_k, u_k)``, k < n, by ``Polynomial`` arithmetic.
+
+    ``P_{k+1} = (x - b_k) P_k - u_k P_{k-1}``, each coefficient a reduced
+    ``Fraction`` at every step.
+    """
+    x = Polynomial.monomial(1)
+    polys = [Polynomial.one()]
+    for k, (b, u) in enumerate(coefficients):
+        nxt = (x - b) * polys[k]
+        polys.append(Polynomial.from_laurent(nxt - u * polys[k - 1] if k else nxt))
+    return polys
 
 
 # -- interval-wise Gauss-Jacobi reference integrator ------------------------

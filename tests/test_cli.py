@@ -169,6 +169,18 @@ class TestCertify:
         assert code == 1
         assert "FAIL positivity h0=" in out
 
+    @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
+    def test_recurrence_evaluated_once(self, family, capsys, monkeypatch):
+        # recurrence, link check and both Gram matrices read one table
+        calls = []
+        real = quad_mod._recurrence
+        monkeypatch.setattr(quad_mod, "_recurrence",
+                            lambda nf, N: calls.append(N) or real(nf, N))
+        code, out, _ = run(["certify", "--alpha", "1", "--beta", "1", *family,
+                            "--N", "12"], capsys)
+        assert code == 0 and out.count("PASS") == 5
+        assert calls == [12]
+
     def test_parameter_error_exit_2(self, capsys):
         code, _, err = run(["certify", "--alpha", "-2", "--beta", "0"], capsys)
         assert code == 2
@@ -208,6 +220,39 @@ class TestEigenvaluesAndGram:
         with pytest.raises(SystemExit) as exc:
             main(["eigenvalues", "--alpha", "x", "--beta", "0", "--N", "1"])
         assert exc.value.code == 2
+
+
+class TestIntegerBounds:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--alpha", "1", "--beta", "1", "--c", "1/2", "--N", "-1"],
+        ["certify", "--alpha", "1", "--beta", "1", "--c", "1/2", "--order", "0"],
+        ["gen-poly", "--alpha", "1", "--beta", "0", "--N", "-1"],
+        ["gram", "--alpha", "1", "--beta", "0", "--N", "-1"],
+        ["gram", "--alpha", "1", "--beta", "0", "--N", "2", "--order", "0"],
+        ["eigenvalues", "--alpha", "1", "--beta", "0", "--N", "-1"],
+        ["weight-sample", "--alpha", "1", "--beta", "0", "--samples", "1"],
+    ])
+    def test_rejected_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ") and "must be at least" in captured.err
+
+    def test_not_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eigenvalues", "--alpha", "1", "--beta", "0", "--N", "1/2"])
+        assert exc.value.code == 2
+        assert "not an integer: '1/2'" in capsys.readouterr().err
+
+    def test_lowest_values_accepted(self, capsys):
+        code, out, _ = run(["gram", "--alpha", "1", "--beta", "0", "--N", "0",
+                            "--order", "1"], capsys)
+        assert code == 0
+        assert float(out.splitlines()[1]) == pytest.approx(2.0, rel=1e-13)
+        code, out, _ = run(["eigenvalues", "--tau1", "2", "--N", "0"], capsys)
+        assert code == 0 and out.splitlines() == ["n,parity,lambda", "0,even,0"]
 
 
 class TestStartup:

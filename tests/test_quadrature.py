@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -30,8 +32,13 @@ from dunkl_jacobi import (
     symmetry_residual,
 )
 
+from dunkl_jacobi import DegenerateSpectrum
+from dunkl_jacobi import quadrature as quad_mod
+from dunkl_jacobi.weights import _positive_family_weight
+
 from _oracles import (
     little_moment_closed_form,
+    recurrence_polynomials,
     reference_big_integral,
     reference_little_integral,
     three_term_remainders,
@@ -376,3 +383,146 @@ class TestRecurrence:
         assert lines[1].startswith("0,") and lines[1].endswith(",")
         assert len(lines) == 4
         assert lines[1:] == ["0,1/3,", "1,1/15,2/9", "2,1/35,6/25"]
+
+
+def _family_weight(alpha, beta, c):
+    return little_weight(alpha, beta) if c == 0 else big_weight(BigJacobiParams(alpha, beta, c))
+
+
+def _exact_gram(rule, polys):
+    """``sum_k w_k p(x_k) q(x_k)`` with exact node values, and the diagonal."""
+    vals = [[float(p.evaluate_exact(Fraction(x))) for x in rule.nodes] for p in polys]
+    g = [[math.fsum(wt * a * b for wt, a, b in zip(rule.weights, vi, vj)) for vj in vals]
+         for vi in vals]
+    return g, [g[i][i] for i in range(len(polys))]
+
+
+class TestThreeTermTable:
+    @pytest.mark.parametrize("alpha, beta, c", RECURRENCE_FAMILIES)
+    def test_fraction_free_basis_matches_fraction_recurrence(self, alpha, beta, c):
+        nf = _family_weight(alpha, beta, c).normal_form
+        ref = recurrence_polynomials(quad_mod._recurrence(nf, 29))
+        for n in (0, 1, 30):
+            got = orthogonal_polynomials(_family_weight(alpha, beta, c), n)
+            assert all(type(p) is Polynomial for p in got)
+            assert got == ref[:n + 1]
+
+    @pytest.mark.parametrize("params", [BigJacobiParams(HALF, 2, Fraction(1, 4)),
+                                        BigJacobiParams(1, HALF, 0)])
+    @pytest.mark.parametrize("k", [HALF, Fraction(-2, 3), Fraction(-1)])
+    def test_fraction_free_basis_on_rescaled_weights(self, params, k):
+        def weight():
+            return solve_pearson(build(scale_params(big_operator(params), 1, k)))
+
+        nf = weight().normal_form
+        assert nf[3] == 1 / k
+        ref = recurrence_polynomials(quad_mod._recurrence(nf, 29))
+        for n in (0, 1, 30):
+            assert orthogonal_polynomials(weight(), n) == ref[:n + 1]
+
+    def test_new_weight_carries_no_table(self):
+        params = BigJacobiParams(Fraction(3, 7), Fraction(5, 9), Fraction(2, 7))
+        first, second = big_weight(params), big_weight(params)
+        assert first._table is None and second._table is None
+        orthogonal_polynomials(first, 6)
+        assert first._table is not None and second._table is None
+        assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
+
+    def test_node_table_reads_the_weight_it_is_given(self):
+        # The rule cache hands back the rule built for an older equal weight;
+        # the basis must still come from (and grow) the weight passed in.
+        params = BigJacobiParams(Fraction(3, 7), Fraction(5, 9), Fraction(2, 7))
+        older, newer = big_weight(params), big_weight(params)
+        quadrature_rule.cache_clear()
+        gram_matrix(older, [Polynomial.monomial(3)], order=30)
+        assert quadrature_rule(newer, 30).target is older
+        g = gram_matrix(newer, [Polynomial.monomial(8)], order=30)
+        assert len(older._table.polys) == 4 and len(newer._table.polys) == 9
+        assert g.entries[0, 0] == pytest.approx(moment(big_weight(params), 16, order=30),
+                                                rel=1e-13)
+
+    @pytest.mark.parametrize("steps", [
+        (("basis", 5), ("basis", 30)),
+        (("basis", 30), ("basis", 5)),
+        (("recurrence", 30), ("basis", 5), ("basis", 30)),
+        (("basis", 5), ("recurrence", 30), ("recurrence", 5), ("basis", 31)),
+    ])
+    def test_growth_order_gives_a_fresh_weights_lists(self, steps):
+        params = BigJacobiParams(Fraction(3, 4), Fraction(1, 3), Fraction(2, 5))
+        grown = big_weight(params)
+        read = {"basis": orthogonal_polynomials, "recurrence": recurrence_coefficients}
+        for kind, n in steps:
+            got = read[kind](grown, n)
+            assert got == read[kind](big_weight(params), n)
+            got.append(None)  # the caller's list is its own
+            assert read[kind](grown, n) == read[kind](big_weight(params), n)
+
+    @pytest.mark.parametrize("alpha, beta", [(-1, -1), (-2, 0), (-3, -1), (-5, -1),
+                                             (Fraction(-5, 2), Fraction(-3, 2)), (-3, 0)])
+    def test_degenerate_spectrum_pairs(self, alpha, beta):
+        # 2n + alpha + beta vanishes at n = m: the recurrence to N divides by
+        # it for n <= N + 1, the basis P_0..P_n for n' <= n
+        m = -Fraction(alpha + beta) / 2
+        hit = m.denominator == 1 and m >= 1
+
+        def check(read, w, n, top):
+            if hit and m <= top:
+                with pytest.raises(DegenerateSpectrum):
+                    read(w, n)
+            else:
+                read(w, n)
+
+        for c, d in ((HALF, Fraction(1)), (Fraction(0), Fraction(1)),
+                     (Fraction(-1, 3), Fraction(-2, 3))):
+            warm = _positive_family_weight(Fraction(alpha), Fraction(beta), c, d)
+            for n in list(range(7)) + list(range(6, -1, -1)):
+                fresh = _positive_family_weight(Fraction(alpha), Fraction(beta), c, d)
+                for w in (fresh, warm):
+                    check(orthogonal_polynomials, w, n, n)
+                    if d == 1:
+                        check(recurrence_coefficients, w, n, n + 1)
+
+    def test_concurrent_growth_only_repeats_work(self):
+        params = BigJacobiParams(Fraction(3, 4), Fraction(1, 3), Fraction(2, 5))
+        ref_polys = orthogonal_polynomials(big_weight(params), 24)
+        ref_coeffs = recurrence_coefficients(big_weight(params), 24)
+        shared = big_weight(params)
+        errors = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    n = rng.randint(0, 24)
+                    if rng.random() < 0.5:
+                        assert orthogonal_polynomials(shared, n) == ref_polys[:n + 1]
+                    else:
+                        assert recurrence_coefficients(shared, n) == ref_coeffs[:n + 1]
+            except Exception as exc:  # reported by the main thread below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_unit_and_perturbed_rows_match_exact_node_values(self):
+        params = BigJacobiParams(HALF, 2, Fraction(1, 4))
+        w = big_weight(params)
+        eigs = [e.poly for e in eigen_sequence(build(big_operator(params)), 15)]
+        rule = quadrature_rule(w, 40)
+        for k in (0, 1, 7, 15):
+            polys = [eigs[k], eigs[k] + Fraction(1, 3)]
+            g = gram_matrix(w, polys, order=40).entries
+            ref, h = _exact_gram(rule, polys)
+            for i in range(2):
+                for j in range(2):
+                    assert abs(g[i, j] - ref[i][j]) <= 1e-13 * math.sqrt(h[i] * h[j])
