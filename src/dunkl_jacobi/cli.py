@@ -8,7 +8,9 @@ exactly, so the exact-arithmetic guarantees start at the flag parser.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -55,6 +57,17 @@ def _int_from(low: int):
 
 _degree = _int_from(0)
 _order = _int_from(1)
+
+
+def _margin(text: str) -> float:
+    """Argument type: a finite float greater than zero."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -162,6 +175,10 @@ def cmd_classify(args, parser) -> int:
 def cmd_weight_sample(args, parser) -> int:
     family = _family_from_args(args, parser)
     w = _weight_for(family)
+    half = min(hi - lo for lo, hi in w.support) / 2
+    if args.eps >= half:
+        parser.error(f"--eps must be below half the shortest support interval ({half}), "
+                     f"got {args.eps!r}")
     lines = ["x,w"]
     for x in w.interior_grid(args.samples, eps=args.eps):
         lines.append(f"{x!r},{w(x)!r}")
@@ -278,7 +295,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weight-sample", help="sample the weight function over its support")
     _add_family_flags(p, with_raw=False)
     p.add_argument("--samples", type=_int_from(2), required=True, help="points per interval (>= 2)")
-    p.add_argument("--eps", type=float, default=1e-6, help="margin from singular endpoints")
+    p.add_argument("--eps", type=_margin, default=1e-6,
+                   help="margin from singular endpoints (positive, below half the "
+                        "shortest support interval)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_weight_sample)
 
@@ -299,8 +318,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

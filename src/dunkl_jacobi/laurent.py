@@ -4,6 +4,11 @@ A Laurent polynomial is a finite sum ``sum c_k x**k`` with integer exponents
 ``k`` of either sign and coefficients stored as ``fractions.Fraction``.
 Everything in this module is exact; floating point enters only through
 :meth:`LaurentPoly.evaluate`.
+
+A sum or product stores the first contribution to an exponent as it is and
+adds only where a coefficient is already there; coefficients that cancel to
+zero are dropped once, when the result is formed.  An absent exponent reads
+as one shared ``Fraction(0)``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ from .errors import PoleAtZero
 Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
+
+#: The one zero coefficient handed out for absent exponents; a ``Fraction``
+#: is immutable, so sharing it is safe.
+_ZERO = Fraction(0)
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -114,14 +123,14 @@ class LaurentPoly:
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self._terms[max(self._terms)] if self._terms else Fraction(0)
+        return self._terms[max(self._terms)] if self._terms else _ZERO
 
     @property
     def is_monic(self) -> bool:
         return bool(self._terms) and self.leading_coefficient == 1
 
     def coefficient(self, exponent: int) -> Fraction:
-        return self._terms.get(exponent, Fraction(0))
+        return self._terms.get(exponent, _ZERO)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -131,11 +140,8 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._terms)
         for k, v in other._terms.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            prev = out.get(k)
+            out[k] = v if prev is None else prev + v
         return _wrap(out)
 
     __radd__ = __add__
@@ -163,11 +169,8 @@ class LaurentPoly:
         for ka, va in self._terms.items():
             for kb, vb in other._terms.items():
                 k = ka + kb
-                s = out.get(k, Fraction(0)) + va * vb
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                prev = out.get(k)
+                out[k] = va * vb if prev is None else prev + va * vb
         return _wrap(out)
 
     __rmul__ = __mul__

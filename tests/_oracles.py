@@ -8,9 +8,16 @@ polished Newton nodes) and plain float polynomial evaluation, doubling
 the node count until two successive values agree.  The three-term
 recurrence is read off given polynomials by exact remainders, not from a
 closed form, and the polynomials it builds are formed by plain
-``Fraction`` arithmetic, not fraction-free.
+``Fraction`` arithmetic, not fraction-free.  A second Gauss rule comes
+from the closed-form recurrence by Golub-Welsch, not through ``y = x^2``.
+The coefficient table is written by ``csv.writer`` from
+``Polynomial.coefficient``, not by plain comma joins over the coefficient
+map.
 """
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -82,6 +89,46 @@ def recurrence_polynomials(coefficients) -> list:
         nxt = (x - b) * polys[k]
         polys.append(Polynomial.from_laurent(nxt - u * polys[k - 1] if k else nxt))
     return polys
+
+
+def golub_welsch_rule(coefficients, h0):
+    """Gauss rule of ``len(coefficients)`` nodes from monic ``(b_n, u_n)``.
+
+    The Jacobi matrix has diagonal ``b_n`` and off-diagonal ``sqrt(u_n)``
+    (``u_0`` unused); the nodes are its eigenvalues and the weights ``h0``
+    times the squared first components of its unit eigenvectors.
+    """
+    diag = np.array([float(b) for b, _ in coefficients])
+    off = np.sqrt([float(u) for _, u in coefficients[1:]])
+    nodes, vecs = eigh_tridiagonal(diag, off)
+    return nodes, h0 * vecs[0] ** 2
+
+
+# -- coefficient table by csv.writer ----------------------------------------
+
+def coefficient_table_csv_reference(eigs) -> str:
+    """The eigenpolynomial CSV table through ``csv.writer``, cell by cell."""
+    n_max = max(e.n for e in eigs)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["degree", "lambda"] + [f"c{k}" for k in range(n_max + 1)])
+    for e in eigs:
+        row = [e.n, str(e.eigenvalue)]
+        row += [str(e.poly.coefficient(k)) for k in range(n_max + 1)]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def coefficient_table_json_reference(eigs) -> str:
+    """The eigenpolynomial JSON table, cell by cell through ``coefficient``."""
+    return json.dumps([
+        {
+            "degree": e.n,
+            "lambda": str(e.eigenvalue),
+            "coefficients": [str(e.poly.coefficient(k)) for k in range(e.n + 1)],
+        }
+        for e in eigs
+    ], indent=2)
 
 
 # -- interval-wise Gauss-Jacobi reference integrator ------------------------

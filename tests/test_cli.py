@@ -16,7 +16,7 @@ from dunkl_jacobi import (
     parse_coefficient_table_csv,
     residual,
 )
-from dunkl_jacobi import quadrature as quad_mod
+from dunkl_jacobi import cli, quadrature as quad_mod
 from dunkl_jacobi.cli import main
 
 
@@ -123,6 +123,38 @@ class TestWeightSample:
         with pytest.raises(SystemExit) as exc:
             main(["weight-sample", "--alpha", "1", "--beta", "0", "--samples", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("eps,message", [
+        ("-1", "must be finite and positive"),  # would sample outside the support
+        ("0", "must be finite and positive"),  # would sample the singular endpoints
+        ("nan", "must be finite and positive"),
+        ("inf", "must be finite and positive"),
+        ("1", "below half the shortest support interval (1/4)"),  # intervals reversed
+        ("0.25", "below half the shortest support interval (1/4)"),
+    ])
+    def test_eps_rejected(self, eps, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["weight-sample", "--alpha", "1", "--beta", "1", "--c", "1/2",
+                  "--samples", "3", "--eps", eps])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ") and message in captured.err
+
+    def test_eps_default_output(self, capsys):
+        argv = ["weight-sample", "--alpha", "1", "--beta", "1", "--c", "1/2", "--samples", "3"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert run(argv + ["--eps", "1e-6"], capsys) == (0, out, "")
+        w = dunkl_jacobi.big_weight(BigJacobiParams(1, 1, Fraction(1, 2)))
+        rows = [row.split(",") for row in out.splitlines()]
+        assert rows[0] == ["x", "w"]
+        assert [x for x, _ in rows[1:]] == [
+            "-0.999999", "-0.75", "-0.500001", "0.500001", "0.75", "0.999999"]
+        assert [v for _, v in rows[1:]] == [repr(w(float(x))) for x, _ in rows[1:]]
+        code, out, _ = run(["weight-sample", "--alpha", "1", "--beta", "1", "--c", "1/2",
+                            "--samples", "3", "--eps", "0.2499"], capsys)
+        assert code == 0 and len(out.splitlines()) == 7
 
 
 class TestCertify:
@@ -253,6 +285,44 @@ class TestIntegerBounds:
         assert float(out.splitlines()[1]) == pytest.approx(2.0, rel=1e-13)
         code, out, _ = run(["eigenvalues", "--tau1", "2", "--N", "0"], capsys)
         assert code == 0 and out.splitlines() == ["n,parity,lambda", "0,even,0"]
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["gen-poly", "--alpha", "1", "--beta", "1", "--c", "1/2", "--N", "4"],
+        ["eigenvalues", "--tau1", "2", "--eta", "-9/10", "--N", "3"],
+        ["gen-poly", "--alpha", "1", "--beta", "0", "--N", "-1"],  # parser rejection
+        ["classify", "--nu1", "-1", "--rho1", "-1", "--tau1", "2", "--eta", "-1"],
+        ["certify", "--alpha", "1", "--beta", "0", "--N", "4"],
+        ["weight-sample", "--alpha", "1", "--beta", "1", "--c", "1/2", "--samples", "3",
+         "--eps", "1"],  # rejected after parsing
+        ["gen-poly", "--alpha", "1/2", "--beta", "2", "--c", "1/4", "--N", "3",
+         "--format", "json"],
+        ["certify", "--alpha", "-2", "--beta", "0"],  # parameter error
+        ["eigenvalues", "--alpha", "0", "--beta", "0", "--c", "1/2", "--N", "2"],
+    ]
+
+    @staticmethod
+    def outcomes(capsys):
+        results = []
+        for argv in TestParserReuse.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_cached_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        cached = self.outcomes(capsys)
+        monkeypatch.setattr(cli, "_parser", cli.make_parser)
+        fresh = self.outcomes(capsys)
+        assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 2, 0, 2, 0]
+        assert cached == fresh
 
 
 class TestStartup:

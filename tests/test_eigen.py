@@ -23,6 +23,7 @@ from dunkl_jacobi import (
 )
 
 from _helpers import random_nondegenerate_params, random_params, random_rational
+from _oracles import coefficient_table_csv_reference, coefficient_table_json_reference
 
 
 def raw_and_family_operators(rng, count, N):
@@ -267,6 +268,39 @@ class TestExport:
             assert back.eigenvalue == orig.eigenvalue
             assert back.poly == orig.poly
             assert residual(op, back.poly, back.eigenvalue).is_zero
+
+    @pytest.mark.parametrize("N", [0, 1, 40])
+    def test_tables_match_reference_raw(self, N):
+        # raw operators with mu != 0; from degree 1 on, a negative eigenvalue
+        rng = random.Random(103 + N)
+        tables = 0
+        while tables < 3:
+            p = random_nondegenerate_params(rng, N)
+            if not p.mu or (N and min(eigenvalue(p, n) for n in range(N + 1)) >= 0):
+                continue
+            eigs = eigen_sequence(build(p), N)
+            assert coefficient_table_csv(eigs) == coefficient_table_csv_reference(eigs)
+            assert coefficient_table_json(eigs) == coefficient_table_json_reference(eigs)
+            tables += 1
+
+    @pytest.mark.parametrize("alpha,beta,c,N", [
+        (Fraction(3, 4), Fraction(-1, 3), 0, 40),
+        (Fraction(1, 2), 2, Fraction(1, 4), 100),
+    ])
+    def test_tables_match_reference_families(self, alpha, beta, c, N):
+        eigs = eigen_sequence(build(big_operator(BigJacobiParams(alpha, beta, c))), N)
+        assert coefficient_table_csv(eigs) == coefficient_table_csv_reference(eigs)
+        assert coefficient_table_json(eigs) == coefficient_table_json_reference(eigs)
+
+    def test_tables_match_reference_below_degree_zeros(self):
+        # mu = xi = rho0 = rho1 = 0 decouples the parities: P_n has no
+        # x^(n-1), x^(n-3), ... terms
+        p = OperatorParams(nu0=Fraction(1, 3), nu1=Fraction(-1, 2), tau0=Fraction(3, 2),
+                           tau1=Fraction(-5, 3), eta=Fraction(7, 4))
+        eigs = eigen_sequence(build(p), 30)
+        assert all(len(e.poly.terms) == e.n // 2 + 1 for e in eigs)
+        assert coefficient_table_csv(eigs) == coefficient_table_csv_reference(eigs)
+        assert coefficient_table_json(eigs) == coefficient_table_json_reference(eigs)
 
     def test_json_structure(self):
         import json

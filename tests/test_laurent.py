@@ -55,6 +55,25 @@ class TestArithmetic:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
 
+    def test_sum_and_difference_cancel_to_no_terms(self):
+        p = lp({-2: Fraction(3, 4), 0: -1, 5: 2})
+        for zero in (p + (-p), p - p):
+            assert zero.is_zero and zero.terms == {}
+            assert zero.degree is None and zero.leading_coefficient == 0
+
+    def test_product_cancellation_stores_no_term(self):
+        # (x - 1)(x + 1): the two x terms cancel
+        assert (lp({1: 1, 0: -1}) * lp({1: 1, 0: 1})).terms == {2: 1, 0: -1}
+        # (x^2 + x + 1)(x^2 - x + 1): the x^2 sum passes through zero, then 1
+        prod = lp({2: 1, 1: 1, 0: 1}) * lp({2: 1, 1: -1, 0: 1})
+        assert prod.terms == {4: 1, 2: 1, 0: 1}
+
+    def test_absent_coefficient_is_fraction_zero(self):
+        for p in (lp({3: 2}), LaurentPoly.zero(), Polynomial({1: Fraction(1, 3)})):
+            c = p.coefficient(2)
+            assert c == 0 and type(c) is Fraction
+        assert type(LaurentPoly.zero().leading_coefficient) is Fraction
+
     def test_zero_pruning(self):
         p = lp({3: 1, 1: 0, 0: Fraction(0)})
         assert p.terms == {3: Fraction(1)}

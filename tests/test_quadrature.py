@@ -37,6 +37,7 @@ from dunkl_jacobi import quadrature as quad_mod
 from dunkl_jacobi.weights import _positive_family_weight
 
 from _oracles import (
+    golub_welsch_rule,
     little_moment_closed_form,
     recurrence_polynomials,
     reference_big_integral,
@@ -150,6 +151,23 @@ class TestMoments:
             got = inner_product(w, p, q)
             ref = reference_little_integral(HALF, 2, p, q)
             assert got == pytest.approx(ref, rel=1e-11, abs=1e-12)
+
+    # tolerance about ten times the worst figure measured (x86-64, scipy
+    # 1.17): 5.0e-15, 1.13e-13 and 1.67e-11; it grows as alpha nears -1
+    @pytest.mark.parametrize("alpha,beta,c,tol", [
+        (1, 1, HALF, 5e-14),
+        (HALF, 2, Fraction(1, 4), 1e-12),
+        (Fraction(-99, 100), 0, HALF, 2e-10),
+    ])
+    def test_moments_match_golub_welsch_rule(self, alpha, beta, c, tol):
+        # a 40-node Gauss rule from the closed-form recurrence, not through
+        # y = x^2, integrates x^k exactly for k < 80
+        w = big_weight(BigJacobiParams(alpha, beta, c))
+        nodes, weights = golub_welsch_rule(recurrence_coefficients(w, 39), moment(w, 0))
+        moments = [moment(w, k) for k in range(40)]
+        worst = max(abs(math.fsum(weights * nodes ** k) - m) / abs(m)
+                    for k, m in enumerate(moments))
+        assert worst <= tol
 
     def test_moment_parity_consistency(self):
         # the left-interval contribution maps onto the right interval via
