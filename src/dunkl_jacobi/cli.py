@@ -179,8 +179,14 @@ def cmd_weight_sample(args, parser) -> int:
     if args.eps >= half:
         parser.error(f"--eps must be below half the shortest support interval ({half}), "
                      f"got {args.eps!r}")
+    if any(float(lo) + args.eps == float(lo) or float(hi) - args.eps == float(hi)
+           for lo, hi in w.support):
+        parser.error(f"--eps must move every support endpoint in float64, got {args.eps!r}")
     lines = ["x,w"]
     for x in w.interior_grid(args.samples, eps=args.eps):
+        # |x|^beta with beta < 0 is singular at the interior point 0: drop it.
+        if x == 0.0 and w.abs_power < 0:
+            continue
         lines.append(f"{x!r},{w(x)!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -241,8 +247,12 @@ def cmd_certify(args, parser) -> int:
 
     # operator symmetry on monomial pairs: B[i, j] = <x^i, L x^j>
     top = min(args.N, 10)
+    band = op.band(top)
     monos = [Polynomial.monomial(k) for k in range(top + 1)]
-    gs = quad_mod.gram_matrix(w, monos + [op.apply(v) for v in monos], order=args.order)
+    images = [Polynomial({k - i: Fraction(t, band.scale)
+                          for i, t in enumerate(band.rows[k]) if t})
+              for k in range(top + 1)]
+    gs = quad_mod.gram_matrix(w, monos + images, order=args.order)
     b = gs.entries[:top + 1, top + 1:]
     worst_sym = float((abs(b - b.T) / (abs(b) + abs(b.T) + 1.0)).max())
     record("symmetry", worst_sym <= SYMMETRY_TOL,
@@ -297,7 +307,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_from(2), required=True, help="points per interval (>= 2)")
     p.add_argument("--eps", type=_margin, default=1e-6,
                    help="margin from singular endpoints (positive, below half the "
-                        "shortest support interval)")
+                        "shortest support interval, and large enough to move each "
+                        "endpoint in float64)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_weight_sample)
 

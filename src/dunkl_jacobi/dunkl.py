@@ -76,7 +76,9 @@ class OperatorBand:
     ``rows[k]`` holds ``scale * [L x^k]`` at ``x^k``, ``x^(k-1)``,
     ``x^(k-2)`` and ``x^(k-3)``, with 0 below ``x^0``.  ``scale`` is the
     positive lcm of the denominators of every column, so the diagonal
-    ``rows[k][0]`` is ``scale * lambda_k``.
+    ``rows[k][0]`` is ``scale * lambda_k``.  The entries are read off the
+    coefficient functions, never off the parameter record, so the diagonal
+    stays an independent check on the eigenvalue law.
     """
 
     scale: int
@@ -94,8 +96,8 @@ class DunklOperator:
     The coefficient functions and parameters never change, and ``apply``
     is a pure function.  The one piece of state is the cached
     :class:`OperatorBand`, which :meth:`band` grows on demand.  A growth
-    builds a new band from ``apply`` and publishes it with one attribute
-    store, so two threads growing it at once only repeat work: both
+    builds a new band from ``F``, ``G0`` and ``G1`` and publishes it with one
+    attribute store, so two threads growing it at once only repeat work: both
     bands are correct, and each caller uses the one it got back.
     """
 
@@ -123,36 +125,65 @@ class DunklOperator:
         return Polynomial.from_laurent(out)
 
     def band(self, n: int) -> OperatorBand:
-        """The integer band on degrees ``0..n`` or more, grown from ``apply``.
+        """The integer band on degrees ``0..n`` or more, read off ``F``, ``G0``, ``G1``.
 
-        Column ``k`` is ``self.apply(x^k)``, read once per operator.  Raises
-        :class:`InternalConsistencyError` if a column has a term outside
-        ``x^(k-3)..x^k``.
+        Column ``k`` is ``L x^k`` from the linear forms of
+        :func:`_column_forms`, a few integer operations per column; ``apply``
+        stays the independent Laurent path.  As ``apply`` would, a negative
+        power in any new column raises :class:`NegativePowerResidue`; after
+        that, a term outside ``x^(k-3)..x^k`` raises
+        :class:`InternalConsistencyError`.
         """
         band = self._band
         if band is not None and band.degree >= n:
             return band
         rows = list(band.rows) if band is not None else []
-        columns = [(k, self.apply(Polynomial.monomial(k)).terms)
-                   for k in range(len(rows), n + 1)]
+        S, forms = _column_forms(self.F, self.G0, self.G1)
+        columns = []
+        for k in range(len(rows), n + 1):
+            col = [(k + s, a + b * k) for s, a, b in forms[k & 1]]
+            columns.append((k, [(e, v) for e, v in col if v]))
         for k, col in columns:
-            outside = [e for e in col if not k - 3 <= e <= k]
+            if col and col[-1][0] < 0:
+                raise NegativePowerResidue(
+                    f"operator application left negative powers (valuation {col[-1][0]})"
+                )
+        for k, col in columns:
+            outside = [e for e, _ in col if not k - 3 <= e <= k]
             if outside:
                 raise InternalConsistencyError(
                     f"L x^{k} has a term at x^{outside[0]}, outside the band x^{k - 3}..x^{k}"
                 )
         old = band.scale if band is not None else 1
-        scale = math.lcm(old, *(v.denominator for _, col in columns for v in col.values()))
+        scale = math.lcm(old, *(S // math.gcd(v, S) for _, col in columns for _, v in col))
         if scale != old:
             rows = [tuple(t * (scale // old) for t in row) for row in rows]
         for k, col in columns:
-            rows.append(tuple(
-                v.numerator * (scale // v.denominator)
-                for v in (col.get(k - i, Fraction(0)) for i in range(4))
-            ))
+            row = [0, 0, 0, 0]
+            for e, v in col:
+                row[k - e] = v * scale // S
+            rows.append(tuple(row))
         band = OperatorBand(scale=scale, rows=tuple(rows))
         object.__setattr__(self, "_band", band)
         return band
+
+
+def _column_forms(F: LaurentPoly, G0: LaurentPoly, G1: LaurentPoly) -> tuple:
+    """``L x^k`` as integer linear forms in ``k``, one list per parity of ``k``.
+
+    On a monomial, ``L x^k = (1 - (-1)^k) F x^k + k (G0 + (-1)^k G1) x^(k-1)``,
+    so the coefficient of ``x^(k+s)`` is ``(A_s + B_s k) / S`` with
+    ``A_s = S (1 - (-1)^k) [x^s] F`` and ``B_s = S ([x^(s+1)] G0 + (-1)^k [x^(s+1)] G1)``.
+    Returns ``S`` and, for even then odd ``k``, the triples ``(s, A_s, B_s)``
+    that are not both zero, with ``s`` descending.
+    """
+    f, g0, g1 = F._terms, G0._terms, G1._terms
+    shifts = sorted(set(f) | {e - 1 for e in g0} | {e - 1 for e in g1}, reverse=True)
+    forms = [[(s, (1 - sign) * f.get(s, 0), g0.get(s + 1, 0) + sign * g1.get(s + 1, 0))
+              for s in shifts] for sign in (1, -1)]
+    S = math.lcm(*(v.denominator for parity in forms for _, a, b in parity for v in (a, b)))
+    return S, [[(s, int(a * S), int(b * S)) for s, a, b in parity if a or b]
+               for parity in forms]
 
 
 def apply_raw(F0: LaurentPoly, F1: LaurentPoly, G0: LaurentPoly,
@@ -242,14 +273,14 @@ def verify_degree_conditions(op: DunklOperator) -> DegreeConditionReport:
 def subleading_coefficients(op: DunklOperator, n: int) -> dict:
     """All below-leading coefficients of ``L x^n``, keyed by exponent drop.
 
-    Returns ``{i: coefficient of x**(n-i)}`` for i >= 1.  For the closed
-    coefficient family at most the drops 1, 2, 3 occur; the map is derived
-    from the actual expansion rather than assumed.
+    Returns ``{i: coefficient of x**(n-i)}`` for i >= 1, read off column
+    ``n`` of the operator's band.  The band itself checks that only the
+    drops 1, 2, 3 occur, and raises as :meth:`DunklOperator.band` does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = op.apply(Polynomial.monomial(n))
-    return {n - k: v for k, v in q.terms.items() if k < n}
+    band = op.band(n)
+    return {i: Fraction(t, band.scale) for i, t in enumerate(band.rows[n]) if i and t}
 
 
 def kappa_coefficients(op: DunklOperator, n: int) -> tuple:

@@ -4,12 +4,14 @@ The operator preserves degree and lowers it by at most three, so its matrix
 on ``1, x, ..., x^N`` is upper triangular with the eigenvalues on the
 diagonal and at most three superdiagonals.  :meth:`DunklOperator.band`
 holds those entries as integers over one common denominator ``M``, read
-once per operator from the Laurent ``apply``.  The monic eigenpolynomial of
-degree ``n`` is one fraction-free backward sweep over that band (after
-Bareiss, Math. Comp. 22, 1968): integer numerators and denominators, with
-one gcd per coefficient when it is formed at the end.  The residual
-``L p - lam p`` is an integer band product, exact for any polynomial; it is
-identically zero for every returned pair.
+once per operator off the coefficient functions, a few integer operations
+per column.  The monic eigenpolynomial of degree ``n`` is one fraction-free
+backward sweep over that band (after Bareiss, Math. Comp. 22, 1968):
+integer numerators and denominators, with one gcd per coefficient when it
+is formed at the end.  The residual ``L p - lam p`` is an integer band
+product, exact for any polynomial; it is identically zero for every
+returned pair.  Both hand their clean coefficient maps to
+:class:`Polynomial` without re-checking them term by term.
 
 The CSV and JSON tables read each polynomial's coefficient map once and
 write ``0`` for absent exponents.  No cell of the CSV table needs quoting,
@@ -99,7 +101,7 @@ def _solve_degree(band: OperatorBand, diag: list, n: int, lam: Fraction) -> Eige
         if a:
             coeffs[j] = Fraction(a, p)
         a1, a2, a3, d1, d2 = a, a1, a2, d, d1
-    return EigenPolynomial(n=n, poly=Polynomial(coeffs), eigenvalue=lam)
+    return EigenPolynomial(n=n, poly=Polynomial._from_clean(coeffs), eigenvalue=lam)
 
 
 def monic_eigenpolynomial(op: DunklOperator, n: int) -> EigenPolynomial:
@@ -131,28 +133,36 @@ def residual(op: DunklOperator, p: LaurentPoly, lam: Rational) -> Polynomial:
     With ``q = D p`` integral, ``lam = l / e`` and ``t_i = M [L x^(j+i)]``
     at ``x^j`` off the band, entry ``j`` is
     ``(e sum_i t_i q_(j+i) - M l q_j) / (M D e)``: integer products, with a
-    ``Fraction`` formed only for nonzero entries.
+    ``Fraction`` formed only for nonzero entries.  The diagonal term is the
+    one product ``(t_0 e - M l) q_j``, and zero band entries are skipped.
     """
     if not p.is_polynomial:
         raise ValueError("residual expects a polynomial")
     lam = as_rational(lam)
-    terms = p.terms
+    terms = p._terms
     if not terms:
         return Polynomial()
     n = max(terms)
     band = op.band(n)
+    rows = band.rows
     D = math.lcm(*(v.denominator for v in terms.values()))
     e, ml = lam.denominator, band.scale * lam.numerator
     acc = [0] * (n + 1)
     for k, v in terms.items():
         q = v.numerator * (D // v.denominator)
-        row = band.rows[k]
-        acc[k] -= ml * q
-        q *= e
-        for i in range(min(k, 3) + 1):
-            acc[k - i] += row[i] * q
+        # Entries below x^0 are 0, so a nonzero t_i has k - i >= 0.
+        t0, t1, t2, t3 = rows[k]
+        acc[k] += (t0 * e - ml) * q
+        if e != 1:
+            q *= e
+        if t1:
+            acc[k - 1] += t1 * q
+        if t2:
+            acc[k - 2] += t2 * q
+        if t3:
+            acc[k - 3] += t3 * q
     den = band.scale * D * e
-    return Polynomial({j: Fraction(s, den) for j, s in enumerate(acc) if s})
+    return Polynomial._from_clean({j: Fraction(s, den) for j, s in enumerate(acc) if s})
 
 
 def _coefficient_cells(poly: Polynomial, n: int) -> list:

@@ -8,7 +8,8 @@ Everything in this module is exact; floating point enters only through
 A sum or product stores the first contribution to an exponent as it is and
 adds only where a coefficient is already there; coefficients that cancel to
 zero are dropped once, when the result is formed.  An absent exponent reads
-as one shared ``Fraction(0)``.
+as one shared ``Fraction(0)``.  The exact kernels, whose coefficient maps
+are clean by construction, hand them to :class:`Polynomial` unchecked.
 """
 
 from __future__ import annotations
@@ -345,3 +346,14 @@ class Polynomial(LaurentPoly):
     @classmethod
     def from_laurent(cls, p: LaurentPoly) -> "Polynomial":
         return cls(p.terms)
+
+    @classmethod
+    def _from_clean(cls, terms: dict) -> "Polynomial":
+        """Wrap ``terms`` as it is, with no check and no copy.
+
+        For the exact kernels, whose maps already hold only nonzero
+        ``Fraction`` values at exponents ``>= 0``; the result owns ``terms``.
+        """
+        p = cls.__new__(cls)
+        object.__setattr__(p, "_terms", terms)
+        return p

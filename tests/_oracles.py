@@ -12,7 +12,8 @@ closed form, and the polynomials it builds are formed by plain
 from the closed-form recurrence by Golub-Welsch, not through ``y = x^2``.
 The coefficient table is written by ``csv.writer`` from
 ``Polynomial.coefficient``, not by plain comma joins over the coefficient
-map.
+map.  The operator band is built column by column from the Laurent
+``apply``, not from linear forms in ``k``.
 """
 
 import csv
@@ -24,7 +25,28 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from dunkl_jacobi import OperatorParams, Polynomial
+from dunkl_jacobi import InternalConsistencyError, OperatorBand, OperatorParams, Polynomial
+
+
+# -- the operator band from the Laurent apply ------------------------------
+
+def apply_band(op, n: int) -> OperatorBand:
+    """``op.band(n)`` built fresh from the columns ``op.apply(x^k)``, k = 0..n.
+
+    ``apply`` raises ``NegativePowerResidue`` at the first column with a
+    negative power; only then is each column checked for a term outside
+    ``x^(k-3)..x^k``.
+    """
+    columns = [op.apply(Polynomial.monomial(k)).terms for k in range(n + 1)]
+    for k, col in enumerate(columns):
+        if any(not k - 3 <= e <= k for e in col):
+            raise InternalConsistencyError(f"L x^{k} leaves the band")
+    scale = math.lcm(1, *(v.denominator for col in columns for v in col.values()))
+    rows = tuple(
+        tuple(int(col.get(k - i, 0) * scale) for i in range(4))
+        for k, col in enumerate(columns)
+    )
+    return OperatorBand(scale=scale, rows=rows)
 
 
 # -- closed-form subleading coefficients of L x^n -------------------------

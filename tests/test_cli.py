@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -140,6 +141,34 @@ class TestWeightSample:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: ") and message in captured.err
+
+    @pytest.mark.parametrize("eps", ["1e-300", "5e-17"])
+    def test_eps_below_endpoint_spacing_rejected(self, eps, capsys):
+        # -1 + 5e-17 rounds back to -1.0, so the endpoints would be sampled.
+        with pytest.raises(SystemExit) as exc:
+            main(["weight-sample", "--alpha", "1", "--beta", "1/2", "--c", "1/2",
+                  "--samples", "3", "--eps", eps])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must move every support endpoint in float64" in captured.err
+        code, out, _ = run(["weight-sample", "--alpha", "1", "--beta", "1/2", "--c", "1/2",
+                            "--samples", "3", "--eps", "2e-16"], capsys)
+        assert code == 0
+        assert all(math.isfinite(float(row.split(",")[1])) for row in out.splitlines()[1:])
+
+    @pytest.mark.parametrize("samples", [3, 5])
+    def test_interior_singular_point_dropped(self, samples, capsys):
+        # |x|^(-1/2) is singular at x = 0, which an odd grid on [-1, 1] hits.
+        code, out, _ = run(["weight-sample", "--alpha", "1", "--beta", "-1/2",
+                            "--samples", str(samples)], capsys)
+        assert code == 0
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert len(rows) == samples - 1
+        assert all(float(x) != 0.0 and math.isfinite(float(w)) for x, w in rows)
+        code, out, _ = run(["weight-sample", "--alpha", "1", "--beta", "1/2",
+                            "--samples", str(samples)], capsys)
+        assert code == 0 and "\n0.0,0.0\n" in out
 
     def test_eps_default_output(self, capsys):
         argv = ["weight-sample", "--alpha", "1", "--beta", "1", "--c", "1/2", "--samples", "3"]

@@ -9,6 +9,7 @@ from dunkl_jacobi import (
     DunklOperator,
     InternalConsistencyError,
     LaurentPoly,
+    NegativePowerResidue,
     OperatorParams,
     Polynomial,
     big_operator,
@@ -23,7 +24,11 @@ from dunkl_jacobi import (
 )
 
 from _helpers import random_nondegenerate_params, random_params, random_rational
-from _oracles import coefficient_table_csv_reference, coefficient_table_json_reference
+from _oracles import (
+    apply_band,
+    coefficient_table_csv_reference,
+    coefficient_table_json_reference,
+)
 
 
 def raw_and_family_operators(rng, count, N):
@@ -124,7 +129,10 @@ class TestBand:
     def test_banded_residual_matches_laurent(self):
         # Random, zero and non-eigen inputs; the last call on each operator
         # asks for a degree above every earlier one, so the band must grow.
+        # The corpus must hold eigenvalues with denominator != 1 and sparse
+        # family bands (mu = 0, so every x^(k-3) entry is 0).
         rng = random.Random(79)
+        fractional = sparse = 0
         for op in raw_and_family_operators(rng, 6, 12):
             degrees = [rng.randint(0, 12) for _ in range(4)]
             for deg in degrees + [max(degrees) + rng.randint(1, 6)]:
@@ -133,8 +141,11 @@ class TestBand:
                 lam = random_rational(rng, -9, 9, 5)
                 assert residual(op, p, lam) == op.apply(p) - lam * p
                 assert op.band(0).degree == max(before, deg)
+                fractional += lam.denominator != 1
             zero = Polynomial()
             assert residual(op, zero, Fraction(3)).is_zero
+            sparse += all(row[3] == 0 for row in op.band(0).rows)
+        assert fractional >= 10 and sparse >= 6
 
     def test_banded_residual_raw_operators(self):
         # Operators outside any weight family, spectrum not screened.
@@ -147,12 +158,48 @@ class TestBand:
 
     def test_band_entries_come_from_apply(self):
         rng = random.Random(89)
-        for op in raw_and_family_operators(rng, 3, 10):
-            band = op.band(10)
-            for k, row in enumerate(band.rows):
-                col = op.apply(Polynomial.monomial(k))
-                assert col == Polynomial(
-                    {k - i: Fraction(t, band.scale) for i, t in enumerate(row) if k >= i})
+        ops = raw_and_family_operators(rng, 3, 60)
+        ops += [build(random_params(rng)) for _ in range(3)]
+        for op in ops:
+            assert op.band(60) == apply_band(op, 60)
+
+    def test_out_of_family_triples_agree_with_apply(self):
+        # Random F, G0, G1 with exponents in -4..2: the band and the apply
+        # columns are equal, or both raise the same exception.
+        rng = random.Random(107)
+        seen = set()
+        for trial in range(300):
+            low = 0 if trial % 2 else -4
+            parts = {
+                name: LaurentPoly({e: random_rational(rng) for e in range(low, 3)
+                                   if rng.random() < 0.4})
+                for name in ("F", "G0", "G1")
+            }
+            n = rng.randint(0, 60)
+            outcomes = []
+            for build_band in (lambda op: op.band(n), lambda op: apply_band(op, n)):
+                try:
+                    outcomes.append(build_band(DunklOperator(**parts)))
+                except (NegativePowerResidue, InternalConsistencyError) as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1]
+            seen.add(outcomes[0] if isinstance(outcomes[0], type) else "band")
+        assert seen == {"band", NegativePowerResidue, InternalConsistencyError}
+
+    def test_band_growth_never_calls_apply(self, monkeypatch):
+        def refuse(self, p):
+            raise AssertionError("apply called")
+
+        rng = random.Random(109)
+        ops = raw_and_family_operators(rng, 2, 20)
+        expected = [apply_band(op, 20) for op in ops]
+        monkeypatch.setattr(DunklOperator, "apply", refuse)
+        for op, band in zip(ops, expected):
+            for k in (3, 11, 20):
+                op.band(k)
+            assert op.band(20) == band
+            eigs = eigen_sequence(op, 20)
+            assert all(residual(op, e.poly, e.eigenvalue).is_zero for e in eigs)
 
     def test_grown_band_equals_fresh_band(self):
         # One degree at a time, so the earlier rows are rescaled whenever a
