@@ -56,6 +56,8 @@ from .weights import (
     canonicalize,
     classify,
     little_weight,
+    pearson_defect,
+    pearson_points,
     pearson_residual,
     scale_params,
     solve_pearson,
@@ -63,12 +65,14 @@ from .weights import (
 from .quadrature import (
     GramMatrix,
     QuadratureRule,
+    connection_coefficients,
     gram_matrix,
     inner_product,
     moment,
     orthogonal_polynomials,
     quadrature_rule,
     recurrence_coefficients,
+    symmetry_block,
     symmetry_residual,
 )
 

@@ -25,8 +25,14 @@ from .dunkl import (
     eigenvalue,
 )
 from .errors import DegenerateSpectrum, DunklJacobiError, ParameterRange
-from .laurent import Polynomial
-from .weights import BigJacobiParams, big_operator, big_weight, classify, little_weight
+from .weights import (
+    BigJacobiParams,
+    big_operator,
+    big_weight,
+    classify,
+    little_weight,
+    pearson_defect,
+)
 
 ORTHOGONALITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
@@ -246,29 +252,13 @@ def cmd_certify(args, parser) -> int:
     record("positivity", linked and h0 > 0.0 and all(u > 0 for _, u in recurrence[1:]), detail)
 
     # operator symmetry on monomial pairs: B[i, j] = <x^i, L x^j>
-    top = min(args.N, 10)
-    band = op.band(top)
-    monos = [Polynomial.monomial(k) for k in range(top + 1)]
-    images = [Polynomial({k - i: Fraction(t, band.scale)
-                          for i, t in enumerate(band.rows[k]) if t})
-              for k in range(top + 1)]
-    gs = quad_mod.gram_matrix(w, monos + images, order=args.order)
-    b = gs.entries[:top + 1, top + 1:]
+    b = quad_mod.symmetry_block(w, op, min(args.N, 10), order=args.order)
     worst_sym = float((abs(b - b.T) / (abs(b) + abs(b.T) + 1.0)).max())
     record("symmetry", worst_sym <= SYMMETRY_TOL,
            f"max_residual={worst_sym:.3e} tol={SYMMETRY_TOL:.0e}")
 
     # Pearson identities at interior sample points
-    from .weights import pearson_residual
-
-    worst_p = 0.0
-    for x in w.interior_grid(25, eps=1e-3):
-        if abs(x) < 1e-9 or not (w.contains_interior(x) and w.contains_interior(-x)):
-            continue
-        r1, r2 = pearson_residual(w, op, x)
-        s1 = abs(w(x) * op.G1.evaluate(x)) + abs(w(-x) * op.G1.evaluate(-x)) + 1e-30
-        s2 = abs(w(-x) * op.F.evaluate(-x)) + abs(w(x) * op.F.evaluate(x)) + 1e-30
-        worst_p = max(worst_p, abs(r1) / s1, abs(r2) / s2)
+    worst_p = pearson_defect(w, op)
     record("pearson", worst_p <= PEARSON_TOL,
            f"max_residual={worst_p:.3e} tol={PEARSON_TOL:.0e}")
 

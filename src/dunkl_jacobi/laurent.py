@@ -3,6 +3,7 @@
 A Laurent polynomial is a finite sum ``sum c_k x**k`` with integer exponents
 ``k`` of either sign and coefficients stored as ``fractions.Fraction``.
 Everything in this module is exact; floating point enters only through
+:meth:`LaurentPoly.float_form`, read by :func:`evaluate_float` and
 :meth:`LaurentPoly.evaluate`.
 
 A sum or product stores the first contribution to an exponent as it is and
@@ -216,31 +217,27 @@ class LaurentPoly:
 
     # -- evaluation --------------------------------------------------------
 
+    def float_form(self) -> tuple:
+        """The coefficients rounded to float64 once, for :func:`evaluate_float`.
+
+        ``(pos, neg)``: ``pos`` runs from the degree down to ``x^0`` and
+        ``neg`` from the lowest exponent up to ``x^-1``; a part that is
+        absent is empty.  A caller evaluating many points converts once.
+        """
+        if not self._terms:
+            return (), ()
+        deg, val = max(self._terms), min(self._terms)
+        pos = tuple(float(self._terms.get(k, 0)) for k in range(deg, -1, -1))
+        neg = tuple(float(self._terms.get(k, 0)) for k in range(val, 0))
+        return pos, neg
+
     def evaluate(self, x) -> float:
-        """Floating evaluation by Horner on the split positive/negative parts.
+        """Floating evaluation: :func:`evaluate_float` on :meth:`float_form`.
 
         Raises :class:`PoleAtZero` when ``x == 0`` and negative powers are
         present.
         """
-        xf = float(x)
-        if not self._terms:
-            return 0.0
-        if xf == 0.0 and min(self._terms) < 0:
-            raise PoleAtZero("Laurent polynomial has a pole at x = 0")
-        pos = 0.0
-        deg = max(self._terms)
-        if deg >= 0:
-            for k in range(deg, -1, -1):
-                pos = pos * xf + float(self._terms.get(k, 0))
-        neg = 0.0
-        val = min(self._terms)
-        if val < 0:
-            u = 1.0 / xf
-            for k in range(val, 0):
-                # Horner in u = 1/x, most negative exponent first.
-                neg = neg * u + float(self._terms.get(k, 0))
-            neg *= u
-        return pos + neg
+        return evaluate_float(self.float_form(), float(x))
 
     def evaluate_exact(self, x: RationalLike) -> Fraction:
         """Exact rational evaluation at rational ``x``."""
@@ -311,6 +308,28 @@ class LaurentPoly:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
+
+
+def evaluate_float(form: tuple, xf: float) -> float:
+    """A Laurent polynomial at ``xf`` from its :meth:`LaurentPoly.float_form`.
+
+    Horner on the nonnegative part, and on the negative part in ``u = 1/x``,
+    most negative exponent first.  Raises :class:`PoleAtZero` when
+    ``xf == 0`` and negative powers are present.
+    """
+    pos_coeffs, neg_coeffs = form
+    if neg_coeffs and xf == 0.0:
+        raise PoleAtZero("Laurent polynomial has a pole at x = 0")
+    pos = 0.0
+    for c in pos_coeffs:
+        pos = pos * xf + c
+    neg = 0.0
+    if neg_coeffs:
+        u = 1.0 / xf
+        for c in neg_coeffs:
+            neg = neg * u + c
+        neg *= u
+    return pos + neg
 
 
 def _wrap(terms: dict) -> LaurentPoly:

@@ -11,24 +11,33 @@ Each polynomial is written exactly in the monic orthogonal basis ``P_k``,
 whose recurrence is known in closed form (the big -1 Jacobi polynomials of
 Vinet and Zhedanov), and the ``P_k`` are evaluated at the nodes by the float
 recurrence (Golub & Welsch, 1969).  An input equal to ``P_k`` is a unit
-row.  Single inner products sum with ``math.fsum``; a Gram matrix is one
-float64 matmul.
+row; any other is the sum of its terms' connection rows (below).  Single
+inner products sum with ``math.fsum``; a Gram matrix is one float64
+matmul.
 
 Every weight keeps one exact :class:`ThreeTermTable` on the instance: the
-closed-form ``(b_n, u_n)`` and the monic ``P_0..P_n``, grown on demand.
-The ``P_k`` come from a fraction-free integer recurrence, after the
-Bareiss idiom of :mod:`.eigen`.  ``recurrence_coefficients``,
-``orthogonal_polynomials`` and the node evaluation all read that table,
-so a ``certify`` call evaluates the recurrence once and builds the basis
-once.  The table belongs to the weight object, never to a key hashed from
-it, so a freshly built weight starts cold.
+closed-form ``(b_n, u_n)``, the monic ``P_0..P_n`` and the connection rows
+``x^m = sum_j C[m][j] P_j``, each grown on demand.  The ``P_k`` come from
+a fraction-free integer recurrence, after the Bareiss idiom of
+:mod:`.eigen`; the rows from ``C[m+1][i] = C[m][i-1] + b_i C[m][i] +
+u_{i+1} C[m][i+1]``.  ``recurrence_coefficients``,
+``orthogonal_polynomials``, ``connection_coefficients`` and the node
+evaluation all read that table, so a ``certify`` call evaluates the
+recurrence once and builds the basis once.  The table belongs to the
+weight object, never to a key hashed from it, so a freshly built weight
+starts cold.
+
+``certify``'s operator-symmetry block ``<x^i, L x^j>`` is
+:func:`symmetry_block`, a Gram block of the monomials and their images
+read off the operator's band; its monomials are single connection rows.
+The Pearson figure lives in :mod:`.weights` (``pearson_defect``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,6 +58,8 @@ __all__ = [
     "symmetry_residual",
     "recurrence_coefficients",
     "orthogonal_polynomials",
+    "connection_coefficients",
+    "symmetry_block",
 ]
 
 
@@ -175,26 +186,34 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
 def _node_table(w: WeightFunction, rule: QuadratureRule, polys) -> np.ndarray:
     """Rows of ``polys`` at the nodes: exact ``P_k`` expansions, rounded once.
 
-    The basis is ``w``'s own table: ``rule.target`` may be an older equal
-    weight held by the rule cache.  An input equal to ``P_k`` is a unit row.
+    An input equal to ``P_k`` is a unit row; any other is
+    ``sum_m a_m C[m]`` over its terms ``a_m x^m`` and the connection rows of
+    ``w``'s table.  The basis is ``w``'s own table: ``rule.target`` may be
+    an older equal weight held by the rule cache.
     """
     if not all(p.is_polynomial for p in polys):
         raise ValueError("node values need polynomials")
     top = max((p.degree or 0) for p in polys) if polys else 0
     table = _basis(w, top)
+    expansion = np.zeros((len(polys), top + 1))
+    for row, p in zip(expansion, polys):
+        if p.is_zero:
+            continue
+        k = p.degree
+        if p == table.polys[k]:
+            row[k] = 1.0
+            continue
+        rows = _connection(w, top).connection
+        exact = [0] * (k + 1)
+        for m, a in p.terms.items():
+            for j, v in enumerate(rows[m]):
+                exact[j] += a * v
+        row[:k + 1] = [float(v) for v in exact]
     x = np.asarray(rule.nodes)
     values = [np.ones_like(x)]
     for n, (b, u) in enumerate(table.coefficients[:top]):
         nxt = (x - float(b)) * values[n]
         values.append(nxt - float(u) * values[n - 1] if n else nxt)
-    expansion = np.zeros((len(polys), top + 1))
-    for row, p in zip(expansion, polys):
-        while not p.is_zero:
-            k, lead = p.degree, p.leading_coefficient
-            row[k] = float(lead)
-            if p == table.polys[k]:
-                break
-            p = p - lead * table.polys[k]
     return expansion @ np.array(values)
 
 
@@ -271,6 +290,20 @@ def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatri
     return GramMatrix(entries=(g + g.T) / 2.0, basis=polys)
 
 
+def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) -> np.ndarray:
+    """``B[i, j] = <x^i, L x^j>`` for ``i, j <= top``: ``certify``'s symmetry block.
+
+    The block ``entries[:top + 1, top + 1:]`` of the Gram matrix of
+    ``x^0..x^top`` and their images ``L x^k``, read off ``op``'s band.
+    """
+    band = op.band(top)
+    monos = [Polynomial.monomial(k) for k in range(top + 1)]
+    images = [Polynomial({k - i: Fraction(t, band.scale)
+                          for i, t in enumerate(band.rows[k]) if t})
+              for k in range(top + 1)]
+    return gram_matrix(w, monos + images, order=order).entries[:top + 1, top + 1:]
+
+
 def symmetry_residual(w: WeightFunction, op, V: Polynomial, W: Polynomial,
                       order: int | None = None) -> float:
     """``<L V, W> - <V, L W>``; vanishes (numerically) for symmetrizable pairs."""
@@ -308,18 +341,21 @@ def _recurrence(normal_form, N: int) -> list:
 
 @dataclass(frozen=True)
 class ThreeTermTable:
-    """A positive weight's closed-form ``(b_n, u_n)`` and the monic ``P_k`` they build.
+    """A positive weight's closed-form ``(b_n, u_n)`` and the exact rows built on them.
 
     ``coefficients[n]`` is ``(b_n, u_n)`` with ``u_0 = None``, and
     ``polys[k]`` is ``P_k``, built from ``coefficients[:k]``.  ``forms``
     holds the last two ``P_k`` as ``(D, v)``, integers with
     ``P_k = sum_j v[j] x^j / D``, content 1 and ``v[k] = D``, from which
-    the next one grows.
+    the next one grows.  ``connection[m]`` is the row ``C[m]`` of
+    ``x^m = sum_j C[m][j] P_j``, j = 0..m, also built from
+    ``coefficients[:m]``.
     """
 
     coefficients: tuple = ()
     polys: tuple = ()
     forms: tuple = ()
+    connection: tuple = ()
 
 
 def _coefficients(w: WeightFunction, n: int) -> ThreeTermTable:
@@ -327,7 +363,36 @@ def _coefficients(w: WeightFunction, n: int) -> ThreeTermTable:
     table = w._table or ThreeTermTable()
     if len(table.coefficients) >= n:
         return table
-    table = ThreeTermTable(tuple(_recurrence(w.normal_form, n - 1)), table.polys, table.forms)
+    table = replace(table, coefficients=tuple(_recurrence(w.normal_form, n - 1)))
+    object.__setattr__(w, "_table", table)
+    return table
+
+
+def _connection(w: WeightFunction, m: int) -> ThreeTermTable:
+    """``w``'s table with at least the rows ``C[0..m]``, grown on demand.
+
+    ``x^(k+1) = sum_j C[k][j] x P_j`` and the recurrence
+    ``x P_j = P_{j+1} + b_j P_j + u_j P_{j-1}`` give
+    ``C[k+1][i] = C[k][i-1] + b_i C[k][i] + u_{i+1} C[k][i+1]``: O(k)
+    ``Fraction`` operations per row, shared by every monomial.
+    """
+    table = _coefficients(w, m)
+    if len(table.connection) > m:
+        return table
+    rows = list(table.connection) or [(Fraction(1),)]
+    coefficients = table.coefficients
+    for k in range(len(rows) - 1, m):
+        row = rows[k]
+        nxt = []
+        for i in range(k + 2):
+            v = row[i - 1] if i else 0
+            if i <= k:
+                v += coefficients[i][0] * row[i]
+            if i < k:
+                v += coefficients[i + 1][1] * row[i + 1]
+            nxt.append(v)
+        rows.append(tuple(nxt))
+    table = replace(table, connection=tuple(rows))
     object.__setattr__(w, "_table", table)
     return table
 
@@ -366,7 +431,7 @@ def _basis(w: WeightFunction, n: int) -> ThreeTermTable:
         v = tuple(t // g for t in v)
         polys.append(Polynomial({j: Fraction(t, den) for j, t in enumerate(v) if t}))
         prev, cur = cur, (den, v)
-    table = ThreeTermTable(table.coefficients, tuple(polys), (prev, cur))
+    table = replace(table, polys=tuple(polys), forms=(prev, cur))
     object.__setattr__(w, "_table", table)
     return table
 
@@ -396,6 +461,19 @@ def recurrence_coefficients(w: WeightFunction, N: int) -> list:
     if N < 0:
         raise ValueError("N must be >= 0")
     return list(_coefficients(w, N + 1).coefficients[:N + 1])
+
+
+def connection_coefficients(w: WeightFunction, m: int) -> list:
+    """Exact rows ``C[0..m]`` of ``x^k = sum_j C[k][j] P_j``, j = 0..k.
+
+    ``P_j`` are the monic orthogonal polynomials of the positive weight
+    ``w`` (:func:`orthogonal_polynomials`); the rows are read off its
+    three-term table, and each is the caller's own list.
+    """
+    _require_positive_family(w)
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    return [list(row) for row in _connection(w, m).connection[:m + 1]]
 
 
 def recurrence_table_csv(coeffs) -> str:

@@ -12,7 +12,9 @@ solving a first-order Pearson-type ODE from the second.  This module
 catalogs the closed forms case by case over the parameter space of the
 coefficient family, attaches the two positive-weight families (supported
 on ``[-1,1]`` and on ``[-1,-c] union [c,1]``), and flags every other case
-as sign-indefinite on symmetric supports.
+as sign-indefinite on symmetric supports.  ``pearson_defect`` is the float
+check of the pair that ``certify`` reports, over the sample
+``pearson_points``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     UnsupportedPoint,
     UnsupportedWeight,
 )
-from .laurent import Rational, as_rational
+from .laurent import Rational, as_rational, evaluate_float
 
 if TYPE_CHECKING:
     from .quadrature import ThreeTermTable
@@ -107,14 +109,14 @@ class WeightFunction:
     weight positive there, and ``1`` otherwise; the other cases use ``1``.
 
     The descriptor never changes, and evaluation is a pure function.  The
-    one piece of state is the exact three-term table of a positive weight:
-    the closed-form ``(b_n, u_n)`` and the monic ``P_0..P_n`` they build,
-    which :mod:`.quadrature` grows on demand and keeps on the instance.  It
-    is left out of equality, hashing and ``repr``, so two equal weights
-    built separately share no table.  A growth builds a new table and
-    publishes it with one attribute store, so two threads growing it at
-    once only repeat work: both tables are correct, and each caller uses
-    the one it got back.
+    state is two caches, both left out of equality, hashing and ``repr``,
+    so two equal weights built separately share neither.  One is the
+    descriptor rounded to float64, built at the first evaluation.  The
+    other is the exact three-term table of a positive weight: the
+    closed-form ``(b_n, u_n)`` and the monic ``P_0..P_n`` they build, which
+    :mod:`.quadrature` grows on demand.  Each is published with one
+    attribute store, so two threads building it at once only repeat work:
+    both results are correct, and each caller uses the one it got back.
     """
 
     family: str  # "big" | "little" | "case_ii" | "case_iii" | "case_iv" | "case_v"
@@ -128,75 +130,25 @@ class WeightFunction:
     normal_form: Optional[tuple] = None
     _table: Optional[ThreeTermTable] = field(default=None, init=False, repr=False,
                                              compare=False)
+    _floats: Optional[_FloatWeight] = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     # -- evaluation -------------------------------------------------------
 
+    def float_form(self) -> _FloatWeight:
+        """The descriptor with every rational rounded to float64 once, cached."""
+        floats = self._floats
+        if floats is None:
+            floats = _FloatWeight(self)
+            object.__setattr__(self, "_floats", floats)
+        return floats
+
     def __call__(self, x) -> float:
-        xf = float(x)
-        value = float(self.constant)
-        if self.sign_factor:
-            value *= math.copysign(1.0, xf) if xf != 0.0 else 0.0
-        for fac in self.affine_factors:
-            value *= (xf - float(fac.root)) ** fac.multiplicity
-        p = float(self.abs_power)
-        if p != 0.0:
-            if xf == 0.0 and p < 0.0:
-                return math.inf
-            value *= abs(xf) ** p
-        for fac in self.algebraic_factors:
-            base = float(fac.a0) + float(fac.a2) * xf * xf
-            e = fac.exponent
-            ef = float(e)
-            if base > 0.0:
-                value *= base**ef
-            elif base == 0.0:
-                if ef > 0.0:
-                    value = 0.0
-                elif ef < 0.0:
-                    return math.inf if value >= 0 else -math.inf
-            else:
-                if e.denominator == 1:
-                    value *= base ** int(e)
-                else:
-                    raise UnsupportedPoint(
-                        f"x={xf} is outside the natural domain (negative base to "
-                        f"fractional power {e})"
-                    )
-        if self.exponential_factor is not None:
-            fac = self.exponential_factor
-            if fac.kind == "gauss":
-                arg = float(fac.coefficient) * xf * xf
-            else:
-                denom = xf * xf - float(fac.shift)
-                if denom == 0.0:
-                    raise UnsupportedPoint("x is a singular point of the exponential factor")
-                arg = float(fac.coefficient) / denom
-            try:
-                value *= math.exp(arg)
-            except OverflowError:  # beyond float range, as at a pole
-                return math.inf if value >= 0 else -math.inf
-        return value
+        return self.float_form().value(float(x))
 
     def log_derivative(self, x) -> float:
         """Analytic logarithmic derivative ``w'(x)/w(x)`` away from zeros."""
-        xf = float(x)
-        total = 0.0
-        for fac in self.affine_factors:
-            total += fac.multiplicity / (xf - float(fac.root))
-        if self.abs_power:
-            total += float(self.abs_power) / xf
-        for fac in self.algebraic_factors:
-            a2 = float(fac.a2)
-            base = float(fac.a0) + a2 * xf * xf
-            total += float(fac.exponent) * 2.0 * a2 * xf / base
-        fac = self.exponential_factor
-        if fac is not None:
-            if fac.kind == "gauss":
-                total += 2.0 * float(fac.coefficient) * xf
-            else:
-                denom = xf * xf - float(fac.shift)
-                total += -2.0 * float(fac.coefficient) * xf / (denom * denom)
-        return total
+        return self.float_form().log_derivative(float(x))
 
     # -- support ------------------------------------------------------------
 
@@ -210,12 +162,7 @@ class WeightFunction:
         """Evenly spaced interior points, ``eps`` away from the endpoints."""
         points = []
         for lo, hi in self.support:
-            a, b = float(lo) + eps, float(hi) - eps
-            if per_interval == 1:
-                points.append((a + b) / 2)
-            else:
-                step = (b - a) / (per_interval - 1)
-                points.extend(a + i * step for i in range(per_interval))
+            points.extend(_spaced(float(lo), float(hi), per_interval, eps))
         return points
 
     # -- serialization -----------------------------------------------------
@@ -246,6 +193,99 @@ class WeightFunction:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2)
+
+
+def _spaced(lo: float, hi: float, count: int, eps: float) -> list:
+    """``count`` evenly spaced points of ``[lo + eps, hi - eps]`` (its midpoint if one)."""
+    a, b = lo + eps, hi - eps
+    if count == 1:
+        return [(a + b) / 2]
+    step = (b - a) / (count - 1)
+    return [a + i * step for i in range(count)]
+
+
+class _FloatWeight:
+    """A weight descriptor with every rational rounded to float64 once.
+
+    ``WeightFunction.__call__``, ``log_derivative`` and the Pearson sweep
+    all evaluate through it, so a point costs float operations only.
+    """
+
+    __slots__ = ("constant", "sign_factor", "affine", "abs_power", "algebraic",
+                 "exponential")
+
+    def __init__(self, w: WeightFunction):
+        self.constant = float(w.constant)
+        self.sign_factor = w.sign_factor
+        self.affine = tuple((float(f.root), f.multiplicity) for f in w.affine_factors)
+        self.abs_power = float(w.abs_power)
+        # (a0, a2, exponent) in floats, plus the exact exponent for negative bases
+        self.algebraic = tuple((float(f.a0), float(f.a2), float(f.exponent), f.exponent)
+                               for f in w.algebraic_factors)
+        fac = w.exponential_factor
+        self.exponential = (None if fac is None else
+                            (fac.kind == "gauss", float(fac.coefficient), float(fac.shift)))
+
+    def value(self, xf: float) -> float:
+        value = self.constant
+        if self.sign_factor:
+            value *= math.copysign(1.0, xf) if xf != 0.0 else 0.0
+        for root, multiplicity in self.affine:
+            value *= (xf - root) ** multiplicity
+        p = self.abs_power
+        if p != 0.0:
+            if xf == 0.0 and p < 0.0:
+                return math.inf
+            value *= abs(xf) ** p
+        for a0, a2, ef, e in self.algebraic:
+            base = a0 + a2 * xf * xf
+            if base > 0.0:
+                value *= base**ef
+            elif base == 0.0:
+                if ef > 0.0:
+                    value = 0.0
+                elif ef < 0.0:
+                    return math.inf if value >= 0 else -math.inf
+            else:
+                if e.denominator == 1:
+                    value *= base ** int(e)
+                else:
+                    raise UnsupportedPoint(
+                        f"x={xf} is outside the natural domain (negative base to "
+                        f"fractional power {e})"
+                    )
+        if self.exponential is not None:
+            gauss, coefficient, shift = self.exponential
+            if gauss:
+                arg = coefficient * xf * xf
+            else:
+                denom = xf * xf - shift
+                if denom == 0.0:
+                    raise UnsupportedPoint("x is a singular point of the exponential factor")
+                arg = coefficient / denom
+            try:
+                value *= math.exp(arg)
+            except OverflowError:  # beyond float range, as at a pole
+                return math.inf if value >= 0 else -math.inf
+        return value
+
+    def log_derivative(self, xf: float) -> float:
+        total = 0.0
+        for root, multiplicity in self.affine:
+            total += multiplicity / (xf - root)
+        if self.abs_power:
+            total += self.abs_power / xf
+        for a0, a2, ef, _ in self.algebraic:
+            base = a0 + a2 * xf * xf
+            total += ef * 2.0 * a2 * xf / base
+        if self.exponential is not None:
+            gauss, coefficient, shift = self.exponential
+            if gauss:
+                total += 2.0 * coefficient * xf
+            else:
+                denom = xf * xf - shift
+                total += -2.0 * coefficient * xf / (denom * denom)
+        return total
 
 
 @dataclass(frozen=True)
@@ -567,6 +607,39 @@ def solve_pearson(op: DunklOperator) -> WeightFunction:
     return weight
 
 
+class _PearsonPair:
+    """The Pearson pair of ``(w, op)`` with every rational rounded to float64 once.
+
+    :func:`pearson_residual` and :func:`pearson_defect` both read
+    :meth:`terms`, which evaluates ``w(x)``, ``w(-x)``, ``G1(+-x)``,
+    ``F(+-x)``, ``w'/w(x)`` and ``G1'(x)`` once each.
+    """
+
+    __slots__ = ("w", "g1", "f", "dg1")
+
+    def __init__(self, w: WeightFunction, op: DunklOperator):
+        self.w = w.float_form()
+        self.g1 = op.G1.float_form()
+        self.f = op.F.float_form()
+        self.dg1 = op.G1.differentiate().float_form()
+
+    def terms(self, xf: float) -> tuple:
+        """``(r1, r2, s1, s2)``: the two residuals and the sums of their terms' sizes.
+
+        ``r1 = w(x)G1(x) - w(-x)G1(-x)`` with ``s1 = |w(x)G1(x)| + |w(-x)G1(-x)|``,
+        and ``r2 = w(-x)F(-x) - w(x)F(x) - d/dx[w(x)G1(x)]`` with
+        ``s2 = |w(-x)F(-x)| + |w(x)F(x)|``.
+        """
+        wx, wmx = self.w.value(xf), self.w.value(-xf)
+        g1x, g1mx = evaluate_float(self.g1, xf), evaluate_float(self.g1, -xf)
+        fx, fmx = evaluate_float(self.f, xf), evaluate_float(self.f, -xf)
+        even, odd = wx * g1x, wmx * g1mx
+        reflected, direct = wmx * fmx, wx * fx
+        d_wg1 = wx * self.w.log_derivative(xf) * g1x + wx * evaluate_float(self.dg1, xf)
+        return (even - odd, reflected - direct - d_wg1,
+                abs(even) + abs(odd), abs(reflected) + abs(direct))
+
+
 def pearson_residual(w: WeightFunction, op: DunklOperator, x) -> tuple:
     """The two symmetry-identity residuals at a point.
 
@@ -580,13 +653,39 @@ def pearson_residual(w: WeightFunction, op: DunklOperator, x) -> tuple:
         raise UnsupportedPoint("x must be nonzero")
     if not (w.contains_interior(xf) and w.contains_interior(-xf)):
         raise UnsupportedPoint(f"x={xf} and -x must both be interior to the support")
-    wx, wmx = w(xf), w(-xf)
-    g1x, g1mx = op.G1.evaluate(xf), op.G1.evaluate(-xf)
-    fx, fmx = op.F.evaluate(xf), op.F.evaluate(-xf)
-    r1 = wx * g1x - wmx * g1mx
-    d_wg1 = wx * w.log_derivative(xf) * g1x + wx * op.G1.differentiate().evaluate(xf)
-    r2 = wmx * fmx - wx * fx - d_wg1
+    r1, r2, _, _ = _PearsonPair(w, op).terms(xf)
     return r1, r2
+
+
+def pearson_points(w: WeightFunction) -> list:
+    """The sample of :func:`pearson_defect`.
+
+    25 evenly spaced points on each support interval, kept
+    ``min(1e-3, width/4)`` from its endpoints so that they stay inside even
+    a narrow interval, and only those with ``|x| >= 1e-9`` whose mirror
+    ``-x`` is interior too.
+    """
+    points = []
+    for lo, hi in w.support:
+        points.extend(_spaced(float(lo), float(hi), 25, min(1e-3, float(hi - lo) / 4)))
+    return [x for x in points
+            if abs(x) >= 1e-9 and w.contains_interior(x) and w.contains_interior(-x)]
+
+
+def pearson_defect(w: WeightFunction, op: DunklOperator) -> float:
+    """``certify``'s Pearson figure: the worst relative residual over :func:`pearson_points`.
+
+    At each point the figure is ``|r1| / (s1 + 1e-30)`` and
+    ``|r2| / (s2 + 1e-30)``, with the residuals of :func:`pearson_residual`
+    over the sizes of their terms.  The weight and the coefficient
+    functions are rounded to floats once for the whole sweep.
+    """
+    pair = _PearsonPair(w, op)
+    worst = 0.0
+    for x in pearson_points(w):
+        r1, r2, s1, s2 = pair.terms(x)
+        worst = max(worst, abs(r1) / (s1 + 1e-30), abs(r2) / (s2 + 1e-30))
+    return worst
 
 
 def _sign_obstruction_check(w: WeightFunction, points_per_interval: int = 25) -> None:

@@ -5,6 +5,24 @@ from fractions import Fraction
 from dunkl_jacobi import OperatorParams, check_nondegenerate, eigenvalue
 
 
+# the criterion-05 grid, then alpha and beta from {-1/2, -99/100, 1} (not
+# both 1) with c at 0 and near 1
+_EDGE_EXPONENTS = (Fraction(-1, 2), Fraction(-99, 100), 1)
+RECURRENCE_FAMILIES = [
+    (a, b, c)
+    for a in (0, Fraction(1, 2), 1, 2) for b in (0, Fraction(1, 2), 1, 2)
+    for c in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 0)
+] + [
+    (a, b, c)
+    for a in _EDGE_EXPONENTS for b in _EDGE_EXPONENTS if (a, b) != (1, 1)
+    for c in (0, Fraction(99999, 100000))
+]
+
+#: the two provably positive families ``certify`` rejects at N = 20
+NEAR_BOUNDARY_FAMILIES = [(Fraction(-99, 100), 0, Fraction(1, 2)),
+                          (1, 1, Fraction(99999, 100000))]
+
+
 def random_rational(rng, lo=-6, hi=6, max_den=4, nonzero=False) -> Fraction:
     while True:
         q = Fraction(rng.randint(lo, hi), rng.randint(1, max_den))

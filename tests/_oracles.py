@@ -13,7 +13,12 @@ from the closed-form recurrence by Golub-Welsch, not through ``y = x^2``.
 The coefficient table is written by ``csv.writer`` from
 ``Polynomial.coefficient``, not by plain comma joins over the coefficient
 map.  The operator band is built column by column from the Laurent
-``apply``, not from linear forms in ``k``.
+``apply``, not from linear forms in ``k``.  A polynomial's expansion in the
+``P_k`` peels off leading terms by ``Polynomial`` subtraction, not by the
+connection rows of the three-term table.  The Pearson figure evaluates the
+weight, ``G1`` and ``F`` point by point straight off their exact
+coefficients, converting each one at every use, in the float operations and
+order the figure is pinned to.
 """
 
 import csv
@@ -25,7 +30,14 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from dunkl_jacobi import InternalConsistencyError, OperatorBand, OperatorParams, Polynomial
+from dunkl_jacobi import (
+    InternalConsistencyError,
+    OperatorBand,
+    OperatorParams,
+    PoleAtZero,
+    Polynomial,
+    UnsupportedPoint,
+)
 
 
 # -- the operator band from the Laurent apply ------------------------------
@@ -124,6 +136,202 @@ def golub_welsch_rule(coefficients, h0):
     off = np.sqrt([float(u) for _, u in coefficients[1:]])
     nodes, vecs = eigh_tridiagonal(diag, off)
     return nodes, h0 * vecs[0] ** 2
+
+
+def p_basis_expansion(p, basis) -> list:
+    """Exact ``[c_0..c_n]`` with ``p = sum_k c_k P_k``, ``n = deg p``.
+
+    ``basis`` holds the monic ``P_0..P_n``.  From the top degree down, the
+    coefficient left at ``x^k`` is ``c_k``, and ``c_k P_k`` is subtracted
+    from what is left; nothing may remain.
+    """
+    rest = p.terms
+    out = [Fraction(0)] * ((p.degree or 0) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        lead = rest.pop(k, 0)
+        if lead:
+            out[k] = lead
+            for j, v in basis[k].terms.items():
+                if j < k:
+                    rest[j] = rest.get(j, 0) - lead * v
+    if any(rest.values()):
+        raise AssertionError("the expansion left a remainder")
+    return out
+
+
+# -- the Pearson figure, point by point -------------------------------------
+
+def laurent_value(p, x) -> float:
+    """Float Horner on ``p``'s exact coefficients, in ``u = 1/x`` below ``x^0``."""
+    xf = float(x)
+    terms = p.terms
+    if not terms:
+        return 0.0
+    if xf == 0.0 and min(terms) < 0:
+        raise PoleAtZero("Laurent polynomial has a pole at x = 0")
+    pos = 0.0
+    deg = max(terms)
+    if deg >= 0:
+        for k in range(deg, -1, -1):
+            pos = pos * xf + float(terms.get(k, 0))
+    neg = 0.0
+    val = min(terms)
+    if val < 0:
+        u = 1.0 / xf
+        for k in range(val, 0):
+            neg = neg * u + float(terms.get(k, 0))
+        neg *= u
+    return pos + neg
+
+
+def weight_value(w, x) -> float:
+    """``w(x)`` factor by factor off the exact descriptor."""
+    xf = float(x)
+    value = float(w.constant)
+    if w.sign_factor:
+        value *= math.copysign(1.0, xf) if xf != 0.0 else 0.0
+    for fac in w.affine_factors:
+        value *= (xf - float(fac.root)) ** fac.multiplicity
+    p = float(w.abs_power)
+    if p != 0.0:
+        if xf == 0.0 and p < 0.0:
+            return math.inf
+        value *= abs(xf) ** p
+    for fac in w.algebraic_factors:
+        base = float(fac.a0) + float(fac.a2) * xf * xf
+        e = fac.exponent
+        ef = float(e)
+        if base > 0.0:
+            value *= base**ef
+        elif base == 0.0:
+            if ef > 0.0:
+                value = 0.0
+            elif ef < 0.0:
+                return math.inf if value >= 0 else -math.inf
+        elif e.denominator == 1:
+            value *= base ** int(e)
+        else:
+            raise UnsupportedPoint(f"x={xf}: negative base to fractional power {e}")
+    fac = w.exponential_factor
+    if fac is not None:
+        if fac.kind == "gauss":
+            arg = float(fac.coefficient) * xf * xf
+        else:
+            denom = xf * xf - float(fac.shift)
+            if denom == 0.0:
+                raise UnsupportedPoint("x is a singular point of the exponential factor")
+            arg = float(fac.coefficient) / denom
+        try:
+            value *= math.exp(arg)
+        except OverflowError:
+            return math.inf if value >= 0 else -math.inf
+    return value
+
+
+def weight_log_derivative(w, x) -> float:
+    """``w'(x)/w(x)`` term by term off the exact descriptor."""
+    xf = float(x)
+    total = 0.0
+    for fac in w.affine_factors:
+        total += fac.multiplicity / (xf - float(fac.root))
+    if w.abs_power:
+        total += float(w.abs_power) / xf
+    for fac in w.algebraic_factors:
+        a2 = float(fac.a2)
+        base = float(fac.a0) + a2 * xf * xf
+        total += float(fac.exponent) * 2.0 * a2 * xf / base
+    fac = w.exponential_factor
+    if fac is not None:
+        if fac.kind == "gauss":
+            total += 2.0 * float(fac.coefficient) * xf
+        else:
+            denom = xf * xf - float(fac.shift)
+            total += -2.0 * float(fac.coefficient) * xf / (denom * denom)
+    return total
+
+
+def pearson_pair(w, op, x) -> tuple:
+    """``(r1, r2)`` of the Pearson pair at ``x``, every value computed afresh."""
+    xf = float(x)
+    wx, wmx = weight_value(w, xf), weight_value(w, -xf)
+    g1x, g1mx = laurent_value(op.G1, xf), laurent_value(op.G1, -xf)
+    fx, fmx = laurent_value(op.F, xf), laurent_value(op.F, -xf)
+    r1 = wx * g1x - wmx * g1mx
+    d_wg1 = (wx * weight_log_derivative(w, xf) * g1x
+             + wx * laurent_value(op.G1.differentiate(), xf))
+    r2 = wmx * fmx - wx * fx - d_wg1
+    return r1, r2
+
+
+def pearson_figure(w, op, points) -> float:
+    """Worst ``|r| / (sum of term sizes + 1e-30)`` over ``points``.
+
+    Points with ``|x| < 1e-9`` or whose ``x`` or ``-x`` is not interior are
+    skipped; every other point evaluates the weight four times, ``G1`` and
+    ``F`` four times each.
+    """
+    worst = 0.0
+    for x in points:
+        if abs(x) < 1e-9 or not (w.contains_interior(x) and w.contains_interior(-x)):
+            continue
+        r1, r2 = pearson_pair(w, op, x)
+        s1 = (abs(weight_value(w, x) * laurent_value(op.G1, x))
+              + abs(weight_value(w, -x) * laurent_value(op.G1, -x)) + 1e-30)
+        s2 = (abs(weight_value(w, -x) * laurent_value(op.F, -x))
+              + abs(weight_value(w, x) * laurent_value(op.F, x)) + 1e-30)
+        worst = max(worst, abs(r1) / s1, abs(r2) / s2)
+    return worst
+
+
+# -- a 40-digit Gauss rule ------------------------------------------------------
+
+def gauss_jacobi_mp(order: int, a, b, start):
+    """Gauss-Jacobi rule for ``(1-t)^a (1+t)^b`` on ``[-1, 1]`` in ``mpmath``.
+
+    ``a`` and ``b`` are exact rationals and ``start`` holds float guesses of
+    the nodes.  Newton runs on the monic recurrence of the Jacobi matrix at
+    the working precision, and each weight is the Christoffel number
+    ``mu_0 / sum_k q_k(t)^2`` over the orthonormal ``q_0..q_{order-1}``:
+    Golub-Welsch without the eigensolve.  Returns ``(nodes, weights)``.
+    """
+    from mpmath import mp
+
+    A, B = mp.mpf(a.numerator) / a.denominator, mp.mpf(b.numerator) / b.denominator
+    s = A + B
+    diag = [(B - A) / (s + 2)] + [(B * B - A * A) / ((2 * n + s) * (2 * n + s + 2))
+                                  for n in range(1, order)]
+    # u_n, the squared off-diagonal; u_1 in the form without the 0/0 at s = -1
+    u = [mp.zero, 4 * (1 + A) * (1 + B) / ((2 + s) ** 2 * (3 + s))] + [
+        4 * n * (n + A) * (n + B) * (n + s) / ((2 * n + s) ** 2 * (2 * n + s + 1) * (2 * n + s - 1))
+        for n in range(2, order)]
+    mu0 = 2 ** (s + 1) * mp.gamma(A + 1) * mp.gamma(B + 1) / mp.gamma(s + 2)
+
+    def recurrence(t):
+        """``p_order(t)``, its derivative, and ``sum_k q_k(t)^2`` for k < order."""
+        p_prev, p, dp_prev, dp = mp.zero, mp.one, mp.zero, mp.zero
+        squares, h = mp.one, mp.one
+        for k in range(order):
+            p_next = (t - diag[k]) * p - u[k] * p_prev
+            dp_next = p + (t - diag[k]) * dp - u[k] * dp_prev
+            p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
+            if k + 1 < order:
+                h *= u[k + 1]
+                squares += p * p / h
+        return p, dp, squares
+
+    nodes, weights = [], []
+    for guess in start:
+        t = mp.mpf(float(guess))
+        for _ in range(30):
+            p, dp, _ = recurrence(t)
+            t -= p / dp
+            if abs(p / dp) < mp.mpf(10) ** (3 - mp.dps):
+                break
+        else:
+            raise RuntimeError("Newton did not converge")
+        nodes.append(t)
+        weights.append(mu0 / recurrence(t)[2])
+    return nodes, weights
 
 
 # -- coefficient table by csv.writer ----------------------------------------

@@ -19,6 +19,7 @@ from dunkl_jacobi import (
     big_weight,
     build,
     classify,
+    connection_coefficients,
     eigen_sequence,
     gram_matrix,
     inner_product,
@@ -29,6 +30,7 @@ from dunkl_jacobi import (
     recurrence_coefficients,
     scale_params,
     solve_pearson,
+    symmetry_block,
     symmetry_residual,
 )
 
@@ -36,9 +38,12 @@ from dunkl_jacobi import DegenerateSpectrum
 from dunkl_jacobi import quadrature as quad_mod
 from dunkl_jacobi.weights import _positive_family_weight
 
+from _helpers import NEAR_BOUNDARY_FAMILIES, RECURRENCE_FAMILIES
 from _oracles import (
+    gauss_jacobi_mp,
     golub_welsch_rule,
     little_moment_closed_form,
+    p_basis_expansion,
     recurrence_polynomials,
     reference_big_integral,
     reference_little_integral,
@@ -47,19 +52,7 @@ from _oracles import (
 
 HALF = Fraction(1, 2)
 W_LITTLE_10 = little_weight(1, 0)  # w = x + 1 on [-1, 1]
-
-# the criterion-05 grid, then alpha and beta from {-1/2, -99/100, 1} (not
-# both 1) with c at 0 and near 1
-_EDGE_EXPONENTS = (Fraction(-1, 2), Fraction(-99, 100), 1)
-RECURRENCE_FAMILIES = [
-    (a, b, c)
-    for a in (0, HALF, 1, 2) for b in (0, HALF, 1, 2)
-    for c in (Fraction(1, 4), HALF, Fraction(3, 4), 0)
-] + [
-    (a, b, c)
-    for a in _EDGE_EXPONENTS for b in _EDGE_EXPONENTS if (a, b) != (1, 1)
-    for c in (0, Fraction(99999, 100000))
-]
+WIDE_LONGDOUBLE = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 
 
 class TestRule:
@@ -77,6 +70,57 @@ class TestRule:
             warnings.simplefilter("error")
             rule = quadrature_rule.__wrapped__(w, 20)  # bypass the rule cache
         assert all(wt > 0 for wt in rule.weights)
+
+    # Worst relative errors (nodes, weights) at order 40 against the 40-digit
+    # rule, measured on x86-64 with scipy 1.17 and mpmath 1.3.  The narrow
+    # figures are simulated, not measured on such a platform: they ran the
+    # same code on x86-64 with float64 in place of np.longdouble, as on
+    # platforms where the two are one type and the Newton polish gains
+    # nothing.  libm and scipy builds differ between platforms, so replace
+    # them with figures measured on arm64 (the macos-14 CI leg) rather than
+    # widening them by guesswork.  Each tolerance is about ten times its
+    # figure.
+    #   (1, 1, 1/2)       wide 9.8e-17, 1.9e-15   narrow 1.2e-16, 2.7e-13
+    #   (1/2, 2, 1/4)     wide 8.9e-17, 4.4e-14   narrow 2.7e-16, 6.5e-14
+    #   (-99/100, 0, 1/2) wide 1.2e-16, 6.6e-11   narrow 1.2e-16, 4.9e-11
+    #   (1, 0, 0)         wide 1.1e-16, 1.2e-15   narrow 3.0e-14, 3.2e-14
+    #   (2, 1/2, 0)       wide 1.0e-16, 4.4e-14   narrow 3.0e-15, 1.3e-13
+    # At alpha = -99/100 the polish moves the node next to t = 1 off the
+    # root (2e-16 after it, 1e-18 before), so wide is the worse there.
+    @pytest.mark.parametrize("alpha, beta, c, wide, narrow", [
+        (1, 1, HALF, (1e-15, 2e-14), (1e-15, 3e-12)),
+        (HALF, 2, Fraction(1, 4), (1e-15, 5e-13), (3e-15, 7e-13)),
+        (Fraction(-99, 100), 0, HALF, (1e-15, 7e-10), (1e-15, 5e-10)),
+        (1, 0, 0, (1e-15, 2e-14), (3e-13, 3e-13)),
+        (2, HALF, 0, (1e-15, 5e-13), (3e-14, 1.3e-12)),
+    ])
+    def test_rule_matches_40_digit_mpmath_rule(self, alpha, beta, c, wide, narrow):
+        mpmath = pytest.importorskip("mpmath")
+        from scipy.special import roots_jacobi
+
+        w = little_weight(alpha, beta) if c == 0 else big_weight(BigJacobiParams(alpha, beta, c))
+        alpha, beta, c, d = w.normal_form
+        a, b = (alpha - 1) / 2, (beta - 1) / 2
+        with mpmath.workdps(40):
+            mp = mpmath.mp
+            t, wj = gauss_jacobi_mp(40, a, b, roots_jacobi(40, float(a), float(b))[0])
+            a, b, c, d = (mp.mpf(q.numerator) / q.denominator for q in (a, b, c, d))
+            # y = x^2 on [c^2, d^2]; the pair +-x carries v (d +- x)(x -+ c)/(2x)
+            lo, hi = c * c, d * d
+            half = (hi - lo) / 2
+            x = [mp.sqrt(half * ti + (hi + lo) / 2) for ti in t]
+            v = [wi * half ** (a + b + 1) for wi in wj]
+            nodes = [-xi for xi in x[::-1]] + x
+            weights = ([vi * (d - xi) * (xi + c) / (2 * xi) for vi, xi in zip(v, x)][::-1]
+                       + [vi * (xi + d) * (xi - c) / (2 * xi) for vi, xi in zip(v, x)])
+            rule = quadrature_rule(w, 40)
+
+            def worst(got, ref):
+                return float(max(abs((g - r) / r) for g, r in zip(got, ref)))
+
+            node_err, weight_err = worst(rule.nodes, nodes), worst(rule.weights, weights)
+        node_tol, weight_tol = wide if WIDE_LONGDOUBLE else narrow
+        assert node_err <= node_tol and weight_err <= weight_tol
 
     def test_json_export(self):
         rule = quadrature_rule(W_LITTLE_10, 5)
@@ -474,6 +518,98 @@ class TestThreeTermTable:
             assert got == read[kind](big_weight(params), n)
             got.append(None)  # the caller's list is its own
             assert read[kind](grown, n) == read[kind](big_weight(params), n)
+
+    @pytest.mark.parametrize("alpha, beta, c", RECURRENCE_FAMILIES)
+    def test_connection_rows_match_subtraction_expansion(self, alpha, beta, c):
+        w = _family_weight(alpha, beta, c)
+        rows = connection_coefficients(w, 30)
+        basis = orthogonal_polynomials(_family_weight(alpha, beta, c), 30)
+        for m in range(31):
+            assert rows[m] == p_basis_expansion(Polynomial.monomial(m), basis)
+
+    @pytest.mark.parametrize("params", [BigJacobiParams(HALF, 2, Fraction(1, 4)),
+                                        BigJacobiParams(1, HALF, 0)])
+    @pytest.mark.parametrize("k", [HALF, Fraction(-2, 3), Fraction(-1)])
+    def test_connection_rows_on_rescaled_weights(self, params, k):
+        def weight():
+            return solve_pearson(build(scale_params(big_operator(params), 1, k)))
+
+        assert weight().normal_form[3] == 1 / k
+        rows = connection_coefficients(weight(), 30)
+        basis = orthogonal_polynomials(weight(), 30)
+        for m in range(31):
+            assert rows[m] == p_basis_expansion(Polynomial.monomial(m), basis)
+
+    @pytest.mark.parametrize("steps", [
+        (("connection", 5), ("connection", 30)),
+        (("connection", 30), ("connection", 5)),
+        (("basis", 30), ("connection", 5), ("connection", 30), ("basis", 31)),
+        (("connection", 5), ("recurrence", 30), ("basis", 8), ("connection", 31)),
+    ])
+    def test_connection_growth_gives_a_fresh_weights_rows(self, steps):
+        params = BigJacobiParams(Fraction(3, 4), Fraction(1, 3), Fraction(2, 5))
+        grown = big_weight(params)
+        read = {"basis": orthogonal_polynomials, "recurrence": recurrence_coefficients,
+                "connection": connection_coefficients}
+        for kind, n in steps:
+            got = read[kind](grown, n)
+            assert got == read[kind](big_weight(params), n)
+            if kind == "connection":
+                got[-1].append(None)  # each row is the caller's own
+            got.append(None)
+            for other in read:
+                assert read[other](grown, n) == read[other](big_weight(params), n)
+
+    @pytest.mark.parametrize("alpha, beta, c", RECURRENCE_FAMILIES + NEAR_BOUNDARY_FAMILIES)
+    def test_symmetry_block_is_the_gram_block(self, alpha, beta, c):
+        w = _family_weight(alpha, beta, c)
+        op = build(big_operator(BigJacobiParams(alpha, beta, c)))
+        for top, order in ((10, None), (0, None), (4, None), (7, 30)):
+            monos = [Polynomial.monomial(k) for k in range(top + 1)]
+            images = [op.apply(x) for x in monos]  # the Laurent path, not the band
+            g = gram_matrix(w, monos + images, order=order).entries
+            assert np.array_equal(symmetry_block(w, op, top, order=order),
+                                  g[:top + 1, top + 1:])
+
+    @pytest.mark.parametrize("weight", [
+        *[lambda f=f: _family_weight(*f) for f in RECURRENCE_FAMILIES + NEAR_BOUNDARY_FAMILIES],
+        *[lambda p=p, k=k: solve_pearson(build(scale_params(big_operator(p), 1, k)))
+          for p in (BigJacobiParams(HALF, 2, Fraction(1, 4)), BigJacobiParams(1, HALF, 0))
+          for k in (HALF, Fraction(-2, 3), Fraction(-1))],
+    ])
+    def test_node_rows_match_subtraction_expansion(self, weight):
+        # Rows other than a P_k are sums of connection rows; the expansion is
+        # unique, so each rounds as the subtraction oracle's does, bit for bit.
+        w = weight()
+        basis = orthogonal_polynomials(weight(), 12)
+        rng = random.Random(17)
+        polys = [Polynomial.monomial(k) for k in range(13)] + [
+            basis[5], basis[12] + Fraction(1, 3), 2 * basis[7], Polynomial.zero(),
+            *(Polynomial({j: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                          for j in range(rng.randint(0, 12) + 1)}) for _ in range(6)),
+        ]
+        rule = quadrature_rule(w, 20)
+        values = quad_mod._node_table(w, rule, basis)  # unit rows: the P_j at the nodes
+        rows = np.zeros((len(polys), 13))
+        for row, p in zip(rows, polys):
+            exact = p_basis_expansion(p, basis)
+            row[:len(exact)] = [float(v) for v in exact]
+        assert np.array_equal(quad_mod._node_table(w, rule, polys), rows @ values)
+
+    def test_sign_indefinite_weight_is_unsupported(self):
+        from dunkl_jacobi import OperatorParams
+
+        for params in (OperatorParams(tau1=2, xi=-1, eta=3),
+                       OperatorParams(nu1=2, rho1=-4, tau1=2, xi=1, eta=-2),
+                       OperatorParams(nu1=-2, rho1=2, xi=-1, eta=-2),
+                       OperatorParams(nu1=-2, xi=-1, eta=-3)):
+            op = build(params)
+            w = solve_pearson(op)
+            assert w.normal_form is None
+            for call in (lambda: symmetry_block(w, op, 4), lambda: connection_coefficients(w, 4),
+                         lambda: orthogonal_polynomials(w, 4)):
+                with pytest.raises(UnsupportedWeight):
+                    call()
 
     @pytest.mark.parametrize("alpha, beta", [(-1, -1), (-2, 0), (-3, -1), (-5, -1),
                                              (Fraction(-5, 2), Fraction(-3, 2)), (-3, 0)])

@@ -22,12 +22,26 @@ from dunkl_jacobi import (
     classify,
     inner_product,
     little_weight,
+    pearson_defect,
+    pearson_points,
     pearson_residual,
     scale_params,
     solve_pearson,
 )
 
-from _helpers import random_generic_params, random_rational
+from _helpers import (
+    NEAR_BOUNDARY_FAMILIES,
+    RECURRENCE_FAMILIES,
+    random_generic_params,
+    random_rational,
+)
+from _oracles import (
+    laurent_value,
+    pearson_figure,
+    pearson_pair,
+    weight_log_derivative,
+    weight_value,
+)
 
 HALF = Fraction(1, 2)
 
@@ -410,3 +424,66 @@ class TestPearson:
                 assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs) + 1e-300)
                 checked += 1
         assert checked >= 100
+
+
+def _family(alpha, beta, c):
+    fam = BigJacobiParams(alpha, beta, c)
+    w = little_weight(alpha, beta) if c == 0 else big_weight(fam)
+    return w, build(big_operator(fam))
+
+
+# RECURRENCE_FAMILIES starts with the criterion-05 grid
+SWEEP_FAMILIES = RECURRENCE_FAMILIES + NEAR_BOUNDARY_FAMILIES
+
+
+class TestPearsonSweep:
+    @pytest.mark.parametrize("alpha, beta, c", SWEEP_FAMILIES)
+    def test_figure_equals_point_by_point_reference(self, alpha, beta, c):
+        w, op = _family(alpha, beta, c)
+        points = pearson_points(w)
+        assert pearson_defect(w, op) == pearson_figure(w, op, points)
+        for x in points[::6]:
+            assert pearson_residual(w, op, x) == pearson_pair(w, op, x)
+            for probe in (x, -x):
+                assert w(probe) == weight_value(w, probe)
+                assert w.log_derivative(probe) == weight_log_derivative(w, probe)
+                for p in (op.F, op.G1, op.G1.differentiate()):
+                    assert p.evaluate(probe) == laurent_value(p, probe)
+
+    @pytest.mark.parametrize("alpha, beta, c",
+                             [f for f in SWEEP_FAMILIES if f[2] != Fraction(99999, 100000)])
+    def test_sample_on_wide_intervals_is_the_fixed_margin_grid(self, alpha, beta, c):
+        # every interval here is at least 1/4 wide, so the margin stays 1e-3
+        w, op = _family(alpha, beta, c)
+        grid = w.interior_grid(25, eps=1e-3)
+        assert pearson_points(w) == [x for x in grid if abs(x) >= 1e-9 and
+                                     w.contains_interior(x) and w.contains_interior(-x)]
+        assert pearson_defect(w, op) == pearson_figure(w, op, grid)
+
+    @pytest.mark.parametrize("c", [HALF, Fraction(99999, 100000)])
+    def test_sample_fits_every_interval(self, c):
+        # At c = 99999/100000 both intervals are 1e-5 wide: a fixed 1e-3
+        # margin ran the grid out of the support and left 2 points.
+        w = big_weight(BigJacobiParams(1, 1, c))
+        points = pearson_points(w)
+        assert len(points) == 50
+        assert all(w.contains_interior(x) and w.contains_interior(-x) for x in points)
+        for lo, hi in w.support:
+            inside = [x for x in points if lo < x < hi]
+            assert len(inside) == 25 and inside == sorted(inside)
+
+    def test_float_form_is_cached_outside_equality(self):
+        params = BigJacobiParams(Fraction(3, 7), Fraction(5, 9), Fraction(2, 7))
+        first, second = big_weight(params), big_weight(params)
+        assert first._floats is None
+        value = first(0.5)
+        assert first._floats is first.float_form() and second._floats is None
+        assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
+        assert second(0.5) == value == weight_value(first, 0.5)
+
+    def test_sign_indefinite_cases_match_the_reference(self):
+        for op in (build(CASE_II), build(CASE_III), build(CASE_IV), build(CASE_V)):
+            w = solve_pearson(op)
+            points = pearson_points(w)
+            assert points
+            assert pearson_defect(w, op) == pearson_figure(w, op, points)
