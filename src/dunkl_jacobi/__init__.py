@@ -40,6 +40,7 @@ from .eigen import (
     EigenPolynomial,
     coefficient_table_csv,
     coefficient_table_json,
+    eigen_defects,
     eigen_sequence,
     monic_eigenpolynomial,
     parse_coefficient_table_csv,

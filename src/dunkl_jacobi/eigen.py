@@ -165,6 +165,24 @@ def residual(op: DunklOperator, p: LaurentPoly, lam: Rational) -> Polynomial:
     return Polynomial._from_clean({j: Fraction(s, den) for j, s in enumerate(acc) if s})
 
 
+def eigen_defects(op: DunklOperator, polys) -> list:
+    """Degrees ``n`` at which ``polys[n]`` is not ``op``'s monic eigenpolynomial.
+
+    The spectrum of degrees ``0..N``, ``N = len(polys) - 1``, is checked
+    first (:class:`DegenerateSpectrum`), and the band is built once up to
+    ``N`` with its diagonal checked against the eigenvalue law.  Degree
+    ``n`` passes when ``polys[n]`` is monic of degree ``n`` and its exact
+    :func:`residual` at ``lambda_n`` is zero.  With distinct eigenvalues the
+    operator's eigenvectors in degree ``<= N`` are one line per degree, so
+    an empty list proves that ``polys`` are the monic eigenpolynomials,
+    with no solve.
+    """
+    lams = _spectrum(op, len(polys) - 1)
+    _band_diagonal(op.band(len(polys) - 1), lams)
+    return [n for n, (p, lam) in enumerate(zip(polys, lams))
+            if p.degree != n or not p.is_monic or not residual(op, p, lam).is_zero]
+
+
 def _coefficient_cells(poly: Polynomial, n: int) -> list:
     """``str`` of the coefficients of ``x^0..x^n``, ``"0"`` for absent exponents."""
     # The stored map itself, not the copy ``terms`` hands out: a copy per

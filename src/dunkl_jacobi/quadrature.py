@@ -7,6 +7,18 @@ rules matched to the endpoint exponents integrate polynomial inputs to
 machine accuracy.  The equivalent x-space rule (mirrored nodes, positive
 weights) is what gets exposed.
 
+A Gauss-Jacobi rule is two extended-precision passes over the monic Jacobi
+matrix, whose coefficients are computed once from the exact exponents: one
+Newton step from scipy's nodes with ``P_n`` and ``P_n'`` from the monic
+recurrence, then the Christoffel numbers ``mu_0 / sum_k q_k(t)^2`` over the
+orthonormal recurrence as the weights (Golub & Welsch, 1969, without the
+eigensolve; Gautschi, *Orthogonal Polynomials: Computation and
+Approximation*, 2004).  Unlike ``(1 - t^2) P_n'(t)^2`` these keep their
+accuracy next to a singular endpoint.  The map to ``x`` takes the
+interval's half-width and midpoint from exact rationals and forms
+``x - c`` and ``d - x`` from ``1 + t`` and ``1 - t``, so a narrow interval
+loses nothing to cancellation between rounded endpoints.
+
 Each polynomial is written exactly in the monic orthogonal basis ``P_k``,
 whose recurrence is known in closed form (the big -1 Jacobi polynomials of
 Vinet and Zhedanov), and the ``P_k`` are evaluated at the nodes by the float
@@ -23,9 +35,10 @@ a fraction-free integer recurrence, after the Bareiss idiom of
 u_{i+1} C[m][i+1]``.  ``recurrence_coefficients``,
 ``orthogonal_polynomials``, ``connection_coefficients`` and the node
 evaluation all read that table, so a ``certify`` call evaluates the
-recurrence once and builds the basis once.  The table belongs to the
-weight object, never to a key hashed from it, so a freshly built weight
-starts cold.
+recurrence once and builds the basis once; it checks those ``P_n``
+against the operator by exact residuals and never solves for them.  The
+table belongs to the weight object, never to a key hashed from it, so a
+freshly built weight starts cold.
 
 ``certify``'s operator-symmetry block ``<x^i, L x^j>`` is
 :func:`symmetry_block`, a Gram block of the monomials and their images
@@ -85,51 +98,58 @@ class QuadratureRule:
         return json.dumps(self.to_json_obj(), indent=2)
 
 
-def _jacobi_value_derivative(n: int, a: float, b: float, t):
-    """Jacobi P_n^(a,b) and derivative on an array, three-term recurrence.
+def _longdouble(q: Fraction) -> np.longdouble:
+    """``q`` in ``np.longdouble``: numerator and denominator, one division."""
+    return np.longdouble(q.numerator) / np.longdouble(q.denominator)
 
-    Runs in whatever dtype ``t`` carries (extended precision here) so the
-    Newton polish below can push scipy's double-precision nodes to the
-    rounding floor of the final rule.
+
+def _gauss_jacobi_refined(order: int, a: Fraction, b: Fraction):
+    """Gauss-Jacobi nodes and weights for ``(1-t)^a (1+t)^b``, in extended precision.
+
+    Two passes over the monic Jacobi matrix ``(diag_k, u_k)``, built once
+    from the exact exponents.  The first is one Newton step from scipy's
+    double-precision nodes, with ``P_n`` and ``P_n'`` from the monic
+    recurrence; it runs scaled by ``2^k``, which changes no rounding and
+    keeps large orders clear of underflow.  The second sums ``q_k(t)^2``
+    over the orthonormal ``q_0..q_{n-1}``, and each weight is the
+    Christoffel number ``mu_0 / sum`` (Golub & Welsch, 1969, without the
+    eigensolve; Gautschi, 2004), which stays accurate next to a singular
+    endpoint.
     """
-    one = t * 0 + 1.0
-    p_prev = one
-    if n == 0:
-        return one, t * 0
-    p = (a - b) / 2 + (a + b + 2) / 2 * t
-    for k in range(2, n + 1):
-        c1 = 2 * k * (k + a + b) * (2 * k + a + b - 2)
-        c2 = 2 * k + a + b - 1
-        c3 = (2 * k + a + b) * (2 * k + a + b - 2)
-        c4 = a * a - b * b
-        c5 = 2 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
-        p, p_prev = (c2 * (c3 * t + c4) * p - c5 * p_prev) / c1, p
-    s = 2 * n + a + b
-    deriv = (n * ((a - b) - s * t) * p + 2 * (n + a) * (n + b) * p_prev) / (s * (1 - t * t))
-    return p, deriv
-
-
-def _gauss_jacobi_refined(order: int, a: float, b: float):
-    """Gauss-Jacobi nodes/weights polished in extended precision."""
     from scipy.special import roots_jacobi  # scipy only loads once a rule is built
 
     # At a + b = -1 scipy's np.where also computes a 0/0 branch it then discards.
     with np.errstate(invalid="ignore"):
-        t64, _ = roots_jacobi(order, a, b)
+        t64, _ = roots_jacobi(order, float(a), float(b))
     t = t64.astype(np.longdouble)
-    for _ in range(2):
-        p, dp = _jacobi_value_derivative(order, a, b, t)
-        t = t - p / dp
-    _, dp = _jacobi_value_derivative(order, a, b, t)
-    log_c = (
-        (a + b + 1) * math.log(2.0)
-        + math.lgamma(order + a + 1)
-        + math.lgamma(order + b + 1)
-        - math.lgamma(order + 1)
-        - math.lgamma(order + a + b + 1)
-    )
-    weights = np.longdouble(math.exp(log_c)) / ((1 - t * t) * dp * dp)
-    return t, weights
+    s, A, B = _longdouble(a + b), _longdouble(a), _longdouble(b)
+    n = np.arange(order, dtype=np.longdouble)
+    m = 2 * n + s
+    diag, u = np.zeros(order, dtype=np.longdouble), np.zeros(order, dtype=np.longdouble)
+    # diag_0 and u_1 (u_0 = 0) in the forms without the 0/0 at a + b = 0
+    # and at a + b = -1
+    diag[0] = _longdouble((b - a) / (a + b + 2))
+    diag[1:] = _longdouble(b - a) * s / (m[1:] * (m[1:] + 2))
+    if order > 1:
+        u[1] = _longdouble(4 * (1 + a) * (1 + b) / ((a + b + 2) ** 2 * (a + b + 3)))
+    n, m = n[2:], m[2:]
+    u[2:] = 4 * n * (n + A) * (n + B) * (n + s) / (m * m * (m + 1) * (m - 1))
+
+    zero, one, t2 = np.zeros_like(t), np.ones_like(t), 2 * t
+    p_prev, p, dp_prev, dp = zero, one, zero, zero
+    for d2, u4 in zip(2 * diag, 4 * u):
+        r = t2 - d2
+        p_prev, p, dp_prev, dp = p, r * p - u4 * p_prev, dp, 2 * p + r * dp - u4 * dp_prev
+    t = t - p / dp
+
+    root = np.sqrt(u)
+    q_prev, q, squares = zero, one, one.copy()
+    for dk, rk, rk1 in zip(diag, root, root[1:]):
+        q_prev, q = q, ((t - dk) * q - rk * q_prev) / rk1
+        squares += q * q
+    log_mu0 = (float(a + b + 1) * math.log(2.0) + math.lgamma(float(a) + 1)
+               + math.lgamma(float(b) + 1) - math.lgamma(float(a + b) + 2))
+    return t, np.longdouble(math.exp(log_mu0)) / squares
 
 
 def _require_positive_family(w: WeightFunction) -> None:
@@ -159,27 +179,32 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     has y-degree at most ``2*order - 1``.  With ``y = x^2`` on
     ``[c^2, d^2]`` the node pair ``±x`` carries
     ``const * v * (d ± x)(x ∓ c) / (2x)`` for the Gauss-Jacobi weight ``v``;
-    ``c = 0`` is the one-interval family.
+    ``c = 0`` is the one-interval family.  ``x - c`` and ``d - x`` are
+    ``half (1 + t) / (x + c)`` and ``half (1 - t) / (d + x)``, with
+    ``half = (d^2 - c^2) / 2`` rounded once from the exact rationals.
     """
     _require_positive_family(w)
     a_exp, b_exp = _integrability_exponents(w)
     if order < 1:
         raise ValueError("order must be >= 1")
     const = float(w.constant)
-    t, wj = _gauss_jacobi_refined(order, float(a_exp), float(b_exp))
+    t, wj = _gauss_jacobi_refined(order, a_exp, b_exp)
 
     _, _, c, d = w.normal_form
-    lo, hi = float(c * c), float(d * d)
     df, cf = float(d), float(c)
-    half = (hi - lo) / 2.0
-    y = half * t + (hi + lo) / 2.0
-    v = wj * half ** (float(a_exp) + float(b_exp) + 1.0)
+    half = float((d * d - c * c) / 2)
+    y = half * t + float((d * d + c * c) / 2)
+    v = wj * half ** float(a_exp + b_exp + 1)
     x = np.sqrt(y)
-    w_plus = const * v * (x + df) * (x - cf) / (2.0 * x)
-    w_minus = const * v * (df - x) * (x + cf) / (2.0 * x)
+    # y - c^2 = half (1 + t) and d^2 - y = half (1 - t): no cancellation
+    # between rounded endpoints when c is near d
+    x_minus_c = half * (1 + t) / (x + cf)
+    d_minus_x = half * (1 - t) / (df + x)
+    w_plus = const * v * (x + df) * x_minus_c / (2.0 * x)
+    w_minus = const * v * d_minus_x * (x + cf) / (2.0 * x)
 
-    nodes = tuple(float(z) for z in -x[::-1]) + tuple(float(z) for z in x)
-    weights = tuple(float(z) for z in w_minus[::-1]) + tuple(float(z) for z in w_plus)
+    nodes = tuple(np.concatenate((-x[::-1], x)).astype(np.float64).tolist())
+    weights = tuple(np.concatenate((w_minus[::-1], w_plus)).astype(np.float64).tolist())
     return QuadratureRule(nodes=nodes, weights=weights, target=w, order=order)
 
 

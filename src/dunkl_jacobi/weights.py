@@ -665,11 +665,15 @@ def pearson_points(w: WeightFunction) -> list:
     a narrow interval, and only those with ``|x| >= 1e-9`` whose mirror
     ``-x`` is interior too.
     """
+    bounds = [(float(lo), float(hi)) for lo, hi in w.support]
     points = []
-    for lo, hi in w.support:
-        points.extend(_spaced(float(lo), float(hi), 25, min(1e-3, float(hi - lo) / 4)))
-    return [x for x in points
-            if abs(x) >= 1e-9 and w.contains_interior(x) and w.contains_interior(-x)]
+    for (lo, hi), (flo, fhi) in zip(w.support, bounds):
+        points.extend(_spaced(flo, fhi, 25, min(1e-3, float(hi - lo) / 4)))
+
+    def interior(x):
+        return any(lo < x < hi for lo, hi in bounds)
+
+    return [x for x in points if abs(x) >= 1e-9 and interior(x) and interior(-x)]
 
 
 def pearson_defect(w: WeightFunction, op: DunklOperator) -> float:

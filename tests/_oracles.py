@@ -263,6 +263,18 @@ def pearson_pair(w, op, x) -> tuple:
     return r1, r2
 
 
+def pearson_points_reference(w) -> list:
+    """:func:`pearson_points` point by point, each tested with ``contains_interior``."""
+    points = []
+    for lo, hi in w.support:
+        eps = min(1e-3, float(hi - lo) / 4)
+        a, b = float(lo) + eps, float(hi) - eps
+        step = (b - a) / 24
+        points.extend(a + i * step for i in range(25))
+    return [x for x in points
+            if abs(x) >= 1e-9 and w.contains_interior(x) and w.contains_interior(-x)]
+
+
 def pearson_figure(w, op, points) -> float:
     """Worst ``|r| / (sum of term sizes + 1e-30)`` over ``points``.
 

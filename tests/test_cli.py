@@ -11,13 +11,14 @@ import pytest
 import dunkl_jacobi
 from dunkl_jacobi import (
     BigJacobiParams,
+    DunklOperator,
     Polynomial,
     big_operator,
     build,
     parse_coefficient_table_csv,
     residual,
 )
-from dunkl_jacobi import cli, quadrature as quad_mod
+from dunkl_jacobi import cli, eigen as eigen_mod, quadrature as quad_mod
 from dunkl_jacobi.cli import main
 
 
@@ -241,6 +242,30 @@ class TestCertify:
                             "--N", "12"], capsys)
         assert code == 0 and out.count("PASS") == 5
         assert calls == [12]
+
+    @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
+    def test_one_exact_computation(self, family, capsys, monkeypatch):
+        # the residuals run on the table's P_n: no eigen solve, and the band
+        # grows once, to degree N, before the residual loop
+        def no_solve(op, N):
+            raise AssertionError("certify solved for the eigenpolynomials")
+
+        monkeypatch.setattr(eigen_mod, "eigen_sequence", no_solve)
+        growths = []
+        real = DunklOperator.band
+
+        def band(op, n):
+            before = op._band
+            grown = real(op, n)
+            if grown is not before:
+                growths.append(n)
+            return grown
+
+        monkeypatch.setattr(DunklOperator, "band", band)
+        code, out, _ = run(["certify", "--alpha", "1", "--beta", "1", *family,
+                            "--N", "12"], capsys)
+        assert code == 0 and out.count("PASS") == 5
+        assert growths == [12]
 
     def test_parameter_error_exit_2(self, capsys):
         code, _, err = run(["certify", "--alpha", "-2", "--beta", "0"], capsys)

@@ -16,6 +16,7 @@ from dunkl_jacobi import (
     build,
     coefficient_table_csv,
     coefficient_table_json,
+    eigen_defects,
     eigen_sequence,
     eigenvalue,
     monic_eigenpolynomial,
@@ -123,6 +124,25 @@ class TestResidual:
                 e.poly + Polynomial({k: bump})
             )
             assert not residual(op, perturbed, e.eigenvalue).is_zero
+
+    def test_defects_empty_exactly_on_the_monic_eigenpolynomials(self):
+        rng = random.Random(73)
+        for op in raw_and_family_operators(rng, 3, 12):
+            polys = [e.poly for e in eigen_sequence(op, 12)]
+            assert eigen_defects(op, polys) == []
+            n = rng.randint(1, 12)
+            for wrong in (polys[n] * 2, polys[n - 1], Polynomial(),
+                          Polynomial.from_laurent(polys[n] + Polynomial({n - 1: 1}))):
+                assert eigen_defects(op, polys[:n] + [wrong] + polys[n + 1:]) == [n]
+
+    def test_defects_check_the_spectrum_and_the_diagonal_law(self):
+        with pytest.raises(DegenerateSpectrum, match="vanishes at degree 1"):
+            eigen_defects(build(OperatorParams(tau1=2, eta=1)), [Polynomial.one()] * 4)
+        op = build(OperatorParams(tau1=2, eta=-1))
+        wrong = DunklOperator(op.F, op.G0, op.G1, params=OperatorParams(tau1=3, eta=-1))
+        polys = [e.poly for e in eigen_sequence(op, 3)]
+        with pytest.raises(InternalConsistencyError, match="eigenvalue law"):
+            eigen_defects(wrong, polys)
 
 
 class TestBand:

@@ -75,24 +75,27 @@ class TestRule:
     # rule, measured on x86-64 with scipy 1.17 and mpmath 1.3.  The narrow
     # figures are simulated, not measured on such a platform: they ran the
     # same code on x86-64 with float64 in place of np.longdouble, as on
-    # platforms where the two are one type and the Newton polish gains
+    # platforms where the two are one type and the Newton step gains
     # nothing.  libm and scipy builds differ between platforms, so replace
     # them with figures measured on arm64 (the macos-14 CI leg) rather than
     # widening them by guesswork.  Each tolerance is about ten times its
-    # figure.
-    #   (1, 1, 1/2)       wide 9.8e-17, 1.9e-15   narrow 1.2e-16, 2.7e-13
-    #   (1/2, 2, 1/4)     wide 8.9e-17, 4.4e-14   narrow 2.7e-16, 6.5e-14
-    #   (-99/100, 0, 1/2) wide 1.2e-16, 6.6e-11   narrow 1.2e-16, 4.9e-11
-    #   (1, 0, 0)         wide 1.1e-16, 1.2e-15   narrow 3.0e-14, 3.2e-14
-    #   (2, 1/2, 0)       wide 1.0e-16, 4.4e-14   narrow 3.0e-15, 1.3e-13
-    # At alpha = -99/100 the polish moves the node next to t = 1 off the
-    # root (2e-16 after it, 1e-18 before), so wide is the worse there.
+    # figure, except narrow (1, 0, 0), which keeps its earlier, tighter
+    # tolerances (about six times its figures): tolerances only tighten.
+    #   (1, 1, 1/2)             wide 9.8e-17, 1.0e-16   narrow 1.2e-16, 5.1e-14
+    #   (1/2, 2, 1/4)           wide 8.9e-17, 5.0e-16   narrow 2.7e-16, 1.2e-14
+    #   (-99/100, 0, 1/2)       wide 1.0e-16, 3.8e-15   narrow 1.2e-16, 1.6e-13
+    #   (1, 0, 0)               wide 1.1e-16, 7.0e-16   narrow 4.3e-14, 5.5e-14
+    #   (2, 1/2, 0)             wide 1.0e-16, 7.1e-16   narrow 3.0e-15, 1.0e-14
+    #   (1, 1, 99999/100000)    wide 7.9e-17, 2.3e-16   narrow 9.5e-17, 5.1e-14
+    #   (7/4, -2/3, 3/5)        wide 1.3e-16, 2.0e-16   narrow 1.3e-16, 7.2e-14
     @pytest.mark.parametrize("alpha, beta, c, wide, narrow", [
-        (1, 1, HALF, (1e-15, 2e-14), (1e-15, 3e-12)),
-        (HALF, 2, Fraction(1, 4), (1e-15, 5e-13), (3e-15, 7e-13)),
-        (Fraction(-99, 100), 0, HALF, (1e-15, 7e-10), (1e-15, 5e-10)),
-        (1, 0, 0, (1e-15, 2e-14), (3e-13, 3e-13)),
-        (2, HALF, 0, (1e-15, 5e-13), (3e-14, 1.3e-12)),
+        (1, 1, HALF, (1e-15, 1e-15), (1e-15, 5e-13)),
+        (HALF, 2, Fraction(1, 4), (1e-15, 5e-15), (3e-15, 1.2e-13)),
+        (Fraction(-99, 100), 0, HALF, (1e-15, 4e-14), (1e-15, 2e-12)),
+        (1, 0, 0, (1e-15, 7e-15), (3e-13, 3e-13)),
+        (2, HALF, 0, (1e-15, 7e-15), (3e-14, 1e-13)),
+        (1, 1, Fraction(99999, 100000), (1e-15, 2.5e-15), (1e-15, 5e-13)),
+        (Fraction(7, 4), Fraction(-2, 3), Fraction(3, 5), (1.5e-15, 2e-15), (1.5e-15, 7e-13)),
     ])
     def test_rule_matches_40_digit_mpmath_rule(self, alpha, beta, c, wide, narrow):
         mpmath = pytest.importorskip("mpmath")
@@ -121,6 +124,15 @@ class TestRule:
             node_err, weight_err = worst(rule.nodes, nodes), worst(rule.weights, weights)
         node_tol, weight_tol = wide if WIDE_LONGDOUBLE else narrow
         assert node_err <= node_tol and weight_err <= weight_tol
+
+    @pytest.mark.parametrize("a, b", [(0, 0), (HALF, -HALF), (Fraction(-199, 200), Fraction(-1, 2)),
+                                      (Fraction(-1, 4), Fraction(-3, 4)), (Fraction(7, 3), 2)])
+    def test_order_one_weight_is_mu0(self, a, b):
+        # one node, the zero of P_1, and the Christoffel sum is q_0^2 = 1
+        t, weights = quad_mod._gauss_jacobi_refined(1, Fraction(a), Fraction(b))
+        mu0 = 2.0 ** float(a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+        assert float(weights[0]) == pytest.approx(mu0, rel=1e-14)
+        assert float(t[0]) == pytest.approx(float((b - a) / (a + b + 2)), rel=1e-15, abs=1e-18)
 
     def test_json_export(self):
         rule = quadrature_rule(W_LITTLE_10, 5)

@@ -39,6 +39,7 @@ from _oracles import (
     laurent_value,
     pearson_figure,
     pearson_pair,
+    pearson_points_reference,
     weight_log_derivative,
     weight_value,
 )
@@ -441,6 +442,7 @@ class TestPearsonSweep:
     def test_figure_equals_point_by_point_reference(self, alpha, beta, c):
         w, op = _family(alpha, beta, c)
         points = pearson_points(w)
+        assert points == pearson_points_reference(w)
         assert pearson_defect(w, op) == pearson_figure(w, op, points)
         for x in points[::6]:
             assert pearson_residual(w, op, x) == pearson_pair(w, op, x)
@@ -485,5 +487,5 @@ class TestPearsonSweep:
         for op in (build(CASE_II), build(CASE_III), build(CASE_IV), build(CASE_V)):
             w = solve_pearson(op)
             points = pearson_points(w)
-            assert points
+            assert points and points == pearson_points_reference(w)
             assert pearson_defect(w, op) == pearson_figure(w, op, points)
