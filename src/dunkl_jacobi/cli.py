@@ -30,7 +30,6 @@ from .weights import (
     big_operator,
     big_weight,
     classify,
-    little_weight,
     pearson_defect,
 )
 
@@ -123,12 +122,6 @@ def _family_from_args(args, parser) -> BigJacobiParams:
     return BigJacobiParams(args.alpha, args.beta, c)
 
 
-def _weight_for(family: BigJacobiParams):
-    if family.c == 0:
-        return little_weight(family.alpha, family.beta)
-    return big_weight(family)
-
-
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w", newline="") as fh:
@@ -180,7 +173,7 @@ def cmd_classify(args, parser) -> int:
 
 def cmd_weight_sample(args, parser) -> int:
     family = _family_from_args(args, parser)
-    w = _weight_for(family)
+    w = big_weight(family)
     half = min(hi - lo for lo, hi in w.support) / 2
     if args.eps >= half:
         parser.error(f"--eps must be below half the shortest support interval ({half}), "
@@ -200,7 +193,7 @@ def cmd_weight_sample(args, parser) -> int:
 
 def cmd_gram(args, parser) -> int:
     family = _family_from_args(args, parser)
-    w = _weight_for(family)
+    w = big_weight(family)
     op = build(big_operator(family))
     eigs = eigen_mod.eigen_sequence(op, args.N)
     g = quad_mod.gram_matrix(w, [e.poly for e in eigs], order=args.order)
@@ -214,7 +207,7 @@ def cmd_gram(args, parser) -> int:
 
 def cmd_certify(args, parser) -> int:
     family = _family_from_args(args, parser)
-    w = _weight_for(family)
+    w = big_weight(family)
     params = big_operator(family)
     if not check_nondegenerate(params, args.N):
         print("degenerate parameters", file=sys.stderr)

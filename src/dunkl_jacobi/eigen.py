@@ -130,16 +130,22 @@ def eigen_sequence(op: DunklOperator, N: int) -> list:
 def residual(op: DunklOperator, p: LaurentPoly, lam: Rational) -> Polynomial:
     """Exact residual ``L p - lam p``; the zero polynomial certifies an eigenpair.
 
-    With ``q = D p`` integral, ``lam = l / e`` and ``t_i = M [L x^(j+i)]``
-    at ``x^j`` off the band, entry ``j`` is
-    ``(e sum_i t_i q_(j+i) - M l q_j) / (M D e)``: integer products, with a
-    ``Fraction`` formed only for nonzero entries.  The diagonal term is the
-    one product ``(t_0 e - M l) q_j``, and zero band entries are skipped.
+    ``p = sum_j c_j x^j / s`` comes from
+    :meth:`~.laurent.LaurentPoly._scaled_terms`: a basis polynomial of
+    :mod:`.quadrature` hands over the integer vector it was built as, over
+    its denominator ``s``, and any other polynomial its own ``Fraction``
+    map with ``s = 1``.  With ``q = D c`` integral, ``D`` the lcm of the
+    ``c_j``'s denominators (1 for a basis polynomial), ``lam = l / e`` and
+    ``t_i = M [L x^(j+i)]`` at ``x^j`` off the band, entry ``j`` is
+    ``(e sum_i t_i q_(j+i) - M l q_j) / (M D s e)``: integer products, with
+    a ``Fraction`` formed only for nonzero entries.  The diagonal term is
+    the one product ``(t_0 e - M l) q_j``, and zero band entries are
+    skipped.
     """
     if not p.is_polynomial:
         raise ValueError("residual expects a polynomial")
     lam = as_rational(lam)
-    terms = p._terms
+    s, terms = p._scaled_terms()
     if not terms:
         return Polynomial()
     n = max(terms)
@@ -161,8 +167,8 @@ def residual(op: DunklOperator, p: LaurentPoly, lam: Rational) -> Polynomial:
             acc[k - 2] += t2 * q
         if t3:
             acc[k - 3] += t3 * q
-    den = band.scale * D * e
-    return Polynomial._from_clean({j: Fraction(s, den) for j, s in enumerate(acc) if s})
+    den = band.scale * D * s * e
+    return Polynomial._from_clean({j: Fraction(t, den) for j, t in enumerate(acc) if t})
 
 
 def eigen_defects(op: DunklOperator, polys) -> list:

@@ -11,6 +11,13 @@ adds only where a coefficient is already there; coefficients that cancel to
 zero are dropped once, when the result is formed.  An absent exponent reads
 as one shared ``Fraction(0)``.  The exact kernels, whose coefficient maps
 are clean by construction, hand them to :class:`Polynomial` unchecked.
+
+The monic basis of :mod:`.quadrature` is built as integer vectors over
+one denominator and handed out as :class:`_IntegerPolynomial`, which forms
+its ``Fraction`` map only when someone reads it.  The exact kernels that
+clear denominators read either kind through
+:meth:`LaurentPoly._scaled_terms`: the coefficient map itself, or the
+integer vector with its denominator.
 """
 
 from __future__ import annotations
@@ -133,6 +140,14 @@ class LaurentPoly:
 
     def coefficient(self, exponent: int) -> Fraction:
         return self._terms.get(exponent, _ZERO)
+
+    def _scaled_terms(self) -> tuple:
+        """``(s, terms)`` with ``self = sum terms[k] x^k / s``: here ``(1, the stored map)``.
+
+        The map is not a copy.  :class:`_IntegerPolynomial` answers with
+        integer ``terms`` over its denominator, and builds no ``Fraction``.
+        """
+        return 1, self._terms
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -376,3 +391,64 @@ class Polynomial(LaurentPoly):
         p = cls.__new__(cls)
         object.__setattr__(p, "_terms", terms)
         return p
+
+
+class _IntegerPolynomial(Polynomial):
+    """A nonzero polynomial held as ``(D, v)``: ``sum_j v[j] x^j / D``.
+
+    ``D > 0`` and the integers ``v`` (``v[-1] != 0``) have no common factor
+    with ``D``, so each form stands for one polynomial.  Degree, monicity,
+    equality and :meth:`_scaled_terms` read the form; the ``Fraction`` map
+    is built the first time it is read, and kept.
+    """
+
+    __slots__ = ("_form", "_map")
+
+    def __init__(self, D: int, v: tuple):
+        object.__setattr__(self, "_form", (D, v))
+        object.__setattr__(self, "_map", None)
+
+    @property
+    def _terms(self) -> dict:
+        terms = self._map
+        if terms is None:
+            D, v = self._form
+            terms = {j: Fraction(t, D) for j, t in enumerate(v) if t}
+            object.__setattr__(self, "_map", terms)
+        return terms
+
+    def _scaled_terms(self) -> tuple:
+        D, v = self._form
+        return D, {j: t for j, t in enumerate(v) if t}
+
+    @property
+    def is_zero(self) -> bool:
+        return False
+
+    @property
+    def degree(self) -> int:
+        return len(self._form[1]) - 1
+
+    @property
+    def is_polynomial(self) -> bool:
+        return True
+
+    @property
+    def is_monic(self) -> bool:
+        D, v = self._form
+        return v[-1] == D
+
+    def __eq__(self, other):
+        if isinstance(other, _IntegerPolynomial):
+            return self._form == other._form
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        # c = v[k] / D, cross-multiplied, at every exponent of ``other``
+        D, v = self._form
+        terms = other._terms
+        return len(terms) == len(v) - v.count(0) and all(
+            0 <= k < len(v) and c.numerator * D == v[k] * c.denominator
+            for k, c in terms.items())
+
+    __hash__ = LaurentPoly.__hash__

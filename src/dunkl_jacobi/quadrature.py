@@ -22,23 +22,29 @@ loses nothing to cancellation between rounded endpoints.
 Each polynomial is written exactly in the monic orthogonal basis ``P_k``,
 whose recurrence is known in closed form (the big -1 Jacobi polynomials of
 Vinet and Zhedanov), and the ``P_k`` are evaluated at the nodes by the float
-recurrence (Golub & Welsch, 1969).  An input equal to ``P_k`` is a unit
-row; any other is the sum of its terms' connection rows (below).  Single
-inner products sum with ``math.fsum``; a Gram matrix is one float64
-matmul.
+recurrence (Golub & Welsch, 1969).  An input that is (or equals) a ``P_k``
+is a unit row; any other is an integer combination of its terms'
+connection rows (below).  Single inner products sum with ``math.fsum``; a
+Gram matrix is one float64 matmul.
 
 Every weight keeps one exact :class:`ThreeTermTable` on the instance: the
 closed-form ``(b_n, u_n)``, the monic ``P_0..P_n`` and the connection rows
-``x^m = sum_j C[m][j] P_j``, each grown on demand.  The ``P_k`` come from
-a fraction-free integer recurrence, after the Bareiss idiom of
-:mod:`.eigen`; the rows from ``C[m+1][i] = C[m][i-1] + b_i C[m][i] +
-u_{i+1} C[m][i+1]``.  ``recurrence_coefficients``,
-``orthogonal_polynomials``, ``connection_coefficients`` and the node
-evaluation all read that table, so a ``certify`` call evaluates the
-recurrence once and builds the basis once; it checks those ``P_n``
-against the operator by exact residuals and never solves for them.  The
-table belongs to the weight object, never to a key hashed from it, so a
-freshly built weight starts cold.
+``x^m = sum_j C[m][j] P_j``, each grown on demand.  The exact side works in
+one representation, an integer form ``(D, v)``: an integer vector over one
+positive denominator, with content 1.  The ``P_k`` come from a
+fraction-free integer recurrence, after the Bareiss idiom of :mod:`.eigen`,
+and are handed out as polynomials that carry that form and build their
+``Fraction`` maps only when read; the rows come the same way from
+``C[m+1][i] = C[m][i-1] + b_i C[m][i] + u_{i+1} C[m][i+1]``.  A float
+enters as one correctly rounded ``int / int`` division, the float that
+``float(Fraction)`` gives, so no value read off the table changes.
+``recurrence_coefficients``, ``orthogonal_polynomials``,
+``connection_coefficients`` and the node evaluation all read that table,
+so a ``certify`` call evaluates the recurrence once and builds the basis
+once; it checks those ``P_n`` against the operator by exact residuals on
+their integer forms, never solves for them and never forms their
+``Fraction``s.  The table belongs to the weight object, never to a key
+hashed from it, so a freshly built weight starts cold.
 
 ``certify``'s operator-symmetry block ``<x^i, L x^j>`` is
 :func:`symmetry_block`, a Gram block of the monomials and their images
@@ -57,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSpectrum, NonIntegrable, UnsupportedWeight
-from .laurent import LaurentPoly, Polynomial
+from .laurent import LaurentPoly, Polynomial, _IntegerPolynomial
 from .weights import WeightFunction
 
 __all__ = [
@@ -211,29 +217,41 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
 def _node_table(w: WeightFunction, rule: QuadratureRule, polys) -> np.ndarray:
     """Rows of ``polys`` at the nodes: exact ``P_k`` expansions, rounded once.
 
-    An input equal to ``P_k`` is a unit row; any other is
-    ``sum_m a_m C[m]`` over its terms ``a_m x^m`` and the connection rows of
-    ``w``'s table.  The basis is ``w``'s own table: ``rule.target`` may be
-    an older equal weight held by the rule cache.
+    A ``P_k`` of ``w``'s table, recognised by identity before any
+    comparison, or an equal polynomial is a unit row.  Any other,
+    ``sum_m a_m x^m``, is ``sum_m a_m C[m]`` over the integer connection
+    rows ``(D_m, v_m)`` of ``w``'s table: with the ``a_m`` and the ``D_m``
+    cleared, integer sums ``t_j`` over one denominator ``den``, each rounded
+    once as ``t_j / den``, the float that the reduced ``Fraction`` gives.
+    The basis is ``w``'s own table: ``rule.target`` may be an older equal
+    weight held by the rule cache.
     """
     if not all(p.is_polynomial for p in polys):
         raise ValueError("node values need polynomials")
     top = max((p.degree or 0) for p in polys) if polys else 0
     table = _basis(w, top)
+    rows = None
     expansion = np.zeros((len(polys), top + 1))
     for row, p in zip(expansion, polys):
         if p.is_zero:
             continue
         k = p.degree
-        if p == table.polys[k]:
+        basis = table.polys[k]
+        if p is basis or p == basis:
             row[k] = 1.0
             continue
-        rows = _connection(w, top).connection
+        if rows is None:
+            rows = _connection(w, top).connection
+        s, terms = p._scaled_terms()
+        L = math.lcm(*(a.denominator * rows[m][0] for m, a in terms.items()))
         exact = [0] * (k + 1)
-        for m, a in p.terms.items():
-            for j, v in enumerate(rows[m]):
-                exact[j] += a * v
-        row[:k + 1] = [float(v) for v in exact]
+        for m, a in terms.items():
+            Dm, v = rows[m]
+            a = a.numerator * (L // (a.denominator * Dm))
+            for j, t in enumerate(v):
+                exact[j] += a * t
+        den = s * L
+        row[:k + 1] = [t / den for t in exact]
     x = np.asarray(rule.nodes)
     values = [np.ones_like(x)]
     for n, (b, u) in enumerate(table.coefficients[:top]):
@@ -319,12 +337,13 @@ def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) ->
     """``B[i, j] = <x^i, L x^j>`` for ``i, j <= top``: ``certify``'s symmetry block.
 
     The block ``entries[:top + 1, top + 1:]`` of the Gram matrix of
-    ``x^0..x^top`` and their images ``L x^k``, read off ``op``'s band.
+    ``x^0..x^top`` and their images ``L x^k``, read off ``op``'s band; each
+    is one connection row or an integer combination of at most four.
     """
     band = op.band(top)
     monos = [Polynomial.monomial(k) for k in range(top + 1)]
-    images = [Polynomial({k - i: Fraction(t, band.scale)
-                          for i, t in enumerate(band.rows[k]) if t})
+    images = [Polynomial._from_clean({k - i: Fraction(t, band.scale)
+                                      for i, t in enumerate(band.rows[k]) if t})
               for k in range(top + 1)]
     return gram_matrix(w, monos + images, order=order).entries[:top + 1, top + 1:]
 
@@ -343,24 +362,44 @@ def symmetry_residual(w: WeightFunction, op, V: Polynomial, W: Polynomial,
 def _recurrence(normal_form, N: int) -> list:
     """Closed-form ``(b_n, u_n)``, n = 0..N, with ``u_0 = None``.
 
-    At ``d = 1``, ``b_n = 1 - A_n - C_n`` and ``u_n = A_{n-1} C_n``.  Stretching
-    the support by ``d`` puts ``c/d`` for ``c`` and scales ``b_n`` by ``d``
-    and ``u_n`` by ``d^2``.
+    At ``d = 1``, ``b_n = 1 - A_n - C_n`` and ``u_n = A_{n-1} C_n``, with
+    ``s = 2n + alpha + beta`` and
+    ``A_n = (1 - c)(n + alpha + beta + 1)/(s + 2)``,
+    ``C_n = (1 + c)(n + beta)/s`` for odd ``n``, and
+    ``A_n = (1 + c)(n + alpha + 1)/(s + 2)``, ``C_n = (1 - c) n/s`` for even
+    ``n``.  Stretching the support by ``d`` puts ``c/d`` for ``c`` and
+    scales ``b_n`` by ``d`` and ``u_n`` by ``d^2``.  With ``alpha`` and
+    ``beta`` over one denominator and ``c`` over its own, ``A_n`` and
+    ``C_n`` are integer pairs, and each ``b_n`` and ``u_n`` is formed as one
+    ``Fraction``.
     """
     alpha, beta, c, d = normal_form
     c = c / d
     m = -(alpha + beta) / 2
     if m.denominator == 1 and 1 <= m <= N + 1:
         raise DegenerateSpectrum(int(m), f"2n + alpha + beta vanishes at n = {m}")
+    # alpha = a/q, beta = b/q; E (1 - c) = lo and E (1 + c) = hi
+    q = math.lcm(alpha.denominator, beta.denominator)
+    a, b = alpha.numerator * (q // alpha.denominator), beta.numerator * (q // beta.denominator)
+    E = c.denominator
+    lo, hi = E - c.numerator, E + c.numerator
+    dd = d * d
     out = []
     for n in range(N + 1):
-        s = 2 * n + alpha + beta
+        s = 2 * n * q + a + b  # q (2n + alpha + beta)
+        a_den = E * (s + 2 * q)
         if n % 2:
-            a_n, c_n = (1 - c) * (n + alpha + beta + 1) / (s + 2), (1 + c) * (n + beta) / s
+            a_num, c_num, c_den = lo * ((n + 1) * q + a + b), hi * (n * q + b), E * s
+        elif n:
+            a_num, c_num, c_den = hi * ((n + 1) * q + a), lo * n * q, E * s
         else:
-            a_n, c_n = (1 + c) * (n + alpha + 1) / (s + 2), (1 - c) * n / s if n else 0
-        out.append((d * (1 - a_n - c_n), d * d * a_prev * c_n if n else None))
-        a_prev = a_n
+            a_num, c_num, c_den = hi * (q + a), 0, 1
+        b_n = Fraction(d.numerator * (a_den * c_den - a_num * c_den - c_num * a_den),
+                       d.denominator * a_den * c_den)
+        u_n = (Fraction(dd.numerator * a_prev * c_num, dd.denominator * a_prev_den * c_den)
+               if n else None)
+        out.append((b_n, u_n))
+        a_prev, a_prev_den = a_num, a_den
     return out
 
 
@@ -369,17 +408,17 @@ class ThreeTermTable:
     """A positive weight's closed-form ``(b_n, u_n)`` and the exact rows built on them.
 
     ``coefficients[n]`` is ``(b_n, u_n)`` with ``u_0 = None``, and
-    ``polys[k]`` is ``P_k``, built from ``coefficients[:k]``.  ``forms``
-    holds the last two ``P_k`` as ``(D, v)``, integers with
-    ``P_k = sum_j v[j] x^j / D``, content 1 and ``v[k] = D``, from which
-    the next one grows.  ``connection[m]`` is the row ``C[m]`` of
-    ``x^m = sum_j C[m][j] P_j``, j = 0..m, also built from
+    ``polys[k]`` is ``P_k``, built from ``coefficients[:k]``: an
+    :class:`~.laurent._IntegerPolynomial` holding ``(D, v)``, integers with
+    ``P_k = sum_j v[j] x^j / D``, content 1 and ``v[k] = D``, which builds
+    its ``Fraction`` map only when it is read.  ``connection[m]`` is the row
+    ``C[m]`` of ``x^m = sum_j C[m][j] P_j``, j = 0..m, in the same form
+    ``(D, v)`` with ``C[m][j] = v[j] / D``, also built from
     ``coefficients[:m]``.
     """
 
     coefficients: tuple = ()
     polys: tuple = ()
-    forms: tuple = ()
     connection: tuple = ()
 
 
@@ -398,25 +437,32 @@ def _connection(w: WeightFunction, m: int) -> ThreeTermTable:
 
     ``x^(k+1) = sum_j C[k][j] x P_j`` and the recurrence
     ``x P_j = P_{j+1} + b_j P_j + u_j P_{j-1}`` give
-    ``C[k+1][i] = C[k][i-1] + b_i C[k][i] + u_{i+1} C[k][i+1]``: O(k)
-    ``Fraction`` operations per row, shared by every monomial.
+    ``C[k+1][i] = C[k][i-1] + b_i C[k][i] + u_{i+1} C[k][i+1]``, shared by
+    every monomial.  Each row is ``(D, v)``, ``C[k][j] = v[j] / D`` with
+    content 1 and ``v[k] = D``: the next row is the integer combination over
+    the lcm ``L`` of the denominators of ``b_0..b_k`` and ``u_1..u_k``,
+    with denominator ``D L``, divided by its content.
     """
     table = _coefficients(w, m)
     if len(table.connection) > m:
         return table
-    rows = list(table.connection) or [(Fraction(1),)]
+    rows = list(table.connection) or [(1, (1,))]
     coefficients = table.coefficients
     for k in range(len(rows) - 1, m):
-        row = rows[k]
-        nxt = []
-        for i in range(k + 2):
-            v = row[i - 1] if i else 0
-            if i <= k:
-                v += coefficients[i][0] * row[i]
+        D, row = rows[k]
+        L = math.lcm(*(b.denominator for b, _ in coefficients[:k + 1]),
+                     *(u.denominator for _, u in coefficients[1:k + 1]))
+        sb = [L // b.denominator * b.numerator for b, _ in coefficients[:k + 1]]
+        su = [L // u.denominator * u.numerator for _, u in coefficients[1:k + 1]]
+        nxt = [sb[0] * row[0] + (su[0] * row[1] if k else 0)]
+        for i in range(1, k + 1):
+            t = L * row[i - 1] + sb[i] * row[i]
             if i < k:
-                v += coefficients[i + 1][1] * row[i + 1]
-            nxt.append(v)
-        rows.append(tuple(nxt))
+                t += su[i] * row[i + 1]
+            nxt.append(t)
+        nxt.append(L * row[k])
+        g = math.gcd(*nxt)  # nxt[k + 1] = L D, so g divides the denominator
+        rows.append((D * L // g, tuple(t // g for t in nxt)))
     table = replace(table, connection=tuple(rows))
     object.__setattr__(w, "_table", table)
     return table
@@ -427,36 +473,33 @@ def _basis(w: WeightFunction, n: int) -> ThreeTermTable:
 
     ``P_{k+1} = (x - b_k) P_k - u_k P_{k-1}`` runs fraction-free, after the
     Bareiss idiom of :mod:`.eigen`: integer vectors over one common
-    denominator, divided by their content each step, with one ``Fraction``
-    per coefficient when ``P_{k+1}`` is formed.
+    denominator, divided by their content each step.  Each ``P_k`` is
+    handed out as that form; its ``Fraction`` map is built only if it is
+    read.
     """
     table = _coefficients(w, n)
     if len(table.polys) > n:
         return table
-    polys = list(table.polys) or [Polynomial.one()]
-    prev, cur = table.forms or (None, (1, (1,)))
+    polys = list(table.polys) or [_IntegerPolynomial(1, (1,))]
     for k in range(len(polys) - 1, n):
         b, u = table.coefficients[k]
-        d1, v1 = cur
+        d1, v1 = polys[k]._form
         # den P_{k+1} = (den/d1) x v1 - (den b/d1) v1 - (den u/d0) v0, all integral
         den = b.denominator * d1
-        if prev is not None:
-            d0, v0 = prev
+        if k:
+            d0, v0 = polys[k - 1]._form
             den = math.lcm(den, u.denominator * d0)
         sx, sb = den // d1, den // (b.denominator * d1) * b.numerator
         v = [0] + [sx * t for t in v1]
         for j, t in enumerate(v1):
             v[j] -= sb * t
-        if prev is not None:
+        if k:
             su = den // (u.denominator * d0) * u.numerator
             for j, t in enumerate(v0):
                 v[j] -= su * t
         g = math.gcd(*v)  # v[k + 1] = den, so g divides den
-        den //= g
-        v = tuple(t // g for t in v)
-        polys.append(Polynomial({j: Fraction(t, den) for j, t in enumerate(v) if t}))
-        prev, cur = cur, (den, v)
-    table = replace(table, polys=tuple(polys), forms=(prev, cur))
+        polys.append(_IntegerPolynomial(den // g, tuple(t // g for t in v)))
+    table = replace(table, polys=tuple(polys))
     object.__setattr__(w, "_table", table)
     return table
 
@@ -477,12 +520,14 @@ def orthogonal_polynomials(w: WeightFunction, n: int) -> list:
 def recurrence_coefficients(w: WeightFunction, N: int) -> list:
     """Three-term coefficients ``x P_n = P_{n+1} + b_n P_n + u_n P_{n-1}``, n = 0..N.
 
-    Exact ``Fraction``s from the closed form, with ``u_0 = None``; the
-    weight's normal form must have ``d = 1``.  By Favard's theorem
-    ``u_n > 0`` for all ``n`` certifies a positive-definite functional.
+    Exact ``Fraction``s from the closed form, with ``u_0 = None``.  A weight
+    whose normal form has ``d != 1`` is the ``d = 1`` weight stretched by
+    ``d``: ``b_n`` scales by ``d`` and ``u_n`` by ``d^2``.  By Favard's
+    theorem ``u_n > 0`` for all ``n`` certifies a positive-definite
+    functional.
     """
-    if w.normal_form is None or w.normal_form[3] != 1:
-        raise UnsupportedWeight("weight is not a positive family weight with d = 1")
+    if w.normal_form is None:
+        raise UnsupportedWeight("weight is not a positive family weight")
     if N < 0:
         raise ValueError("N must be >= 0")
     return list(_coefficients(w, N + 1).coefficients[:N + 1])
@@ -492,13 +537,14 @@ def connection_coefficients(w: WeightFunction, m: int) -> list:
     """Exact rows ``C[0..m]`` of ``x^k = sum_j C[k][j] P_j``, j = 0..k.
 
     ``P_j`` are the monic orthogonal polynomials of the positive weight
-    ``w`` (:func:`orthogonal_polynomials`); the rows are read off its
-    three-term table, and each is the caller's own list.
+    ``w`` (:func:`orthogonal_polynomials`); the rows are the integer forms
+    of its three-term table, each formed as the caller's own list of
+    ``Fraction``s.
     """
     _require_positive_family(w)
     if m < 0:
         raise ValueError("m must be >= 0")
-    return [list(row) for row in _connection(w, m).connection[:m + 1]]
+    return [[Fraction(t, D) for t in v] for D, v in _connection(w, m).connection[:m + 1]]
 
 
 def recurrence_table_csv(coeffs) -> str:

@@ -366,11 +366,14 @@ def _positive_family_weight(alpha, beta, c, d) -> WeightFunction:
 
 
 def big_weight(p: BigJacobiParams) -> WeightFunction:
-    """Positive weight on ``[-1,-c] union [c,1]`` for alpha, beta > -1, 0 < c < 1."""
+    """Positive weight on ``[-1,-c] union [c,1]`` for alpha, beta > -1, 0 <= c < 1.
+
+    At ``c = 0`` this is the one-interval weight of :func:`little_weight`.
+    """
     if p.alpha <= -1 or p.beta <= -1:
         raise ParameterRange("alpha and beta must each exceed -1")
-    if not (0 < p.c < 1):
-        raise ParameterRange("c must lie strictly between 0 and 1")
+    if not (0 <= p.c < 1):
+        raise ParameterRange("c must lie in [0, 1)")
     return _positive_family_weight(p.alpha, p.beta, p.c, Fraction(1))
 
 

@@ -125,6 +125,27 @@ def recurrence_polynomials(coefficients) -> list:
     return polys
 
 
+def connection_rows_reference(coefficients, m: int) -> list:
+    """Rows ``C[0..m]`` of ``x^k = sum_j C[k][j] P_j`` by ``Fraction`` arithmetic.
+
+    ``C[k+1][i] = C[k][i-1] + b_i C[k][i] + u_{i+1} C[k][i+1]`` from
+    ``(b_n, u_n)``, n < m, each entry a reduced ``Fraction`` at every step.
+    """
+    rows = [[Fraction(1)]]
+    for k in range(m):
+        row = rows[k]
+        nxt = []
+        for i in range(k + 2):
+            v = row[i - 1] if i else Fraction(0)
+            if i <= k:
+                v += coefficients[i][0] * row[i]
+            if i < k:
+                v += coefficients[i + 1][1] * row[i + 1]
+            nxt.append(v)
+        rows.append(nxt)
+    return rows
+
+
 def golub_welsch_rule(coefficients, h0):
     """Gauss rule of ``len(coefficients)`` nodes from monic ``(b_n, u_n)``.
 

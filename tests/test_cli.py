@@ -267,6 +267,23 @@ class TestCertify:
         assert code == 0 and out.count("PASS") == 5
         assert growths == [12]
 
+    @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
+    def test_basis_builds_no_fractions(self, family, capsys, monkeypatch):
+        # certify reads its P_k only through their integer forms
+        weights = []
+
+        def weight(params):
+            weights.append(dunkl_jacobi.big_weight(params))
+            return weights[-1]
+
+        monkeypatch.setattr(cli, "big_weight", weight)
+        code, out, _ = run(["certify", "--alpha", "1", "--beta", "1", *family,
+                            "--N", "24"], capsys)
+        assert code == 0 and out.count("PASS") == 5
+        (w,) = weights
+        assert len(w._table.polys) == 25
+        assert all(p._map is None for p in w._table.polys)
+
     def test_parameter_error_exit_2(self, capsys):
         code, _, err = run(["certify", "--alpha", "-2", "--beta", "0"], capsys)
         assert code == 2

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from dunkl_jacobi import (
     OperatorParams,
     Polynomial,
     big_operator,
+    big_weight,
     build,
     coefficient_table_csv,
     coefficient_table_json,
@@ -20,9 +22,11 @@ from dunkl_jacobi import (
     eigen_sequence,
     eigenvalue,
     monic_eigenpolynomial,
+    orthogonal_polynomials,
     parse_coefficient_table_csv,
     residual,
 )
+from dunkl_jacobi.laurent import _IntegerPolynomial
 
 from _helpers import random_nondegenerate_params, random_params, random_rational
 from _oracles import (
@@ -124,6 +128,40 @@ class TestResidual:
                 e.poly + Polynomial({k: bump})
             )
             assert not residual(op, perturbed, e.eigenvalue).is_zero
+
+    @pytest.mark.parametrize("family", [(Fraction(1, 2), 2, Fraction(1, 4)), (1, 0, 0),
+                                        (Fraction(-99, 100), 0, Fraction(1, 2))])
+    def test_integer_form_residual_matches_the_fraction_path(self, family):
+        # A basis P_k hands residual its integer form; an equal plain
+        # Polynomial goes through its Fractions.  Perturbed inputs, held in
+        # integer form too, give the same residuals, zero or not.
+        def integer_form(p):
+            terms = p.terms
+            D = math.lcm(*(v.denominator for v in terms.values()))
+            v = [0] * (p.degree + 1)
+            for k, c in terms.items():
+                v[k] = c.numerator * (D // c.denominator)
+            return _IntegerPolynomial(D, tuple(v))
+
+        params = BigJacobiParams(*family)
+        op = build(big_operator(params))
+        basis = orthogonal_polynomials(big_weight(params), 14)
+        lams = [eigenvalue(op.params, n) for n in range(15)]
+        for k, p in enumerate(basis):
+            plain = Polynomial(p.terms)
+            assert residual(op, p, lams[k]).is_zero and residual(op, plain, lams[k]).is_zero
+            bump = Polynomial.monomial(k, Fraction(5, 7))
+            for q in (plain + Fraction(1, 3), 2 * plain, plain - bump):
+                q = Polynomial.from_laurent(q)
+                if q.is_zero:
+                    continue
+                lazy = integer_form(q)
+                assert lazy == q and lazy._map is None
+                for lam in (lams[k], lams[k] + Fraction(2, 9)):
+                    got, want = residual(op, lazy, lam), residual(op, q, lam)
+                    assert got.terms == want.terms
+                assert not got.is_zero  # lam is off the spectrum
+                assert lazy._map is None
 
     def test_defects_empty_exactly_on_the_monic_eigenpolynomials(self):
         rng = random.Random(73)

@@ -36,10 +36,12 @@ from dunkl_jacobi import (
 
 from dunkl_jacobi import DegenerateSpectrum
 from dunkl_jacobi import quadrature as quad_mod
+from dunkl_jacobi.laurent import LaurentPoly, _IntegerPolynomial
 from dunkl_jacobi.weights import _positive_family_weight
 
 from _helpers import NEAR_BOUNDARY_FAMILIES, RECURRENCE_FAMILIES
 from _oracles import (
+    connection_rows_reference,
     gauss_jacobi_mp,
     golub_welsch_rule,
     little_moment_closed_form,
@@ -445,8 +447,10 @@ class TestRecurrence:
         assert recurrence_coefficients(solved, 6) == recurrence_coefficients(big_weight(params), 6)
         rescaled = solve_pearson(build(scale_params(big_operator(params), 1, 2)))
         assert rescaled.normal_form[3] == HALF
-        with pytest.raises(UnsupportedWeight):
-            recurrence_coefficients(rescaled, 6)
+        # the support stretched by d = 1/2: b_n scales by d and u_n by d^2
+        assert recurrence_coefficients(rescaled, 6) == [
+            (HALF * b, None if u is None else HALF * HALF * u)
+            for b, u in recurrence_coefficients(solved, 6)]
 
     def test_recurrence_csv(self):
         from dunkl_jacobi.quadrature import recurrence_table_csv
@@ -478,8 +482,9 @@ class TestThreeTermTable:
         ref = recurrence_polynomials(quad_mod._recurrence(nf, 29))
         for n in (0, 1, 30):
             got = orthogonal_polynomials(_family_weight(alpha, beta, c), n)
-            assert all(type(p) is Polynomial for p in got)
+            assert all(isinstance(p, Polynomial) for p in got)
             assert got == ref[:n + 1]
+            assert [p.terms for p in got] == [p.terms for p in ref[:n + 1]]
 
     @pytest.mark.parametrize("params", [BigJacobiParams(HALF, 2, Fraction(1, 4)),
                                         BigJacobiParams(1, HALF, 0)])
@@ -552,6 +557,15 @@ class TestThreeTermTable:
         for m in range(31):
             assert rows[m] == p_basis_expansion(Polynomial.monomial(m), basis)
 
+    @pytest.mark.parametrize("alpha, beta, c", RECURRENCE_FAMILIES[::7] + NEAR_BOUNDARY_FAMILIES)
+    def test_connection_forms_are_reduced_and_match_fraction_recurrence(self, alpha, beta, c):
+        w = _family_weight(alpha, beta, c)
+        rows = connection_coefficients(w, 40)
+        for m, (D, v) in enumerate(w._table.connection):
+            assert D > 0 and math.gcd(D, *v) == 1 and len(v) == m + 1 and v[m] == D
+        ref = connection_rows_reference(quad_mod._recurrence(w.normal_form, 40), 40)
+        assert rows == ref and all(type(t) is Fraction for row in rows for t in row)
+
     @pytest.mark.parametrize("steps", [
         (("connection", 5), ("connection", 30)),
         (("connection", 30), ("connection", 5)),
@@ -607,6 +621,25 @@ class TestThreeTermTable:
             exact = p_basis_expansion(p, basis)
             row[:len(exact)] = [float(v) for v in exact]
         assert np.array_equal(quad_mod._node_table(w, rule, polys), rows @ values)
+
+    @pytest.mark.parametrize("alpha, beta, c", [(HALF, 2, Fraction(1, 4)), (1, 0, 0),
+                                                (Fraction(-99, 100), 0, HALF)])
+    def test_basis_polynomials_read_their_integer_form(self, alpha, beta, c):
+        w = _family_weight(alpha, beta, c)
+        basis = orthogonal_polynomials(w, 12)
+        fresh = orthogonal_polynomials(_family_weight(alpha, beta, c), 12)
+        plain = [Polynomial(p.terms) for p in fresh]
+        for k, p in enumerate(basis):
+            assert isinstance(p, _IntegerPolynomial)
+            assert (p.degree, p.is_zero, p.is_monic, p.is_polynomial) == (k, False, True, True)
+            # equality reads the integer form, in either order, and builds no map
+            assert p == plain[k] and plain[k] == p
+            assert p != plain[k] + Fraction(1, 3) and p != 2 * plain[k]
+            assert p != LaurentPoly({-1: 1, k: 1}) and (k == 0 or p != plain[k - 1])
+            x_k = Polynomial.monomial(k)
+            assert (p == x_k) == (plain[k] == x_k) and (p == 1) == (k == 0)
+            assert p._map is None
+            assert hash(p) == hash(plain[k]) and p.terms == plain[k].terms
 
     def test_sign_indefinite_weight_is_unsupported(self):
         from dunkl_jacobi import OperatorParams

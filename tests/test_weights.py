@@ -99,7 +99,13 @@ class TestWeightConstructors:
         with pytest.raises(ParameterRange):
             big_weight(BigJacobiParams(0, 0, Fraction(3, 2)))
         with pytest.raises(ParameterRange):
-            big_weight(BigJacobiParams(0, 0, 0))
+            big_weight(BigJacobiParams(0, 0, 1))
+        with pytest.raises(ParameterRange):
+            big_weight(BigJacobiParams(0, 0, -HALF))
+
+    def test_big_at_c_zero_is_the_one_interval_weight(self):
+        assert big_weight(BigJacobiParams(0, 0, 0)) == little_weight(0, 0)
+        assert big_weight(BigJacobiParams(HALF, -HALF)) == little_weight(HALF, -HALF)
 
     def test_little_pointwise(self):
         w = little_weight(1, 0)
