@@ -8,11 +8,12 @@ machine accuracy.  The equivalent x-space rule (mirrored nodes, positive
 weights) is what gets exposed.
 
 A Gauss-Jacobi rule is two extended-precision passes over the monic Jacobi
-matrix, whose coefficients are computed once from the exact exponents: one
-Newton step from scipy's nodes with ``P_n`` and ``P_n'`` from the monic
-recurrence, then the Christoffel numbers ``mu_0 / sum_k q_k(t)^2`` over the
-orthonormal recurrence as the weights (Golub & Welsch, 1969, without the
-eigensolve; Gautschi, *Orthogonal Polynomials: Computation and
+matrix, whose coefficients are computed once from the exact exponents.  The
+start nodes are the eigenvalues of the matrix's symmetric form, from
+numpy's ``eigvalsh`` in float64 (Golub & Welsch, 1969).  One Newton step
+polishes them, with ``P_n`` and ``P_n'`` from the monic recurrence, and the
+weights are the Christoffel numbers ``mu_0 / sum_k q_k(t)^2`` over the
+orthonormal recurrence (Gautschi, *Orthogonal Polynomials: Computation and
 Approximation*, 2004).  Unlike ``(1 - t^2) P_n'(t)^2`` these keep their
 accuracy next to a singular endpoint.  The map to ``x`` takes the
 interval's half-width and midpoint from exact rationals and forms
@@ -50,6 +51,9 @@ hashed from it, so a freshly built weight starts cold.
 :func:`symmetry_block`, a Gram block of the monomials and their images
 read off the operator's band; its monomials are single connection rows.
 The Pearson figure lives in :mod:`.weights` (``pearson_defect``).
+
+numpy is imported inside the functions that compute in floats, so
+importing the package, and every path that stays exact, never loads it.
 """
 
 from __future__ import annotations
@@ -59,12 +63,14 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateSpectrum, NonIntegrable, UnsupportedWeight
 from .laurent import LaurentPoly, Polynomial, _IntegerPolynomial
 from .weights import WeightFunction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuadratureRule",
@@ -106,6 +112,8 @@ class QuadratureRule:
 
 def _longdouble(q: Fraction) -> np.longdouble:
     """``q`` in ``np.longdouble``: numerator and denominator, one division."""
+    import numpy as np
+
     return np.longdouble(q.numerator) / np.longdouble(q.denominator)
 
 
@@ -113,21 +121,18 @@ def _gauss_jacobi_refined(order: int, a: Fraction, b: Fraction):
     """Gauss-Jacobi nodes and weights for ``(1-t)^a (1+t)^b``, in extended precision.
 
     Two passes over the monic Jacobi matrix ``(diag_k, u_k)``, built once
-    from the exact exponents.  The first is one Newton step from scipy's
-    double-precision nodes, with ``P_n`` and ``P_n'`` from the monic
-    recurrence; it runs scaled by ``2^k``, which changes no rounding and
-    keeps large orders clear of underflow.  The second sums ``q_k(t)^2``
-    over the orthonormal ``q_0..q_{n-1}``, and each weight is the
-    Christoffel number ``mu_0 / sum`` (Golub & Welsch, 1969, without the
-    eigensolve; Gautschi, 2004), which stays accurate next to a singular
-    endpoint.
+    from the exact exponents.  The start nodes are the eigenvalues of its
+    symmetric form, ``diag_k`` on the diagonal and ``sqrt(u_k)`` off it,
+    from numpy's ``eigvalsh`` in float64 (Golub & Welsch, 1969).  The first
+    pass is one Newton step from them, with ``P_n`` and ``P_n'`` from the
+    monic recurrence; it runs scaled by ``2^k``, which changes no rounding
+    and keeps large orders clear of underflow.  The second sums
+    ``q_k(t)^2`` over the orthonormal ``q_0..q_{n-1}``, and each weight is
+    the Christoffel number ``mu_0 / sum`` (Gautschi, 2004), which stays
+    accurate next to a singular endpoint.
     """
-    from scipy.special import roots_jacobi  # scipy only loads once a rule is built
+    import numpy as np
 
-    # At a + b = -1 scipy's np.where also computes a 0/0 branch it then discards.
-    with np.errstate(invalid="ignore"):
-        t64, _ = roots_jacobi(order, float(a), float(b))
-    t = t64.astype(np.longdouble)
     s, A, B = _longdouble(a + b), _longdouble(a), _longdouble(b)
     n = np.arange(order, dtype=np.longdouble)
     m = 2 * n + s
@@ -141,6 +146,10 @@ def _gauss_jacobi_refined(order: int, a: Fraction, b: Fraction):
     n, m = n[2:], m[2:]
     u[2:] = 4 * n * (n + A) * (n + B) * (n + s) / (m * m * (m + 1) * (m - 1))
 
+    root = np.sqrt(u)
+    off = np.diag(root[1:].astype(np.float64), 1)
+    t = np.linalg.eigvalsh(np.diag(diag.astype(np.float64)) + off + off.T).astype(np.longdouble)
+
     zero, one, t2 = np.zeros_like(t), np.ones_like(t), 2 * t
     p_prev, p, dp_prev, dp = zero, one, zero, zero
     for d2, u4 in zip(2 * diag, 4 * u):
@@ -148,7 +157,6 @@ def _gauss_jacobi_refined(order: int, a: Fraction, b: Fraction):
         p_prev, p, dp_prev, dp = p, r * p - u4 * p_prev, dp, 2 * p + r * dp - u4 * dp_prev
     t = t - p / dp
 
-    root = np.sqrt(u)
     q_prev, q, squares = zero, one, one.copy()
     for dk, rk, rk1 in zip(diag, root, root[1:]):
         q_prev, q = q, ((t - dk) * q - rk * q_prev) / rk1
@@ -189,6 +197,8 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     ``half (1 + t) / (x + c)`` and ``half (1 - t) / (d + x)``, with
     ``half = (d^2 - c^2) / 2`` rounded once from the exact rationals.
     """
+    import numpy as np
+
     _require_positive_family(w)
     a_exp, b_exp = _integrability_exponents(w)
     if order < 1:
@@ -226,6 +236,8 @@ def _node_table(w: WeightFunction, rule: QuadratureRule, polys) -> np.ndarray:
     The basis is ``w``'s own table: ``rule.target`` may be an older equal
     weight held by the rule cache.
     """
+    import numpy as np
+
     if not all(p.is_polynomial for p in polys):
         raise ValueError("node values need polynomials")
     top = max((p.degree or 0) for p in polys) if polys else 0
@@ -301,6 +313,8 @@ class GramMatrix:
         A pair whose ``sqrt(|g_ii g_jj|)`` is zero in float64 (an underflowed
         normalization) cannot be checked and counts as ``inf``.
         """
+        import numpy as np
+
         g = self.entries
         i, j = np.triu_indices(g.shape[0], 1)
         h = np.abs(np.diag(g))
@@ -325,6 +339,8 @@ def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatri
     ``sqrt(h_i h_j)`` stays below about ``n_nodes * eps`` (~2e-14 at the
     default order) without compensated summation.
     """
+    import numpy as np
+
     polys = tuple(polys)
     max_deg = max((p.degree or 0) for p in polys) if polys else 0
     rule = quadrature_rule(w, order if order is not None else _default_order(2 * max_deg))

@@ -2,10 +2,13 @@
 
 Nothing here shares code with the production quadrature path: integrals
 are computed interval by interval in the original variable (no y = x^2
-substitution), with Gauss-Jacobi rules built by Golub-Welsch (symmetric
-tridiagonal eigensolve, a different algorithm from the production rule's
-polished Newton nodes) and plain float polynomial evaluation, doubling
-the node count until two successive values agree.  The three-term
+substitution), with Gauss-Jacobi rules built by Golub-Welsch (scipy's
+symmetric tridiagonal eigensolve, nodes and weights from its eigenpairs,
+where the production rule polishes numpy's dense eigenvalues by a Newton
+step and takes Christoffel sums as weights) and plain float polynomial
+evaluation, doubling the node count until two successive values agree.
+The Jacobi matrix's entries come from the textbook closed form in
+``t``, not from the production rule's longdouble arrays.  The three-term
 recurrence is read off given polynomials by exact remainders, not from a
 closed form, and the polynomials it builds are formed by plain
 ``Fraction`` arithmetic, not fraction-free.  A second Gauss rule comes
@@ -144,6 +147,23 @@ def connection_rows_reference(coefficients, m: int) -> list:
             nxt.append(v)
         rows.append(nxt)
     return rows
+
+
+def jacobi_recurrence(order: int, a: Fraction, b: Fraction) -> list:
+    """Monic ``(b_n, u_n)``, n < ``order``, of the weight ``(1-t)^a (1+t)^b`` on [-1, 1].
+
+    The textbook closed form (Gautschi 2004, Table 1.1) in exact
+    ``Fraction``s, with ``b_0`` and ``u_1`` in the forms that stay finite at
+    ``a + b = 0`` and ``a + b = -1``; ``u_0`` is ``None``.
+    """
+    s = a + b
+    out = [((b - a) / (s + 2), None)]
+    for n in range(1, order):
+        m = 2 * n + s
+        u = (4 * (1 + a) * (1 + b) / ((s + 2) ** 2 * (s + 3)) if n == 1
+             else 4 * n * (n + a) * (n + b) * (n + s) / (m * m * (m + 1) * (m - 1)))
+        out.append(((b * b - a * a) / (m * (m + 2)), u))
+    return out
 
 
 def golub_welsch_rule(coefficients, h0):

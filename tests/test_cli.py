@@ -412,3 +412,50 @@ class TestStartup:
                               text=True, timeout=60, check=True)
         assert done.stdout.splitlines() == ["GenericBig positive=true kappa0=1 kappa1=1 "
                                             "nu1=-1 rho1=-1 tau1=2 xi=1/2 eta=-3", "[]"]
+
+    @staticmethod
+    def python(code, *args):
+        src = str(Path(dunkl_jacobi.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, timeout=60)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["gen-poly", "--alpha", "1/2", "--beta", "-1/3", "--c", "2/5", "--N", "40"],
+        ["classify", "--alpha", "1", "--beta", "1", "--c", "1/2"],
+    ])
+    def test_exact_paths_leave_numpy_unloaded(self, argv):
+        # numpy is needed only by the float layer of quadrature
+        code = (
+            "import contextlib, io, sys, dunkl_jacobi\n"
+            "from dunkl_jacobi import cli\n"
+            "if sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(sys.argv[1:]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        done = self.python(code, *argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines() == ["[]"]
+
+    def test_certify_runs_without_scipy(self):
+        # a finder that refuses every scipy import, ahead of the real ones
+        code = (
+            "import sys\n"
+            "if sys.argv[1] == 'block':\n"
+            "    class NoScipy:\n"
+            "        def find_spec(self, name, path=None, target=None):\n"
+            "            if name.split('.')[0] == 'scipy':\n"
+            "                raise ImportError(f'{name} is blocked')\n"
+            "    sys.meta_path.insert(0, NoScipy())\n"
+            "from dunkl_jacobi import cli\n"
+            "code = cli.main(sys.argv[2:])\n"
+            "assert 'scipy' not in sys.modules\n"
+            "sys.exit(code)\n"
+        )
+        argv = ["certify", "--alpha", "1", "--beta", "1", "--c", "1/2", "--N", "24"]
+        plain, blocked = (self.python(code, mode, *argv) for mode in ("plain", "block"))
+        assert plain.returncode == 0, plain.stderr
+        assert (blocked.returncode, blocked.stdout) == (plain.returncode, plain.stdout)

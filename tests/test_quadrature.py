@@ -44,6 +44,7 @@ from _oracles import (
     connection_rows_reference,
     gauss_jacobi_mp,
     golub_welsch_rule,
+    jacobi_recurrence,
     little_moment_closed_form,
     p_basis_expansion,
     recurrence_polynomials,
@@ -74,20 +75,22 @@ class TestRule:
         assert all(wt > 0 for wt in rule.weights)
 
     # Worst relative errors (nodes, weights) at order 40 against the 40-digit
-    # rule, measured on x86-64 with scipy 1.17 and mpmath 1.3.  The narrow
-    # figures are simulated, not measured on such a platform: they ran the
-    # same code on x86-64 with float64 in place of np.longdouble, as on
-    # platforms where the two are one type and the Newton step gains
-    # nothing.  libm and scipy builds differ between platforms, so replace
-    # them with figures measured on arm64 (the macos-14 CI leg) rather than
-    # widening them by guesswork.  Each tolerance is about ten times its
-    # figure, except narrow (1, 0, 0), which keeps its earlier, tighter
-    # tolerances (about six times its figures): tolerances only tighten.
-    #   (1, 1, 1/2)             wide 9.8e-17, 1.0e-16   narrow 1.2e-16, 5.1e-14
-    #   (1/2, 2, 1/4)           wide 8.9e-17, 5.0e-16   narrow 2.7e-16, 1.2e-14
+    # rule, measured on x86-64 with numpy 2.4, scipy 1.17 and mpmath 1.3:
+    # the rule's start nodes come from numpy's eigvalsh, the 40-digit rule's
+    # from scipy's roots_jacobi.  The narrow figures are simulated, not
+    # measured on such a platform: they ran the same code on x86-64 with
+    # float64 in place of np.longdouble, as on platforms where the two are
+    # one type and the Newton step gains nothing.  libm and LAPACK builds
+    # differ between platforms, so replace them with figures measured on
+    # arm64 (the macos-14 CI leg) rather than widening them by guesswork.
+    # Each tolerance is about ten times its figure, except narrow (1, 0, 0),
+    # which keeps its earlier, tighter tolerances (about five times its
+    # weight figure): tolerances only tighten.
+    #   (1, 1, 1/2)             wide 9.8e-17, 1.0e-16   narrow 1.3e-16, 5.1e-14
+    #   (1/2, 2, 1/4)           wide 8.9e-17, 4.9e-16   narrow 2.3e-16, 1.2e-14
     #   (-99/100, 0, 1/2)       wide 1.0e-16, 3.8e-15   narrow 1.2e-16, 1.6e-13
-    #   (1, 0, 0)               wide 1.1e-16, 7.0e-16   narrow 4.3e-14, 5.5e-14
-    #   (2, 1/2, 0)             wide 1.0e-16, 7.1e-16   narrow 3.0e-15, 1.0e-14
+    #   (1, 0, 0)               wide 1.1e-16, 7.0e-16   narrow 3.0e-14, 6.4e-14
+    #   (2, 1/2, 0)             wide 1.0e-16, 7.1e-16   narrow 4.1e-15, 1.0e-14
     #   (1, 1, 99999/100000)    wide 7.9e-17, 2.3e-16   narrow 9.5e-17, 5.1e-14
     #   (7/4, -2/3, 3/5)        wide 1.3e-16, 2.0e-16   narrow 1.3e-16, 7.2e-14
     @pytest.mark.parametrize("alpha, beta, c, wide, narrow", [
@@ -126,6 +129,18 @@ class TestRule:
             node_err, weight_err = worst(rule.nodes, nodes), worst(rule.weights, weights)
         node_tol, weight_tol = wide if WIDE_LONGDOUBLE else narrow
         assert node_err <= node_tol and weight_err <= weight_tol
+
+    @pytest.mark.parametrize("a, b", [(Fraction(-199, 200), -HALF), (HALF, -HALF), (0, 0)])
+    @pytest.mark.parametrize("order", [1, 2, 3, 40, 90])
+    def test_nodes_match_tridiagonal_eigensolve(self, order, a, b):
+        # numpy's eigvalsh start and one Newton step against scipy's
+        # eigh_tridiagonal on the textbook Jacobi matrix (measured worst
+        # 4.4e-16 at these orders, wide and narrow longdouble alike)
+        a, b = Fraction(a), Fraction(b)
+        t, weights = quad_mod._gauss_jacobi_refined(order, a, b)
+        ref, _ = golub_welsch_rule(jacobi_recurrence(order, a, b), 1.0)
+        assert np.max(np.abs(t.astype(np.float64) - ref)) <= 1e-15
+        assert np.all(np.diff(t) > 0) and np.all(weights > 0)
 
     @pytest.mark.parametrize("a, b", [(0, 0), (HALF, -HALF), (Fraction(-199, 200), Fraction(-1, 2)),
                                       (Fraction(-1, 4), Fraction(-3, 4)), (Fraction(7, 3), 2)])
