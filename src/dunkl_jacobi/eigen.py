@@ -5,13 +5,16 @@ on ``1, x, ..., x^N`` is upper triangular with the eigenvalues on the
 diagonal and at most three superdiagonals.  :meth:`DunklOperator.band`
 holds those entries as integers over one common denominator ``M``, read
 once per operator off the coefficient functions, a few integer operations
-per column.  The monic eigenpolynomial of degree ``n`` is one fraction-free
-backward sweep over that band (after Bareiss, Math. Comp. 22, 1968):
-integer numerators and denominators, with one gcd per coefficient when it
-is formed at the end.  The residual ``L p - lam p`` is an integer band
-product, exact for any polynomial; it is identically zero for every
-returned pair.  Both hand their clean coefficient maps to
-:class:`Polynomial` without re-checking them term by term.
+per column.  The monic eigenpolynomial of degree ``n`` is one backward
+sweep over that band in lowest terms: each coefficient is a reduced
+integer pair, formed over the common denominator (an lcm where needed) of
+the at most three coefficients above it, then reduced by one gcd, which
+is small because its inputs are already reduced, and handed to
+``Fraction`` as a coprime pair with no second gcd.  The residual
+``L p - lam p`` is an integer band product, exact for any polynomial; it
+is identically zero for every returned pair.  Both hand their clean
+coefficient maps to :class:`Polynomial` without re-checking them term by
+term.
 
 The CSV and JSON tables read each polynomial's coefficient map once and
 write ``0`` for absent exponents.  No cell of the CSV table needs quoting,
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 from .dunkl import DunklOperator, OperatorBand, eigenvalue
 from .errors import DegenerateSpectrum, InternalConsistencyError
-from .laurent import LaurentPoly, Polynomial, Rational, as_rational
+from .laurent import LaurentPoly, Polynomial, Rational, _coprime_fraction, as_rational
 
 
 @dataclass(frozen=True)
@@ -78,29 +81,58 @@ def _band_diagonal(band: OperatorBand, lams: list) -> list:
 
 
 def _solve_degree(band: OperatorBand, diag: list, n: int, lam: Fraction) -> EigenPolynomial:
-    """Fraction-free back-substitution for the monic degree-``n`` eigenpolynomial.
+    """Backward sweep in lowest terms for the monic degree-``n`` eigenpolynomial.
 
-    With ``d_m = M(lambda_n - lambda_m)``, ``a_n = P_n = 1``,
-    ``a_j = t1 a_{j+1} + t2 a_{j+2} d_{j+1} + t3 a_{j+3} d_{j+1} d_{j+2}`` and
-    ``P_j = P_{j+1} d_j``, where ``t_i = M [L x^(j+i)]`` at ``x^j``, the
-    coefficient of ``x^j`` is ``a_j / P_j``.
+    With ``d_j = M(lambda_n - lambda_j)`` and ``t_i = M [L x^(j+i)]`` at
+    ``x^j``, the coefficient of ``x^j`` is
+    ``c_j = (t1 c_{j+1} + t2 c_{j+2} + t3 c_{j+3}) / d_j``, ``c_n = 1``.
+    Each ``c`` is carried as a reduced pair ``(num, den)``, ``den > 0``.  The
+    window's common denominator starts at ``den_{j+1}``; one ``divmod``
+    shows whether ``den_{j+2}`` and then ``den_{j+3}`` divide it, and when
+    one does not it becomes their lcm.  One gcd then reduces ``c_j``: it is
+    small, since the window is already reduced, and the ``Fraction`` is
+    built from the coprime pair with no second gcd.
     """
     rows = band.rows
+    dn = diag[n]
     coeffs = {n: Fraction(1)}
-    a1, a2, a3 = 1, 0, 0  # a_{j+1}, a_{j+2}, a_{j+3}
-    d1 = d2 = 0  # d_{j+1}, d_{j+2}
-    p = 1  # P_{j+1}
+    n1, n2, n3 = 1, 0, 0  # numerators of c_{j+1}, c_{j+2}, c_{j+3}
+    e1, e2, e3 = 1, 1, 1  # their denominators
     for j in range(n - 1, -1, -1):
-        a = rows[j + 1][1] * a1
-        if a2:
-            a += rows[j + 2][2] * a2 * d1
-        if a3:
-            a += rows[j + 3][3] * a3 * d1 * d2
-        d = diag[n] - diag[j]
-        p *= d
-        if a:
-            coeffs[j] = Fraction(a, p)
-        a1, a2, a3, d1, d2 = a, a1, a2, d, d1
+        num = rows[j + 1][1] * n1
+        den = e1 if num else 1
+        if n2:
+            t = rows[j + 2][2]
+            if t:
+                q, r = divmod(den, e2)
+                if r:
+                    g = math.gcd(den, e2)
+                    num *= e2 // g
+                    q = den // g
+                    den *= e2 // g
+                num += t * n2 * q
+        if n3:
+            t = rows[j + 3][3]
+            if t:
+                q, r = divmod(den, e3)
+                if r:
+                    g = math.gcd(den, e3)
+                    num *= e3 // g
+                    q = den // g
+                    den *= e3 // g
+                num += t * n3 * q
+        if num:
+            den *= dn - diag[j]
+            g = math.gcd(num, den)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num //= g
+                den //= g
+            coeffs[j] = _coprime_fraction(num, den)
+        else:
+            den = 1
+        n1, n2, n3, e1, e2, e3 = num, n1, n2, den, e1, e2
     return EigenPolynomial(n=n, poly=Polynomial._from_clean(coeffs), eigenvalue=lam)
 
 

@@ -38,6 +38,20 @@ RationalLike = Union[Fraction, int, str]
 _ZERO = Fraction(0)
 
 
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """``Fraction(numerator, denominator)`` for a pair already in lowest terms.
+
+    The caller guarantees ``gcd(numerator, denominator) == 1`` and
+    ``denominator > 0``; no gcd is taken.  The two slots are set directly on
+    a bare instance, as CPython's own ``Fraction._from_coprime_ints`` (3.12)
+    does; every ``Fraction`` method reads only these two.
+    """
+    f = object.__new__(Fraction)
+    f._numerator = numerator
+    f._denominator = denominator
+    return f
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ``value`` to an exact :class:`Fraction`.
 

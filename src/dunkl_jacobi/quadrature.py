@@ -33,7 +33,7 @@ closed-form ``(b_n, u_n)``, the monic ``P_0..P_n`` and the connection rows
 ``x^m = sum_j C[m][j] P_j``, each grown on demand.  The exact side works in
 one representation, an integer form ``(D, v)``: an integer vector over one
 positive denominator, with content 1.  The ``P_k`` come from a
-fraction-free integer recurrence, after the Bareiss idiom of :mod:`.eigen`,
+fraction-free integer recurrence (after Bareiss, Math. Comp. 22, 1968),
 and are handed out as polynomials that carry that form and build their
 ``Fraction`` maps only when read; the rows come the same way from
 ``C[m+1][i] = C[m][i-1] + b_i C[m][i] + u_{i+1} C[m][i+1]``.  A float
@@ -487,8 +487,8 @@ def _connection(w: WeightFunction, m: int) -> ThreeTermTable:
 def _basis(w: WeightFunction, n: int) -> ThreeTermTable:
     """``w``'s table with at least ``P_0..P_n``, grown on demand.
 
-    ``P_{k+1} = (x - b_k) P_k - u_k P_{k-1}`` runs fraction-free, after the
-    Bareiss idiom of :mod:`.eigen`: integer vectors over one common
+    ``P_{k+1} = (x - b_k) P_k - u_k P_{k-1}`` runs fraction-free (after
+    Bareiss, Math. Comp. 22, 1968): integer vectors over one common
     denominator, divided by their content each step.  Each ``P_k`` is
     handed out as that form; its ``Fraction`` map is built only if it is
     read.

@@ -16,7 +16,10 @@ from the closed-form recurrence by Golub-Welsch, not through ``y = x^2``.
 The coefficient table is written by ``csv.writer`` from
 ``Polynomial.coefficient``, not by plain comma joins over the coefficient
 map.  The operator band is built column by column from the Laurent
-``apply``, not from linear forms in ``k``.  A polynomial's expansion in the
+``apply``, not from linear forms in ``k``.  The monic eigenpolynomials come
+from the fraction-free backward sweep (after Bareiss, Math. Comp. 22,
+1968), with one full-size ``Fraction`` gcd per coefficient, not from the
+lowest-terms sweep.  A polynomial's expansion in the
 ``P_k`` peels off leading terms by ``Polynomial`` subtraction, not by the
 connection rows of the three-term table.  The Pearson figure evaluates the
 weight, ``G1`` and ``F`` point by point straight off their exact
@@ -385,6 +388,41 @@ def gauss_jacobi_mp(order: int, a, b, start):
         nodes.append(t)
         weights.append(mu0 / recurrence(t)[2])
     return nodes, weights
+
+
+# -- monic eigenpolynomials by the fraction-free sweep ----------------------
+
+def fraction_free_eigen_coefficients(op, N: int) -> list:
+    """Coefficient maps of the monic eigenpolynomials of degrees 0..N.
+
+    Fraction-free back-substitution on ``op.band(N)``: with
+    ``d_m = M(lambda_n - lambda_m)``, ``a_n = P_n = 1``,
+    ``a_j = t1 a_{j+1} + t2 a_{j+2} d_{j+1} + t3 a_{j+3} d_{j+1} d_{j+2}`` and
+    ``P_j = P_{j+1} d_j``, where ``t_i = M [L x^(j+i)]`` at ``x^j``, the
+    coefficient of ``x^j`` is ``Fraction(a_j, P_j)``.  The spectrum is
+    assumed simple.
+    """
+    rows = op.band(N).rows
+    diag = [row[0] for row in rows[:N + 1]]
+    out = []
+    for n in range(N + 1):
+        coeffs = {n: Fraction(1)}
+        a1, a2, a3 = 1, 0, 0  # a_{j+1}, a_{j+2}, a_{j+3}
+        d1 = d2 = 0  # d_{j+1}, d_{j+2}
+        p = 1  # P_{j+1}
+        for j in range(n - 1, -1, -1):
+            a = rows[j + 1][1] * a1
+            if a2:
+                a += rows[j + 2][2] * a2 * d1
+            if a3:
+                a += rows[j + 3][3] * a3 * d1 * d2
+            d = diag[n] - diag[j]
+            p *= d
+            if a:
+                coeffs[j] = Fraction(a, p)
+            a1, a2, a3, d1, d2 = a, a1, a2, d, d1
+        out.append(coeffs)
+    return out
 
 
 # -- coefficient table by csv.writer ----------------------------------------

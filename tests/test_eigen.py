@@ -33,6 +33,7 @@ from _oracles import (
     apply_band,
     coefficient_table_csv_reference,
     coefficient_table_json_reference,
+    fraction_free_eigen_coefficients,
 )
 
 
@@ -297,6 +298,74 @@ class TestBand:
             n = rng.randint(0, N)
             assert monic_eigenpolynomial(op, n) == eigs[n]
             assert monic_eigenpolynomial(op, n) == eigen_sequence(op, n)[n]
+
+
+def window_lcm_steps(op, eigs) -> int:
+    """Steps of the backward sweep whose window denominator needs an lcm.
+
+    Read off the solved coefficients and the band alone: at degree ``n`` and
+    index ``j``, a nonzero band term ``t_i c_{j+i}`` (``i = 2, 3``) whose
+    denominator does not divide the lcm of the terms before it.
+    """
+    rows = op.band(max(e.n for e in eigs)).rows
+    steps = 0
+    for e in eigs:
+        c = [e.poly.coefficient(k) for k in range(e.n + 1)]
+        for j in range(e.n - 1):
+            den = c[j + 1].denominator if rows[j + 1][1] and c[j + 1] else 1
+            for i in (2, 3):
+                if j + i > e.n or not (rows[j + i][i] and c[j + i]):
+                    continue
+                if den % c[j + i].denominator:
+                    steps += 1
+                    den = math.lcm(den, c[j + i].denominator)
+    return steps
+
+
+class TestLowestTermsSweep:
+    def test_matches_fraction_free_sweep(self):
+        # Three raw operators with mu != 0, two two-interval families and
+        # one c = 0 family at N = 100, one more family at N = 160.
+        rng = random.Random(113)
+        ops = []
+        while len(ops) < 3:
+            p = random_nondegenerate_params(rng, 100)
+            if p.mu:
+                ops.append((build(p), 100))
+        for family, N in [((Fraction(1, 2), 2, Fraction(1, 4)), 100),
+                          ((Fraction(-3, 4), Fraction(5, 3), Fraction(3, 5)), 100),
+                          ((Fraction(3, 4), Fraction(-1, 3), 0), 100),
+                          ((Fraction(7, 4), Fraction(-2, 3), Fraction(2, 5)), 160)]:
+            ops.append((build(big_operator(BigJacobiParams(*family))), N))
+        lcm_steps = 0
+        for op, N in ops:
+            eigs = eigen_sequence(op, N)
+            assert [e.poly.terms for e in eigs] == fraction_free_eigen_coefficients(op, N)
+            for e in eigs:
+                for c in e.poly.terms.values():
+                    assert c.denominator > 0
+                    assert math.gcd(c.numerator, c.denominator) == 1
+            lcm_steps += window_lcm_steps(op, eigs)
+        assert lcm_steps > 0
+
+    @pytest.mark.parametrize("N", [0, 1, 12])
+    def test_zero_band_entries_and_zero_coefficients(self, N):
+        # The c = 0 family's band has t2 = t3 = 0 from x^2 on; the decoupled
+        # parities (mu = xi = rho0 = rho1 = 0) have t1 = t3 = 0, so every
+        # other window coefficient is 0.
+        little = build(big_operator(BigJacobiParams(1, 0, 0)))
+        decoupled = build(OperatorParams(nu0=Fraction(1, 3), nu1=Fraction(-1, 2),
+                                         tau0=Fraction(3, 2), tau1=Fraction(-5, 3),
+                                         eta=Fraction(7, 4)))
+        for op in (little, decoupled):
+            eigs = eigen_sequence(op, N)
+            assert [e.poly.terms for e in eigs] == fraction_free_eigen_coefficients(op, N)
+            assert [monic_eigenpolynomial(op, n) for n in range(N + 1)] == eigs
+        rows = little.band(N).rows
+        assert all(row[2] == row[3] == 0 for row in rows[2:])
+        zeros = [(e.n, k) for e in eigen_sequence(decoupled, N)
+                 for k in range(e.n) if not e.poly.coefficient(k)]
+        assert len(zeros) == sum(n - n // 2 for n in range(N + 1))
 
 
 class TestDegeneracy:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dunkl_jacobi import LaurentPoly, PoleAtZero, Polynomial
+from dunkl_jacobi.laurent import _coprime_fraction
 
 from _helpers import random_rational
 
@@ -77,6 +78,21 @@ class TestArithmetic:
     def test_zero_pruning(self):
         p = lp({3: 1, 1: 0, 0: Fraction(0)})
         assert p.terms == {3: Fraction(1)}
+
+
+class TestCoprimeFraction:
+    def test_agrees_with_fraction(self):
+        # Negative numerators, b = 1 and numbers past one machine word.
+        pairs = [(3, 4), (-3, 4), (-7, 1), (1, 1), (0, 1), (5, 2 ** 70),
+                 (-(3 ** 41), 2 ** 64 * 5 ** 3)]
+        for a, b in pairs:
+            got, want = _coprime_fraction(a, b), Fraction(a, b)
+            assert type(got) is Fraction
+            assert got == want and want == got
+            assert hash(got) == hash(want)
+            assert str(got) == str(want) and repr(got) == repr(want)
+            assert (got.numerator, got.denominator) == (a, b)
+            assert got * Fraction(-2, 3) + 1 == want * Fraction(-2, 3) + 1
 
 
 class TestCalculus:
