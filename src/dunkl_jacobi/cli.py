@@ -244,8 +244,9 @@ def cmd_certify(args, parser) -> int:
         detail += f" min_u={float(umin):.3e} at n={nmin}"
     record("positivity", not bad and h0 > 0.0 and all(u > 0 for _, u in recurrence[1:]), detail)
 
-    # operator symmetry on monomial pairs: B[i, j] = <x^i, L x^j>
-    b = quad_mod.symmetry_block(w, op, min(args.N, 10), order=args.order)
+    # operator symmetry on monomial pairs: B[i, j] = <x^i, L x^j>, on the
+    # Gram matrix's rule (one rule per call)
+    b = quad_mod.symmetry_block(w, op, min(args.N, 10), order=g.order)
     worst_sym = float((abs(b - b.T) / (abs(b) + abs(b.T) + 1.0)).max())
     record("symmetry", worst_sym <= SYMMETRY_TOL,
            f"max_residual={worst_sym:.3e} tol={SYMMETRY_TOL:.0e}")

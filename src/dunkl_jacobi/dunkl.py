@@ -216,20 +216,19 @@ def eigenvalue(params: OperatorParams, n: int) -> Fraction:
 
 
 def check_nondegenerate(params: OperatorParams, N: int) -> bool:
-    """Exact nondegeneracy test up to degree ``N``.
+    """Exact nondegeneracy test up to degree ``N``, in constant time.
 
     Requires ``tau1 != +-tau0`` and ``2 eta + (2k+1)(tau0 - tau1) != 0``
-    for all k = 0..N (odd eigenvalues nonzero).
+    for all k = 0..N (odd eigenvalues nonzero).  With ``tau0 != tau1`` the
+    second fails for some k exactly when ``-2 eta / (tau0 - tau1)`` is an
+    odd integer ``2k + 1`` between 1 and ``2N + 1``.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     if params.tau1 == params.tau0 or params.tau1 == -params.tau0:
         return False
-    dtau = params.tau0 - params.tau1
-    for k in range(N + 1):
-        if 2 * params.eta + (2 * k + 1) * dtau == 0:
-            return False
-    return True
+    x = -2 * params.eta / (params.tau0 - params.tau1)
+    return not (x.denominator == 1 and x.numerator % 2 == 1 and 1 <= x <= 2 * N + 1)
 
 
 @dataclass(frozen=True)

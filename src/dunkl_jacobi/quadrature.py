@@ -50,6 +50,8 @@ hashed from it, so a freshly built weight starts cold.
 ``certify``'s operator-symmetry block ``<x^i, L x^j>`` is
 :func:`symmetry_block`, a Gram block of the monomials and their images
 read off the operator's band; its monomials are single connection rows.
+It runs on the rule of ``certify``'s Gram matrix, whose order
+``GramMatrix.order`` records, so a ``certify`` call builds one rule.
 The Pearson figure lives in :mod:`.weights` (``pearson_defect``).
 
 numpy is imported inside the functions that compute in floats, so
@@ -233,6 +235,7 @@ def _node_table(w: WeightFunction, rule: QuadratureRule, polys) -> np.ndarray:
     rows ``(D_m, v_m)`` of ``w``'s table: with the ``a_m`` and the ``D_m``
     cleared, integer sums ``t_j`` over one denominator ``den``, each rounded
     once as ``t_j / den``, the float that the reduced ``Fraction`` gives.
+    Each input grows the connection rows only to its own degree.
     The basis is ``w``'s own table: ``rule.target`` may be an older equal
     weight held by the rule cache.
     """
@@ -242,7 +245,6 @@ def _node_table(w: WeightFunction, rule: QuadratureRule, polys) -> np.ndarray:
         raise ValueError("node values need polynomials")
     top = max((p.degree or 0) for p in polys) if polys else 0
     table = _basis(w, top)
-    rows = None
     expansion = np.zeros((len(polys), top + 1))
     for row, p in zip(expansion, polys):
         if p.is_zero:
@@ -252,8 +254,7 @@ def _node_table(w: WeightFunction, rule: QuadratureRule, polys) -> np.ndarray:
         if p is basis or p == basis:
             row[k] = 1.0
             continue
-        if rows is None:
-            rows = _connection(w, top).connection
+        rows = _connection(w, k).connection
         s, terms = p._scaled_terms()
         L = math.lcm(*(a.denominator * rows[m][0] for m, a in terms.items()))
         exact = [0] * (k + 1)
@@ -299,10 +300,15 @@ def moment(w: WeightFunction, n: int, order: int | None = None) -> float:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Matrix of pairwise inner products for a polynomial basis."""
+    """Matrix of pairwise inner products for a polynomial basis.
+
+    ``order`` is the Gauss rule's order that computed it (``None`` for a
+    matrix built by hand).
+    """
 
     entries: np.ndarray
     basis: tuple
+    order: int | None = None
 
     def normalization(self, n: int) -> float:
         return float(self.entries[n, n])
@@ -346,7 +352,7 @@ def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatri
     rule = quadrature_rule(w, order if order is not None else _default_order(2 * max_deg))
     table = _node_table(w, rule, polys)
     g = (table * np.asarray(rule.weights)) @ table.T
-    return GramMatrix(entries=(g + g.T) / 2.0, basis=polys)
+    return GramMatrix(entries=(g + g.T) / 2.0, basis=polys, order=rule.order)
 
 
 def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) -> np.ndarray:
@@ -354,7 +360,11 @@ def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) ->
 
     The block ``entries[:top + 1, top + 1:]`` of the Gram matrix of
     ``x^0..x^top`` and their images ``L x^k``, read off ``op``'s band; each
-    is one connection row or an integer combination of at most four.
+    is one connection row or an integer combination of at most four.  Its
+    integrands have degree at most ``2 top``, so every default order (40
+    and up) integrates them to rounding.  ``certify`` passes the order of
+    its own Gram matrix (``GramMatrix.order``), so one call builds one rule
+    and the second request hits the rule cache.
     """
     band = op.band(top)
     monos = [Polynomial.monomial(k) for k in range(top + 1)]

@@ -16,10 +16,11 @@ from the closed-form recurrence by Golub-Welsch, not through ``y = x^2``.
 The coefficient table is written by ``csv.writer`` from
 ``Polynomial.coefficient``, not by plain comma joins over the coefficient
 map.  The operator band is built column by column from the Laurent
-``apply``, not from linear forms in ``k``.  The monic eigenpolynomials come
-from the fraction-free backward sweep (after Bareiss, Math. Comp. 22,
-1968), with one full-size ``Fraction`` gcd per coefficient, not from the
-lowest-terms sweep.  A polynomial's expansion in the
+``apply``, not from linear forms in ``k``.  Nondegeneracy is the loop over
+degrees, not the closed form in ``-2 eta / (tau0 - tau1)``.  The monic
+eigenpolynomials come from the fraction-free backward sweep (after
+Bareiss, Math. Comp. 22, 1968), with one full-size ``Fraction`` gcd per
+coefficient, not from the lowest-terms sweep.  A polynomial's expansion in the
 ``P_k`` peels off leading terms by ``Polynomial`` subtraction, not by the
 connection rows of the three-term table.  The Pearson figure evaluates the
 weight, ``G1`` and ``F`` point by point straight off their exact
@@ -65,6 +66,16 @@ def apply_band(op, n: int) -> OperatorBand:
         for k, col in enumerate(columns)
     )
     return OperatorBand(scale=scale, rows=rows)
+
+
+# -- nondegeneracy by the loop over degrees --------------------------------
+
+def nondegenerate_scan(params: OperatorParams, N: int) -> bool:
+    """``tau1 != +-tau0`` and ``2 eta + (2k+1)(tau0 - tau1) != 0`` for k = 0..N, one k at a time."""
+    if params.tau1 == params.tau0 or params.tau1 == -params.tau0:
+        return False
+    dtau = params.tau0 - params.tau1
+    return all(2 * params.eta + (2 * k + 1) * dtau != 0 for k in range(N + 1))
 
 
 # -- closed-form subleading coefficients of L x^n -------------------------

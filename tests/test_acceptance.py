@@ -32,9 +32,11 @@ from dunkl_jacobi import (
     inner_product,
     little_weight,
     moment,
+    orthogonal_polynomials,
     pearson_residual,
     residual,
     solve_pearson,
+    symmetry_block,
     symmetry_residual,
     verify_degree_conditions,
 )
@@ -186,6 +188,24 @@ def test_criterion_06_operator_symmetry(family_grid):
             worst = max(worst, rel)
             assert rel <= 1e-10
     report(6, True, f"symmetry residual <= 1e-10 across the grid (worst {worst:.2e})")
+
+
+def test_symmetry_block_at_the_gram_order(family_grid):
+    # certify runs its symmetry block on the Gram matrix's rule; at N >= 16
+    # that rule's order passes 40, and the block must still agree with the
+    # order-40 block under the symmetry check's own measure and tolerance
+    worst, orders = 0.0, set()
+    for fam, w, op, _ in family_grid:
+        ref = symmetry_block(w, op, 10, order=40)
+        for N in (16, 20, 40):
+            order = gram_matrix(w, orthogonal_polynomials(w, N)).order
+            b = symmetry_block(w, op, 10, order=order)
+            worst = max(worst, float((abs(b - ref) / (abs(b) + abs(ref) + 1.0)).max()))
+            orders.add(order)
+    assert orders == {42, 50, 90}
+    assert worst <= 1e-10
+    print(f"symmetry block at Gram orders {sorted(orders)} vs order 40 on 64 families: "
+          f"worst {worst:.2e} (tol 1e-10)")
 
 
 def test_criterion_07_pearson_identities():

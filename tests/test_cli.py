@@ -243,6 +243,21 @@ class TestCertify:
         assert code == 0 and out.count("PASS") == 5
         assert calls == [12]
 
+    @pytest.mark.parametrize("N, order", [(0, None), (4, None), (15, None), (16, None),
+                                          (24, None), (40, None), (4, 50), (24, 50)])
+    def test_one_gauss_rule_per_call(self, N, order, capsys, monkeypatch):
+        # the symmetry block runs on the Gram matrix's rule, so a call builds
+        # one rule for every N, with or without --order
+        calls = []
+        real = quad_mod._gauss_jacobi_refined
+        monkeypatch.setattr(quad_mod, "_gauss_jacobi_refined",
+                            lambda n, a, b: calls.append(n) or real(n, a, b))
+        quad_mod.quadrature_rule.cache_clear()
+        argv = ["certify", "--alpha", "1", "--beta", "1", "--c", "1/2", "--N", str(N)]
+        code, out, _ = run(argv + (["--order", str(order)] if order else []), capsys)
+        assert code == 0 and out.count("PASS") == 5
+        assert calls == [order or max(40, 2 * N + 10)]
+
     @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
     def test_one_exact_computation(self, family, capsys, monkeypatch):
         # the residuals run on the table's P_n: no eigen solve, and the band

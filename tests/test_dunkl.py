@@ -21,7 +21,7 @@ from dunkl_jacobi import (
 )
 
 from _helpers import random_nondegenerate_params, random_params, random_rational
-from _oracles import kappa_closed_form
+from _oracles import kappa_closed_form, nondegenerate_scan
 
 BIG_00_HALF = big_operator(BigJacobiParams(0, 0, Fraction(1, 2)))
 
@@ -60,18 +60,19 @@ class TestNondegeneracy:
 
     def test_matches_exhaustive_scan(self):
         rng = random.Random(23)
-        for _ in range(50):
-            p = random_params(rng)
-            N = rng.randint(0, 12)
-            expected = (
-                p.tau1 != p.tau0
-                and p.tau1 != -p.tau0
-                and all(
-                    2 * p.eta + (2 * k + 1) * (p.tau0 - p.tau1) != 0
-                    for k in range(N + 1)
-                )
-            )
-            assert check_nondegenerate(p, N) == expected
+        cases = [(random_params(rng), rng.randint(0, 12)) for _ in range(50)]
+        # and a grid of eta / (tau0 - tau1) through every odd and even integer
+        # near the window 1..2N+1, its edges, half-integers and tau1 = +-tau0
+        taus = [Fraction(t, 2) for t in range(-4, 5)] + [Fraction(-7, 3), Fraction(5, 6)]
+        etas = [Fraction(e, 4) for e in range(-24, 25)] + [Fraction(-35, 3), Fraction(7, 9)]
+        cases += [(OperatorParams(tau0=tau0, tau1=tau1, eta=eta), N)
+                  for tau0 in taus for tau1 in taus for eta in etas for N in (0, 1, 5, 11)]
+        failing = 0
+        for p, N in cases:
+            expected = nondegenerate_scan(p, N)
+            assert check_nondegenerate(p, N) == expected, (p, N)
+            failing += not expected and p.tau1 not in (p.tau0, -p.tau0)
+        assert failing > 0
 
 
 class TestEigenvalue:

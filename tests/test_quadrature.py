@@ -288,6 +288,13 @@ class TestGram:
                 )
         np.linalg.cholesky(g.entries)  # positive definite
 
+    def test_records_its_rule_order(self):
+        w = big_weight(BigJacobiParams(1, 1, HALF))
+        for N, order, expected in ((3, None, 40), (15, None, 40), (16, None, 42),
+                                   (30, None, 70), (3, 7, 7), (30, 50, 50)):
+            assert gram_matrix(w, orthogonal_polynomials(w, N), order=order).order == expected
+        assert GramMatrix(entries=np.eye(2), basis=()).order is None
+
     def test_single_entry(self):
         g = gram_matrix(W_LITTLE_10, [Polynomial.one()])
         assert g.entries.shape == (1, 1)
@@ -636,6 +643,17 @@ class TestThreeTermTable:
             exact = p_basis_expansion(p, basis)
             row[:len(exact)] = [float(v) for v in exact]
         assert np.array_equal(quad_mod._node_table(w, rule, polys), rows @ values)
+
+    @pytest.mark.parametrize("alpha, beta, c", [(1, 1, HALF), (HALF, 2, 0)])
+    def test_table_rows_grow_no_connection_rows(self, alpha, beta, c):
+        # a high P_k is a unit row: only the low-degree input's rows are
+        # built, and the value is the one the fully grown table gives
+        lean, grown = _family_weight(alpha, beta, c), _family_weight(alpha, beta, c)
+        quad_mod._connection(grown, 200)
+        x = Polynomial.monomial(1)
+        values = [inner_product(w, orthogonal_polynomials(w, 200)[200], x) for w in (lean, grown)]
+        assert len(lean._table.connection) <= 2 and len(grown._table.connection) == 201
+        assert values[0] == values[1]
 
     @pytest.mark.parametrize("alpha, beta, c", [(HALF, 2, Fraction(1, 4)), (1, 0, 0),
                                                 (Fraction(-99, 100), 0, HALF)])
