@@ -64,8 +64,10 @@ from .weights import (
     solve_pearson,
 )
 from .quadrature import (
+    Check,
     GramMatrix,
     QuadratureRule,
+    certify,
     connection_coefficients,
     gram_matrix,
     inner_product,

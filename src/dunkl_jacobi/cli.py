@@ -25,17 +25,7 @@ from .dunkl import (
     eigenvalue,
 )
 from .errors import DegenerateSpectrum, DunklJacobiError, ParameterRange
-from .weights import (
-    BigJacobiParams,
-    big_operator,
-    big_weight,
-    classify,
-    pearson_defect,
-)
-
-ORTHOGONALITY_TOL = 1e-10
-SYMMETRY_TOL = 1e-10
-PEARSON_TOL = 1e-12
+from .weights import BigJacobiParams, big_operator, big_weight, classify
 
 
 def _rational(text: str) -> Fraction:
@@ -192,11 +182,8 @@ def cmd_weight_sample(args, parser) -> int:
 
 
 def cmd_gram(args, parser) -> int:
-    family = _family_from_args(args, parser)
-    w = big_weight(family)
-    op = build(big_operator(family))
-    eigs = eigen_mod.eigen_sequence(op, args.N)
-    g = quad_mod.gram_matrix(w, [e.poly for e in eigs], order=args.order)
+    w = big_weight(_family_from_args(args, parser))
+    g = quad_mod.gram_matrix(w, quad_mod.orthogonal_polynomials(w, args.N), order=args.order)
     if args.format == "json":
         _emit(json.dumps({"entries": [[float(v) for v in row] for row in g.entries]},
                          indent=2) + "\n", args.out)
@@ -206,58 +193,10 @@ def cmd_gram(args, parser) -> int:
 
 
 def cmd_certify(args, parser) -> int:
-    family = _family_from_args(args, parser)
-    w = big_weight(family)
-    params = big_operator(family)
-    if not check_nondegenerate(params, args.N):
-        print("degenerate parameters", file=sys.stderr)
-        return 2
-    op = build(params)
-    recurrence = quad_mod.recurrence_coefficients(w, args.N)
-    polys = quad_mod.orthogonal_polynomials(w, args.N)
-    bad = eigen_mod.eigen_defects(op, polys)
-    lines = []
-    all_ok = True
-
-    def record(name: str, ok: bool, detail: str):
-        nonlocal all_ok
-        all_ok = all_ok and ok
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name} {detail}")
-
-    # exact eigen-residuals of the recurrence's P_n: with a nondegenerate
-    # spectrum, all zero proves they are the monic eigenpolynomials
-    record("eigen-residual", not bad,
-           "all exact" if not bad else f"nonzero at degrees {bad}")
-
-    # orthogonality and positivity
-    g = quad_mod.gram_matrix(w, polys, order=args.order)
-    off = g.max_relative_off_diagonal()
-    record("orthogonality", off <= ORTHOGONALITY_TOL,
-           f"max_offdiag={off:.3e} tol={ORTHOGONALITY_TOL:.0e}")
-    # Favard: h_0 > 0 and exact u_n > 0 for n = 1..N make the functional
-    # positive definite; every residual must be zero, so that its P_n are
-    # the eigenpolynomials.
-    h0 = g.normalization(0)
-    detail = f"h0={h0:.3e}"
-    if args.N >= 1:
-        umin, nmin = min((u, n) for n, (_, u) in enumerate(recurrence) if n >= 1)
-        detail += f" min_u={float(umin):.3e} at n={nmin}"
-    record("positivity", not bad and h0 > 0.0 and all(u > 0 for _, u in recurrence[1:]), detail)
-
-    # operator symmetry on monomial pairs: B[i, j] = <x^i, L x^j>, on the
-    # Gram matrix's rule (one rule per call)
-    b = quad_mod.symmetry_block(w, op, min(args.N, 10), order=g.order)
-    worst_sym = float((abs(b - b.T) / (abs(b) + abs(b.T) + 1.0)).max())
-    record("symmetry", worst_sym <= SYMMETRY_TOL,
-           f"max_residual={worst_sym:.3e} tol={SYMMETRY_TOL:.0e}")
-
-    # Pearson identities at interior sample points
-    worst_p = pearson_defect(w, op)
-    record("pearson", worst_p <= PEARSON_TOL,
-           f"max_residual={worst_p:.3e} tol={PEARSON_TOL:.0e}")
-
-    print("\n".join(lines))
-    return 0 if all_ok else 1
+    checks = quad_mod.certify(_family_from_args(args, parser), args.N, args.order)
+    for check in checks:
+        print(f"{'PASS' if check.passed else 'FAIL'} {check.name} {check.detail}")
+    return 0 if all(check.passed for check in checks) else 1
 
 
 def make_parser() -> argparse.ArgumentParser:

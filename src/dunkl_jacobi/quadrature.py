@@ -40,19 +40,9 @@ and are handed out as polynomials that carry that form and build their
 enters as one correctly rounded ``int / int`` division, the float that
 ``float(Fraction)`` gives, so no value read off the table changes.
 ``recurrence_coefficients``, ``orthogonal_polynomials``,
-``connection_coefficients`` and the node evaluation all read that table,
-so a ``certify`` call evaluates the recurrence once and builds the basis
-once; it checks those ``P_n`` against the operator by exact residuals on
-their integer forms, never solves for them and never forms their
-``Fraction``s.  The table belongs to the weight object, never to a key
+``connection_coefficients``, the node evaluation and :func:`certify` all
+read that table.  The table belongs to the weight object, never to a key
 hashed from it, so a freshly built weight starts cold.
-
-``certify``'s operator-symmetry block ``<x^i, L x^j>`` is
-:func:`symmetry_block`, a Gram block of the monomials and their images
-read off the operator's band; its monomials are single connection rows.
-It runs on the rule of ``certify``'s Gram matrix, whose order
-``GramMatrix.order`` records, so a ``certify`` call builds one rule.
-The Pearson figure lives in :mod:`.weights` (``pearson_defect``).
 
 numpy is imported inside the functions that compute in floats, so
 importing the package, and every path that stays exact, never loads it.
@@ -67,9 +57,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from .dunkl import build
+from .eigen import eigen_defects
 from .errors import DegenerateSpectrum, NonIntegrable, UnsupportedWeight
 from .laurent import LaurentPoly, Polynomial, _IntegerPolynomial
-from .weights import WeightFunction
+from .weights import BigJacobiParams, WeightFunction, big_operator, big_weight, pearson_defect
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,7 +79,13 @@ __all__ = [
     "orthogonal_polynomials",
     "connection_coefficients",
     "symmetry_block",
+    "Check",
+    "certify",
 ]
+
+ORTHOGONALITY_TOL = 1e-10
+SYMMETRY_TOL = 1e-10
+PEARSON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -323,8 +321,8 @@ class GramMatrix:
 
         g = self.entries
         i, j = np.triu_indices(g.shape[0], 1)
-        h = np.abs(np.diag(g))
-        denom = np.sqrt(h[i] * h[j])
+        root = np.sqrt(np.abs(np.diag(g)))
+        denom = root[i] * root[j]
         ratio = np.full(denom.shape, np.inf)
         np.divide(np.abs(g[i, j]), denom, out=ratio, where=denom > 0)
         return float(ratio.max(initial=0.0))
@@ -356,7 +354,7 @@ def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatri
 
 
 def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) -> np.ndarray:
-    """``B[i, j] = <x^i, L x^j>`` for ``i, j <= top``: ``certify``'s symmetry block.
+    """``B[i, j] = <x^i, L x^j>`` for ``i, j <= top``: :func:`certify`'s symmetry block.
 
     The block ``entries[:top + 1, top + 1:]`` of the Gram matrix of
     ``x^0..x^top`` and their images ``L x^k``, read off ``op``'s band; each
@@ -372,6 +370,63 @@ def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) ->
                                       for i, t in enumerate(band.rows[k]) if t})
               for k in range(top + 1)]
     return gram_matrix(w, monos + images, order=order).entries[:top + 1, top + 1:]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict of :func:`certify`: the check's name, pass or fail, and its figures."""
+
+    name: str
+    passed: bool
+    detail: str
+
+
+def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
+    """The five checks of ``family`` at degrees ``0..N``, as :class:`Check` records.
+
+    ``eigen-residual``, ``orthogonality``, ``positivity``, ``symmetry`` and
+    ``pearson``, on one Gauss rule of ``order`` (default
+    ``max(40, 2N + 10)``).  The weight's table gives the recurrence and the
+    ``P_n`` once; exact residuals on their integer forms (``eigen_defects``,
+    one band grown to degree ``N``), all zero, prove them the monic
+    eigenpolynomials, with no solve and no ``Fraction`` formed.
+    Positivity is Favard's theorem: ``h_0 > 0`` and every exact
+    ``u_n > 0`` make the functional positive definite, with those residuals
+    zero.  The symmetry block ``<x^i, L x^j>``, ``i, j <= min(N, 10)``, is
+    :func:`symmetry_block` on the Gram matrix's rule (``GramMatrix.order``).
+    The Pearson figure is :func:`.weights.pearson_defect`.
+
+    ``big_weight`` rejects parameters outside the family.  Inside it,
+    ``tau0 = 0``, ``tau1 = 2`` and ``eta = -(alpha + beta + 1) < 1``, so no
+    odd eigenvalue vanishes (``check_nondegenerate``).
+    """
+    w = big_weight(family)
+    op = build(big_operator(family))
+    recurrence = recurrence_coefficients(w, N)
+    polys = orthogonal_polynomials(w, N)
+    bad = eigen_defects(op, polys)
+
+    g = gram_matrix(w, polys, order=order)
+    off = g.max_relative_off_diagonal()
+    h0 = g.normalization(0)
+    positivity = f"h0={h0:.3e}"
+    if N >= 1:
+        umin, nmin = min((u, n) for n, (_, u) in enumerate(recurrence) if n >= 1)
+        positivity += f" min_u={float(umin):.3e} at n={nmin}"
+
+    b = symmetry_block(w, op, min(N, 10), order=g.order)
+    sym = float((abs(b - b.T) / (abs(b) + abs(b.T) + 1.0)).max())
+    pearson = pearson_defect(w, op)
+    return (
+        Check("eigen-residual", not bad, f"nonzero at degrees {bad}" if bad else "all exact"),
+        Check("orthogonality", off <= ORTHOGONALITY_TOL,
+              f"max_offdiag={off:.3e} tol={ORTHOGONALITY_TOL:.0e}"),
+        Check("positivity", not bad and h0 > 0.0 and all(u > 0 for _, u in recurrence[1:]),
+              positivity),
+        Check("symmetry", sym <= SYMMETRY_TOL, f"max_residual={sym:.3e} tol={SYMMETRY_TOL:.0e}"),
+        Check("pearson", pearson <= PEARSON_TOL,
+              f"max_residual={pearson:.3e} tol={PEARSON_TOL:.0e}"),
+    )
 
 
 def symmetry_residual(w: WeightFunction, op, V: Polynomial, W: Polynomial,

@@ -695,32 +695,33 @@ def pearson_defect(w: WeightFunction, op: DunklOperator) -> float:
     return worst
 
 
-def _sign_obstruction_check(w: WeightFunction, points_per_interval: int = 25) -> None:
-    """Regression check: the weight must take both signs on symmetric samples."""
-    seen_pos = seen_neg = False
-    for x in w.interior_grid(points_per_interval, eps=1e-3):
-        if abs(x) < 1e-9:
-            continue
-        for probe in (x, -x):
-            try:
-                v = w(probe)
-            except UnsupportedPoint:
-                continue
-            if math.isfinite(v):
-                seen_pos = seen_pos or v > 0
-                seen_neg = seen_neg or v < 0
-    if not (seen_pos and seen_neg):
+def _sign_obstruction_check(w: WeightFunction) -> Fraction:
+    """Exact cross-check of a sign-indefinite verdict: ``w(x0) w(-x0) < 0``, returns ``x0``.
+
+    ``x0``, midway along the positive part of the rightmost interval, and
+    ``-x0`` are interior.  The constant and the even factors appear squared;
+    the sign factor gives ``-1`` and ``(x - r)^m`` gives ``(r^2 - x0^2)^m``.
+    """
+    lo, hi = max(w.support, key=lambda interval: interval[1])
+    x0 = (max(lo, 0) + hi) / 2
+    sign = -1 if w.sign_factor else 1
+    for f in w.affine_factors:
+        gap = f.root * f.root - x0 * x0
+        sign *= ((gap > 0) - (gap < 0)) ** f.multiplicity
+    if not (x0 > 0 and any(a < -x0 < b for a, b in w.support) and sign == -1):
         raise InternalConsistencyError(
-            "sampled signs contradict the sign-indefiniteness verdict for this case"
+            f"w(x0) w(-x0) at x0 = {x0} contradicts the sign-indefiniteness verdict"
         )
+    return x0
 
 
 def classify(params: OperatorParams) -> ClassificationVerdict:
     """Total classification of a parameter set by symmetrizability case.
 
     Case boundaries are exact rational zero-tests.  For sign-indefinite
-    cases the hard-coded verdict is cross-checked by sampling; a
-    disagreement raises :class:`InternalConsistencyError`.
+    cases the hard-coded verdict is cross-checked by the exact sign of
+    ``w(x0) w(-x0)`` at one interior point; a disagreement raises
+    :class:`InternalConsistencyError`.
     """
     tag = _case_of(params)
     if tag is CaseTag.NOT_SYMMETRIZABLE:
@@ -758,8 +759,8 @@ def classify(params: OperatorParams) -> ClassificationVerdict:
         else:
             notes = f"exponent parameters alpha={alpha}, beta={beta} leave the integrable range"
     if tag in (CaseTag.CASE_II, CaseTag.CASE_III, CaseTag.CASE_IV, CaseTag.CASE_V):
-        _sign_obstruction_check(weight)
-        notes = "sign-indefinite on every symmetric support (sampled check agrees)"
+        x0 = _sign_obstruction_check(weight)
+        notes = f"sign-indefinite on every symmetric support (w(x0) w(-x0) < 0 at x0 = {x0})"
     return ClassificationVerdict(
         case_tag=tag,
         weight=weight,

@@ -24,6 +24,7 @@ from dunkl_jacobi import (
     big_weight,
     build,
     canonicalize,
+    certify,
     classify,
     degree_conditions,
     eigen_sequence,
@@ -206,6 +207,17 @@ def test_symmetry_block_at_the_gram_order(family_grid):
     assert worst <= 1e-10
     print(f"symmetry block at Gram orders {sorted(orders)} vs order 40 on 64 families: "
           f"worst {worst:.2e} (tol 1e-10)")
+
+
+def test_certify_passes_on_the_grid(family_grid):
+    # the library's certify, not the CLI, decides the five checks
+    names = ["eigen-residual", "orthogonality", "positivity", "symmetry", "pearson"]
+    for fam, _, _, _ in family_grid:
+        checks = certify(fam, 20)
+        assert [check.name for check in checks] == names
+        failed = [f"{check.name} {check.detail}" for check in checks if not check.passed]
+        assert not failed, (fam, failed)
+    print(f"certify(fam, 20) passes all five checks on {len(family_grid)} families")
 
 
 def test_criterion_07_pearson_identities():

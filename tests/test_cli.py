@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -291,13 +292,27 @@ class TestCertify:
             weights.append(dunkl_jacobi.big_weight(params))
             return weights[-1]
 
-        monkeypatch.setattr(cli, "big_weight", weight)
+        monkeypatch.setattr(quad_mod, "big_weight", weight)
         code, out, _ = run(["certify", "--alpha", "1", "--beta", "1", *family,
                             "--N", "24"], capsys)
         assert code == 0 and out.count("PASS") == 5
         (w,) = weights
         assert len(w._table.polys) == 25
         assert all(p._map is None for p in w._table.polys)
+
+    @pytest.mark.parametrize("argv, family, N, order", [
+        (["--c", "1/2", "--N", "6"], BigJacobiParams(1, 1, Fraction(1, 2)), 6, None),
+        (["--c", "99999/100000", "--N", "20", "--order", "45"],
+         BigJacobiParams(1, 1, Fraction(99999, 100000)), 20, 45),
+    ])
+    def test_prints_the_library_checks(self, argv, family, N, order, capsys):
+        checks = quad_mod.certify(family, N, order)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            checks[0].passed = False
+        code, out, err = run(["certify", "--alpha", "1", "--beta", "1", *argv], capsys)
+        assert out.splitlines() == [f"{'PASS' if check.passed else 'FAIL'} {check.name} "
+                                    f"{check.detail}" for check in checks]
+        assert code == (0 if all(check.passed for check in checks) else 1) and err == ""
 
     def test_parameter_error_exit_2(self, capsys):
         code, _, err = run(["certify", "--alpha", "-2", "--beta", "0"], capsys)
@@ -322,6 +337,18 @@ class TestEigenvaluesAndGram:
         assert rows[0] == "g0,g1,g2"
         first = float(rows[1].split(",")[0])
         assert first == pytest.approx(2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("c", [Fraction(0), Fraction(2, 5)])
+    def test_gram_csv_is_that_of_the_eigenpolynomials(self, c, capsys):
+        # gram reads the weight's table P_n; they are the eigenpolynomials,
+        # so the CSV is byte for byte the Gram matrix of the solved ones
+        family = BigJacobiParams(Fraction(1, 2), Fraction(-1, 3), c)
+        eigs = eigen_mod.eigen_sequence(build(big_operator(family)), 12)
+        expected = quad_mod.gram_matrix(dunkl_jacobi.big_weight(family),
+                                        [e.poly for e in eigs]).to_csv()
+        code, out, _ = run(["gram", "--alpha=1/2", "--beta=-1/3", f"--c={c}", "--N", "12"],
+                           capsys)
+        assert code == 0 and out == expected
 
     @pytest.mark.parametrize("value", ["-9/10", "-0.9", "-.9", "-9e-1", "-90E-2"])
     def test_negative_rational_as_separate_argument(self, value, capsys):

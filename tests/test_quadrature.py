@@ -361,6 +361,19 @@ class TestGram:
         assert g.normalization(60) == 0.0 and g.normalization(59) > 0.0
         assert g.max_relative_off_diagonal() == math.inf
 
+    def test_small_normalizations_do_not_underflow_in_pairs(self):
+        # no h is 0 here (the smallest is about 1e-222), but h_i h_j underflows
+        # for 127 pairs; sqrt(h_i) sqrt(h_j) does not, so every pair is checked
+        w = big_weight(BigJacobiParams(1, 1, Fraction(99999, 100000)))
+        g = gram_matrix(w, orthogonal_polynomials(w, 40))
+        h = np.diag(g.entries)
+        i, j = np.triu_indices(41, 1)
+        assert h.min() > 0.0 and np.count_nonzero(h[i] * h[j] == 0.0) == 127
+        off = g.max_relative_off_diagonal()
+        assert math.isfinite(off) and off > 1e-10  # still fails certify's tolerance
+        root = np.sqrt(h)
+        assert off == (np.abs(g.entries[i, j]) / (root[i] * root[j])).max()
+
     def test_csv_export(self):
         g = gram_matrix(W_LITTLE_10, [Polynomial.one(), Polynomial.monomial(1)])
         text = g.to_csv()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from dunkl_jacobi import (
     BigJacobiParams,
     CaseTag,
+    InternalConsistencyError,
     LaurentPoly,
     NotCanonicalizable,
     NotSymmetrizableError,
@@ -28,6 +30,7 @@ from dunkl_jacobi import (
     scale_params,
     solve_pearson,
 )
+from dunkl_jacobi.weights import AffineFactor, _sign_obstruction_check
 
 from _helpers import (
     NEAR_BOUNDARY_FAMILIES,
@@ -201,6 +204,27 @@ class TestClassify:
                     if v and math.isfinite(v):
                         signs.add(v > 0)
             assert signs == {True, False}
+
+    def test_exact_sign_check_agrees_with_the_weight(self):
+        for p in (CASE_II, CASE_III, CASE_IV, CASE_V):
+            verdict = classify(p)
+            w = verdict.weight
+            x0 = _sign_obstruction_check(w)
+            assert isinstance(x0, Fraction) and x0 > 0
+            assert w.contains_interior(x0) and w.contains_interior(-x0)
+            assert w(x0) * w(-x0) < 0
+            assert f"w(x0) w(-x0) < 0 at x0 = {x0}" in verdict.notes
+
+    def test_sign_check_refuses_a_weight_of_one_sign(self):
+        w = classify(CASE_II).weight  # sign(x) |x|^-5, x0 = 1/2
+        even = dataclasses.replace(w, sign_factor=False)
+        with pytest.raises(InternalConsistencyError, match="x0 = 1/2"):
+            _sign_obstruction_check(even)
+        # sign(x) (x - 1/4) keeps one sign at +-1/2, where |x| > 1/4
+        folded = dataclasses.replace(w, affine_factors=(AffineFactor(Fraction(1, 4), 1),))
+        assert folded(0.5) * folded(-0.5) > 0
+        with pytest.raises(InternalConsistencyError):
+            _sign_obstruction_check(folded)
 
     def test_classification_invariant_under_scaling(self):
         rng = random.Random(79)
