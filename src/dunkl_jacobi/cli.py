@@ -21,7 +21,6 @@ from .dunkl import (
     OperatorParams,
     PARAM_NAMES,
     build,
-    check_nondegenerate,
     eigenvalue,
 )
 from .errors import DegenerateSpectrum, DunklJacobiError, ParameterRange
@@ -121,12 +120,7 @@ def _emit(text: str, out_path):
 
 
 def cmd_gen_poly(args, parser) -> int:
-    params = _params_from_args(args, parser)
-    if not check_nondegenerate(params, args.N):
-        print(f"degenerate parameters: nondegeneracy fails for some degree <= {args.N}",
-              file=sys.stderr)
-        return 2
-    op = build(params)
+    op = build(_params_from_args(args, parser))
     try:
         eigs = eigen_mod.eigen_sequence(op, args.N)
     except DegenerateSpectrum as exc:

@@ -18,7 +18,8 @@ Approximation*, 2004).  Unlike ``(1 - t^2) P_n'(t)^2`` these keep their
 accuracy next to a singular endpoint.  The map to ``x`` takes the
 interval's half-width and midpoint from exact rationals and forms
 ``x - c`` and ``d - x`` from ``1 + t`` and ``1 - t``, so a narrow interval
-loses nothing to cancellation between rounded endpoints.
+loses nothing to cancellation between rounded endpoints.  Each weight
+keeps the rules built for it, one per order, as node and weight tuples.
 
 Each polynomial is written exactly in the monic orthogonal basis ``P_k``,
 whose recurrence is known in closed form (the big -1 Jacobi polynomials of
@@ -41,8 +42,9 @@ enters as one correctly rounded ``int / int`` division, the float that
 ``float(Fraction)`` gives, so no value read off the table changes.
 ``recurrence_coefficients``, ``orthogonal_polynomials``,
 ``connection_coefficients``, the node evaluation and :func:`certify` all
-read that table.  The table belongs to the weight object, never to a key
-hashed from it, so a freshly built weight starts cold.
+read that table.  The table and the rules belong to the weight object,
+never to a key hashed from it, so a freshly built weight starts cold and
+nothing outlives it.
 
 numpy is imported inside the functions that compute in floats, so
 importing the package, and every path that stays exact, never loads it.
@@ -54,7 +56,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .dunkl import build
@@ -185,9 +186,8 @@ def _integrability_exponents(w: WeightFunction):
     return (alpha - 1) / 2, (beta - 1) / 2
 
 
-@lru_cache(maxsize=256)
 def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
-    """Gauss rule with ``order`` y-nodes (2*order mirrored x-nodes).
+    """Gauss rule with ``order`` y-nodes (2*order mirrored x-nodes), kept on ``w``.
 
     Exact (to rounding) for polynomial integrands whose even/odd transform
     has y-degree at most ``2*order - 1``.  With ``y = x^2`` on
@@ -196,7 +196,11 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     ``c = 0`` is the one-interval family.  ``x - c`` and ``d - x`` are
     ``half (1 + t) / (x + c)`` and ``half (1 - t) / (d + x)``, with
     ``half = (d^2 - c^2) / 2`` rounded once from the exact rationals.
+    The first request for an order builds it, and ``w`` keeps its node and
+    weight tuples, which do not refer back to ``w``.
     """
+    if order in w._rules:
+        return QuadratureRule(*w._rules[order], target=w, order=order)
     import numpy as np
 
     _require_positive_family(w)
@@ -221,24 +225,24 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
 
     nodes = tuple(np.concatenate((-x[::-1], x)).astype(np.float64).tolist())
     weights = tuple(np.concatenate((w_minus[::-1], w_plus)).astype(np.float64).tolist())
+    w._rules[order] = nodes, weights
     return QuadratureRule(nodes=nodes, weights=weights, target=w, order=order)
 
 
-def _node_table(w: WeightFunction, rule: QuadratureRule, polys) -> np.ndarray:
+def _node_table(rule: QuadratureRule, polys) -> np.ndarray:
     """Rows of ``polys`` at the nodes: exact ``P_k`` expansions, rounded once.
 
-    A ``P_k`` of ``w``'s table, recognised by identity before any
-    comparison, or an equal polynomial is a unit row.  Any other,
+    ``w`` is ``rule.target``.  A ``P_k`` of ``w``'s table, recognised by
+    identity before any comparison, or an equal polynomial is a unit row.  Any other,
     ``sum_m a_m x^m``, is ``sum_m a_m C[m]`` over the integer connection
     rows ``(D_m, v_m)`` of ``w``'s table: with the ``a_m`` and the ``D_m``
     cleared, integer sums ``t_j`` over one denominator ``den``, each rounded
     once as ``t_j / den``, the float that the reduced ``Fraction`` gives.
     Each input grows the connection rows only to its own degree.
-    The basis is ``w``'s own table: ``rule.target`` may be an older equal
-    weight held by the rule cache.
     """
     import numpy as np
 
+    w = rule.target
     if not all(p.is_polynomial for p in polys):
         raise ValueError("node values need polynomials")
     top = max((p.degree or 0) for p in polys) if polys else 0
@@ -285,7 +289,7 @@ def inner_product(w: WeightFunction, p: LaurentPoly, q: LaurentPoly,
     """
     deg = (p.degree or 0) + (q.degree or 0)
     rule = quadrature_rule(w, order if order is not None else _default_order(deg))
-    pv, qv = _node_table(w, rule, (p, q)).tolist()
+    pv, qv = _node_table(rule, (p, q)).tolist()
     return math.fsum(wt * a * b for wt, a, b in zip(rule.weights, pv, qv))
 
 
@@ -348,7 +352,7 @@ def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatri
     polys = tuple(polys)
     max_deg = max((p.degree or 0) for p in polys) if polys else 0
     rule = quadrature_rule(w, order if order is not None else _default_order(2 * max_deg))
-    table = _node_table(w, rule, polys)
+    table = _node_table(rule, polys)
     g = (table * np.asarray(rule.weights)) @ table.T
     return GramMatrix(entries=(g + g.T) / 2.0, basis=polys, order=rule.order)
 
@@ -362,7 +366,7 @@ def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) ->
     integrands have degree at most ``2 top``, so every default order (40
     and up) integrates them to rounding.  ``certify`` passes the order of
     its own Gram matrix (``GramMatrix.order``), so one call builds one rule
-    and the second request hits the rule cache.
+    and the second request reads it off the weight.
     """
     band = op.band(top)
     monos = [Polynomial.monomial(k) for k in range(top + 1)]
@@ -627,9 +631,3 @@ def connection_coefficients(w: WeightFunction, m: int) -> list:
         raise ValueError("m must be >= 0")
     return [[Fraction(t, D) for t in v] for D, v in _connection(w, m).connection[:m + 1]]
 
-
-def recurrence_table_csv(coeffs) -> str:
-    lines = ["n,b,u"]
-    for n, (b, u) in enumerate(coeffs):
-        lines.append(f"{n},{b},{'' if u is None else u}")
-    return "\n".join(lines) + "\n"

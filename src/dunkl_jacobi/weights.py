@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .dunkl import DunklOperator, OperatorParams, build
+from .dunkl import DunklOperator, OperatorParams
 from .errors import (
     InternalConsistencyError,
     NotCanonicalizable,
@@ -109,14 +109,17 @@ class WeightFunction:
     weight positive there, and ``1`` otherwise; the other cases use ``1``.
 
     The descriptor never changes, and evaluation is a pure function.  The
-    state is two caches, both left out of equality, hashing and ``repr``,
-    so two equal weights built separately share neither.  One is the
-    descriptor rounded to float64, built at the first evaluation.  The
-    other is the exact three-term table of a positive weight: the
-    closed-form ``(b_n, u_n)`` and the monic ``P_0..P_n`` they build, which
-    :mod:`.quadrature` grows on demand.  Each is published with one
-    attribute store, so two threads building it at once only repeat work:
-    both results are correct, and each caller uses the one it got back.
+    state is three caches, all left out of equality, hashing and ``repr``,
+    so two equal weights built separately share none.  One is the
+    descriptor rounded to float64, built at the first evaluation.  One is
+    the exact three-term table of a positive weight: the closed-form
+    ``(b_n, u_n)`` and the monic ``P_0..P_n`` they build, which
+    :mod:`.quadrature` grows on demand.  The last maps each order a Gauss
+    rule was built at to its ``(nodes, weights)`` tuples, which
+    :func:`.quadrature.quadrature_rule` fills; they hold no reference to the
+    weight, so its rules go when it does.  Each is published with one
+    store, so two threads building it at once only repeat work: both
+    results are correct, and each caller uses the one it got back.
     """
 
     family: str  # "big" | "little" | "case_ii" | "case_iii" | "case_iv" | "case_v"
@@ -132,6 +135,7 @@ class WeightFunction:
                                              compare=False)
     _floats: Optional[_FloatWeight] = field(default=None, init=False, repr=False,
                                             compare=False)
+    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- evaluation -------------------------------------------------------
 
@@ -379,10 +383,7 @@ def big_weight(p: BigJacobiParams) -> WeightFunction:
 
 def little_weight(alpha, beta) -> WeightFunction:
     """Positive weight ``(x+1)(1-x^2)^((alpha-1)/2) |x|^beta`` on ``[-1,1]``."""
-    a, b = as_rational(alpha), as_rational(beta)
-    if a <= -1 or b <= -1:
-        raise ParameterRange("alpha and beta must each exceed -1")
-    return _positive_family_weight(a, b, Fraction(0), Fraction(1))
+    return big_weight(BigJacobiParams(alpha, beta))
 
 
 # ---------------------------------------------------------------------------

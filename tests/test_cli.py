@@ -53,6 +53,23 @@ class TestGenPoly:
         assert code == 2
         assert "degenerate" in err.lower()
 
+    def test_tau1_equal_tau0_with_distinct_eigenvalues(self, capsys):
+        # lambda_n = 0, 2, 4: tau1 = tau0 degenerates only from degree 3 on
+        code, out, err = run(["gen-poly", "--tau0=1", "--tau1=1", "--eta=1", "--N", "2"],
+                             capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines() == ["degree,lambda,c0,c1,c2", "0,0,1,0,0", "1,2,0,1,0",
+                                    "2,4,0,0,1"]
+        code, _, err = run(["gen-poly", "--tau0=1", "--tau1=1", "--eta=1", "--N", "3"],
+                           capsys)
+        assert code == 2 and "degree 3" in err and "collides with degree 1" in err
+
+    def test_tau1_equal_minus_tau0_exit_code(self, capsys):
+        code, out, err = run(["gen-poly", "--tau0=1", "--tau1=-1", "--eta=1", "--N", "2"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert "degenerate spectrum at degree 2" in err
+
     def test_n_zero(self, capsys):
         code, out, _ = run(["gen-poly", "--alpha", "1", "--beta", "0", "--N", "0"],
                            capsys)
@@ -253,7 +270,6 @@ class TestCertify:
         real = quad_mod._gauss_jacobi_refined
         monkeypatch.setattr(quad_mod, "_gauss_jacobi_refined",
                             lambda n, a, b: calls.append(n) or real(n, a, b))
-        quad_mod.quadrature_rule.cache_clear()
         argv = ["certify", "--alpha", "1", "--beta", "1", "--c", "1/2", "--N", str(N)]
         code, out, _ = run(argv + (["--order", str(order)] if order else []), capsys)
         assert code == 0 and out.count("PASS") == 5

@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import random
 import sys
 import threading
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -71,7 +73,7 @@ class TestRule:
     def test_no_warning_when_jacobi_exponents_sum_to_minus_one(self, w):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rule = quadrature_rule.__wrapped__(w, 20)  # bypass the rule cache
+            rule = quadrature_rule(w, 20)
         assert all(wt > 0 for wt in rule.weights)
 
     # Worst relative errors (nodes, weights) at order 40 against the 40-digit
@@ -150,6 +152,44 @@ class TestRule:
         mu0 = 2.0 ** float(a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
         assert float(weights[0]) == pytest.approx(mu0, rel=1e-14)
         assert float(t[0]) == pytest.approx(float((b - a) / (a + b + 2)), rel=1e-15, abs=1e-18)
+
+    def test_weight_builds_each_order_once(self, monkeypatch):
+        # a weight keeps its own rules; an equal weight built apart has none
+        calls = []
+        real = quad_mod._gauss_jacobi_refined
+        monkeypatch.setattr(quad_mod, "_gauss_jacobi_refined",
+                            lambda n, a, b: calls.append(n) or real(n, a, b))
+        params = BigJacobiParams(Fraction(3, 7), Fraction(5, 9), Fraction(2, 7))
+        w, twin = big_weight(params), big_weight(params)
+        rules = [quadrature_rule(w, n) for n in (20, 30, 20, 30)]
+        assert calls == [20, 30]
+        assert rules[2] == rules[0] and rules[3] == rules[1]
+        assert all(rule.target is w for rule in rules)
+        again = quadrature_rule(twin, 20)
+        assert calls == [20, 30, 20]
+        assert again.target is twin and again == rules[0]
+
+    def test_certify_frees_its_weight(self, monkeypatch):
+        # the rules kept on the weight do not refer back to it, so with the
+        # cycle collector off the weight goes when certify returns
+        refs = []
+        real = quad_mod.big_weight
+
+        def weight(params):
+            w = real(params)
+            refs.append(weakref.ref(w))
+            return w
+
+        monkeypatch.setattr(quad_mod, "big_weight", weight)
+        gc.collect()
+        gc.disable()
+        try:
+            checks = quad_mod.certify(BigJacobiParams(1, 1, HALF), 200)
+            (ref,) = refs
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert all(check.passed for check in checks)
 
     def test_json_export(self):
         rule = quadrature_rule(W_LITTLE_10, 5)
@@ -487,15 +527,10 @@ class TestRecurrence:
             (HALF * b, None if u is None else HALF * HALF * u)
             for b, u in recurrence_coefficients(solved, 6)]
 
-    def test_recurrence_csv(self):
-        from dunkl_jacobi.quadrature import recurrence_table_csv
-
-        text = recurrence_table_csv(recurrence_coefficients(W_LITTLE_10, 2))
-        lines = text.strip().splitlines()
-        assert lines[0] == "n,b,u"
-        assert lines[1].startswith("0,") and lines[1].endswith(",")
-        assert len(lines) == 4
-        assert lines[1:] == ["0,1/3,", "1,1/15,2/9", "2,1/35,6/25"]
+    def test_recurrence_exact_values(self):
+        assert recurrence_coefficients(W_LITTLE_10, 2) == [
+            (Fraction(1, 3), None), (Fraction(1, 15), Fraction(2, 9)),
+            (Fraction(1, 35), Fraction(6, 25))]
 
 
 def _family_weight(alpha, beta, c):
@@ -543,13 +578,11 @@ class TestThreeTermTable:
         assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
 
     def test_node_table_reads_the_weight_it_is_given(self):
-        # The rule cache hands back the rule built for an older equal weight;
-        # the basis must still come from (and grow) the weight passed in.
+        # Two equal weights: the basis must come from (and grow) the weight
+        # passed in.
         params = BigJacobiParams(Fraction(3, 7), Fraction(5, 9), Fraction(2, 7))
         older, newer = big_weight(params), big_weight(params)
-        quadrature_rule.cache_clear()
         gram_matrix(older, [Polynomial.monomial(3)], order=30)
-        assert quadrature_rule(newer, 30).target is older
         g = gram_matrix(newer, [Polynomial.monomial(8)], order=30)
         assert len(older._table.polys) == 4 and len(newer._table.polys) == 9
         assert g.entries[0, 0] == pytest.approx(moment(big_weight(params), 16, order=30),
@@ -650,12 +683,12 @@ class TestThreeTermTable:
                           for j in range(rng.randint(0, 12) + 1)}) for _ in range(6)),
         ]
         rule = quadrature_rule(w, 20)
-        values = quad_mod._node_table(w, rule, basis)  # unit rows: the P_j at the nodes
+        values = quad_mod._node_table(rule, basis)  # unit rows: the P_j at the nodes
         rows = np.zeros((len(polys), 13))
         for row, p in zip(rows, polys):
             exact = p_basis_expansion(p, basis)
             row[:len(exact)] = [float(v) for v in exact]
-        assert np.array_equal(quad_mod._node_table(w, rule, polys), rows @ values)
+        assert np.array_equal(quad_mod._node_table(rule, polys), rows @ values)
 
     @pytest.mark.parametrize("alpha, beta, c", [(1, 1, HALF), (HALF, 2, 0)])
     def test_table_rows_grow_no_connection_rows(self, alpha, beta, c):
