@@ -51,6 +51,7 @@ def _int_from(low: int):
 
 _degree = _int_from(0)
 _order = _int_from(1)
+_ORDER_HELP = "Gauss rule order, in y-nodes (default 2N + 10)"
 
 
 def _margin(text: str) -> float:
@@ -231,16 +232,16 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", help="Gram matrix of the eigenpolynomials")
     _add_family_flags(p, with_raw=False)
-    p.add_argument("--N", type=_degree, required=True)
-    p.add_argument("--order", type=_order, default=None)
+    p.add_argument("--N", type=_degree, required=True, help="largest degree")
+    p.add_argument("--order", type=_order, default=None, help=_ORDER_HELP)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("certify", help="run the full certification suite")
     _add_family_flags(p, with_raw=False)
-    p.add_argument("--N", type=_degree, default=10)
-    p.add_argument("--order", type=_order, default=None)
+    p.add_argument("--N", type=_degree, default=10, help="largest degree (default 10)")
+    p.add_argument("--order", type=_order, default=None, help=_ORDER_HELP)
     p.set_defaults(func=cmd_certify)
 
     return parser

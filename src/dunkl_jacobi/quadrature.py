@@ -276,16 +276,24 @@ def _node_table(rule: QuadratureRule, polys) -> np.ndarray:
 
 
 def _default_order(degree_sum: int) -> int:
-    return max(40, degree_sum + 10)
+    """Gauss order for integrands of x-degree at most ``degree_sum``: ``degree_sum + 10``.
+
+    On a node pair ``±x`` an integrand of x-degree ``d`` is one of
+    y-degree at most ``ceil(d / 2)`` in ``y = x^2``, and an order-``n``
+    rule is exact to y-degree ``2n - 1``.  ``d + 10`` nodes are about four
+    times the ``(d / 2 + 1) / 2`` that exactness needs, and at least ten.
+    """
+    return degree_sum + 10
 
 
 def inner_product(w: WeightFunction, p: LaurentPoly, q: LaurentPoly,
                   order: int | None = None) -> float:
     """``integral p q w dx`` over the support of ``w``.
 
-    Relative accuracy for polynomial integrands is at the rounding floor
-    once ``order >= (deg p + deg q)/2 + 1``; the default order leaves a
-    comfortable margin.
+    The integrand's x-degree ``d = deg p + deg q`` is y-degree at most
+    ``ceil(d / 2)``, which an order-``n`` rule integrates exactly once
+    ``2n - 1 >= ceil(d / 2)``; the default order ``d + 10`` is about four
+    times that.
     """
     deg = (p.degree or 0) + (q.degree or 0)
     rule = quadrature_rule(w, order if order is not None else _default_order(deg))
@@ -344,8 +352,8 @@ def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatri
     One float64 matmul of the node table against the rule weights.
     With positive weights, Cauchy-Schwarz bounds ``sum_k w_k |P_i P_j|`` by
     ``sqrt(h_i h_j)``, so each entry's summation error relative to
-    ``sqrt(h_i h_j)`` stays below about ``n_nodes * eps`` (~2e-14 at the
-    default order) without compensated summation.
+    ``sqrt(h_i h_j)`` stays below about ``n_nodes * eps`` (~2e-14 at
+    order 40, 80 nodes) without compensated summation.
     """
     import numpy as np
 
@@ -363,8 +371,10 @@ def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) ->
     The block ``entries[:top + 1, top + 1:]`` of the Gram matrix of
     ``x^0..x^top`` and their images ``L x^k``, read off ``op``'s band; each
     is one connection row or an integer combination of at most four.  Its
-    integrands have degree at most ``2 top``, so every default order (40
-    and up) integrates them to rounding.  ``certify`` passes the order of
+    integrands have x-degree at most ``2 top``, so y-degree at most
+    ``top``, and an order-``n`` rule is exact to y-degree ``2n - 1``: the
+    default order ``2 top + 10`` integrates them to rounding, and so does
+    any order above ``top / 2``.  ``certify`` passes the order of
     its own Gram matrix (``GramMatrix.order``), so one call builds one rule
     and the second request reads it off the weight.
     """
@@ -389,8 +399,11 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     """The five checks of ``family`` at degrees ``0..N``, as :class:`Check` records.
 
     ``eigen-residual``, ``orthogonality``, ``positivity``, ``symmetry`` and
-    ``pearson``, on one Gauss rule of ``order`` (default
-    ``max(40, 2N + 10)``).  The weight's table gives the recurrence and the
+    ``pearson``, on one Gauss rule of ``order`` (default ``2N + 10``).
+    The Gram and symmetry integrands have x-degree at most ``2N``, so
+    y-degree at most ``N``, and an order-``n`` rule is exact to y-degree
+    ``2n - 1``: ``2N + 10`` is about four times the ``(N + 1) / 2`` nodes
+    that exactness needs.  The weight's table gives the recurrence and the
     ``P_n`` once; exact residuals on their integer forms (``eigen_defects``,
     one band grown to degree ``N``), all zero, prove them the monic
     eigenpolynomials, with no solve and no ``Fraction`` formed.

@@ -209,6 +209,38 @@ def test_symmetry_block_at_the_gram_order(family_grid):
           f"worst {worst:.2e} (tol 1e-10)")
 
 
+def test_certify_at_small_N_matches_order_40(family_grid):
+    # below N = 15 certify's default rule has 2N + 10 < 40 nodes; its
+    # integrands have y-degree at most N, well inside the rule's exact
+    # range, so the verdicts are those of an order-40 rule and the float
+    # figures stay at rounding level
+    worst = {"orthogonality": 0.0, "symmetry": 0.0}
+    for fam, _, _, _ in family_grid:
+        for N in range(15):
+            checks = certify(fam, N)
+            assert [c.passed for c in checks] == [c.passed for c in certify(fam, N, order=40)]
+            for c in checks:
+                if c.name in worst:
+                    worst[c.name] = max(worst[c.name], float(c.detail.split()[0].split("=")[1]))
+    assert max(worst.values()) <= 1e-14, worst
+    print(f"certify(fam, N <= 14) at order 2N + 10 vs 40 on {len(family_grid)} families: "
+          f"same verdicts, worst orthogonality {worst['orthogonality']:.1e}, "
+          f"symmetry {worst['symmetry']:.1e}")
+
+
+def test_default_moment_order_matches_order_40(family_grid):
+    # moment(w, n) runs at order n + 10; odd moments are exactly zero, so
+    # the difference is measured against m_0, not relative to m_n
+    worst = 0.0
+    for _, w, _, _ in family_grid:
+        m0 = moment(w, 0, order=40)
+        for n in range(29):
+            worst = max(worst, abs(moment(w, n) - moment(w, n, order=40)) / m0)
+    assert worst <= 1e-14
+    print(f"moment(w, n <= 28) at order n + 10 vs 40 on {len(family_grid)} families: "
+          f"worst {worst:.1e} * m_0")
+
+
 def test_certify_passes_on_the_grid(family_grid):
     # the library's certify, not the CLI, decides the five checks
     names = ["eigen-residual", "orthogonality", "positivity", "symmetry", "pearson"]

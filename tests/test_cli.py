@@ -273,7 +273,7 @@ class TestCertify:
         argv = ["certify", "--alpha", "1", "--beta", "1", "--c", "1/2", "--N", str(N)]
         code, out, _ = run(argv + (["--order", str(order)] if order else []), capsys)
         assert code == 0 and out.count("PASS") == 5
-        assert calls == [order or max(40, 2 * N + 10)]
+        assert calls == [order or 2 * N + 10]
 
     @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
     def test_one_exact_computation(self, family, capsys, monkeypatch):
