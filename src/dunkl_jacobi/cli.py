@@ -51,7 +51,7 @@ def _int_from(low: int):
 
 _degree = _int_from(0)
 _order = _int_from(1)
-_ORDER_HELP = "Gauss rule order, in y-nodes (default 2N + 10)"
+_ORDER_HELP = "Gauss rule order, in y-nodes (default N // 2 + 11)"
 
 
 def _margin(text: str) -> float:

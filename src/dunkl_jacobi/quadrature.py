@@ -17,17 +17,23 @@ orthonormal recurrence (Gautschi, *Orthogonal Polynomials: Computation and
 Approximation*, 2004).  Unlike ``(1 - t^2) P_n'(t)^2`` these keep their
 accuracy next to a singular endpoint.  The map to ``x`` takes the
 interval's half-width and midpoint from exact rationals and forms
-``x - c`` and ``d - x`` from ``1 + t`` and ``1 - t``, so a narrow interval
-loses nothing to cancellation between rounded endpoints.  Each weight
-keeps the rules built for it, one per order, as node and weight tuples.
+``z = |x| - |c|`` and ``|d| - |x|`` from ``1 + t`` and ``1 - t``, so a
+narrow interval loses nothing to cancellation between rounded endpoints,
+whatever the signs of ``c`` and ``d``.  Each weight keeps the rules built
+for it, one per order, as node, weight and gap (``z``) tuples.
 
 Each polynomial is written exactly in the monic orthogonal basis ``P_k``,
 whose recurrence is known in closed form (the big -1 Jacobi polynomials of
-Vinet and Zhedanov), and the ``P_k`` are evaluated at the nodes by the float
-recurrence (Golub & Welsch, 1969).  An input that is (or equals) a ``P_k``
-is a unit row; any other is an integer combination of its terms'
-connection rows (below).  Single inner products sum with ``math.fsum``; a
-Gram matrix is one float64 matmul.
+Vinet and Zhedanov).  At the nodes the table holds the orthonormal
+``q_k = P_k / sqrt(u_1 ... u_k)`` instead, from their float recurrence
+with every second step folded into the next, so that ``x^2 - c^2`` enters
+only as ``z (2|c| + z)`` with the rule's own ``z = |x| - |c|``: nothing
+cancels next to ``|c| = 1`` and nothing underflows at large degree.  An
+input that is (or equals) a ``P_k`` is the row ``q_k`` with scale
+``sqrt(u_1 ... u_k)``; any other is an integer combination of its terms'
+connection rows (below), scaled into the same frame.  Single inner
+products sum with ``math.fsum``; a Gram matrix is one float64 matmul, and
+its orthogonality figure is read in the unit frame.
 
 Every weight keeps one exact :class:`ThreeTermTable` on the instance: the
 closed-form ``(b_n, u_n)``, the monic ``P_0..P_n`` and the connection rows
@@ -40,6 +46,7 @@ and are handed out as polynomials that carry that form and build their
 ``C[m+1][i] = C[m][i-1] + b_i C[m][i] + u_{i+1} C[m][i+1]``.  A float
 enters as one correctly rounded ``int / int`` division, the float that
 ``float(Fraction)`` gives, so no value read off the table changes.
+The table also keeps the node recurrence's floats, each rounded once.
 ``recurrence_coefficients``, ``orthogonal_polynomials``,
 ``connection_coefficients``, the node evaluation and :func:`certify` all
 read that table.  The table and the rules belong to the weight object,
@@ -95,6 +102,7 @@ class QuadratureRule:
 
     nodes: tuple
     weights: tuple
+    gaps: tuple
     target: WeightFunction
     order: int
 
@@ -193,11 +201,14 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     has y-degree at most ``2*order - 1``.  With ``y = x^2`` on
     ``[c^2, d^2]`` the node pair ``±x`` carries
     ``const * v * (d ± x)(x ∓ c) / (2x)`` for the Gauss-Jacobi weight ``v``;
-    ``c = 0`` is the one-interval family.  ``x - c`` and ``d - x`` are
-    ``half (1 + t) / (x + c)`` and ``half (1 - t) / (d + x)``, with
-    ``half = (d^2 - c^2) / 2`` rounded once from the exact rationals.
-    The first request for an order builds it, and ``w`` keeps its node and
-    weight tuples, which do not refer back to ``w``.
+    ``c = 0`` is the one-interval family.  ``z = |x| - |c|`` and
+    ``|d| - |x|`` are ``half (1 + t) / (|x| + |c|)`` and
+    ``half (1 - t) / (|d| + |x|)``, with ``half = (d^2 - c^2) / 2`` rounded
+    once from the exact rationals, so neither cancels next to an endpoint,
+    whatever the signs of ``c`` and ``d``.  ``gaps`` holds ``z`` for each
+    node (mirrored nodes share it), which the node table reads.  The first
+    request for an order builds it, and ``w`` keeps its node, weight and gap
+    tuples, which do not refer back to ``w``.
     """
     if order in w._rules:
         return QuadratureRule(*w._rules[order], target=w, order=order)
@@ -207,83 +218,151 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     a_exp, b_exp = _integrability_exponents(w)
     if order < 1:
         raise ValueError("order must be >= 1")
-    const = float(w.constant)
     t, wj = _gauss_jacobi_refined(order, a_exp, b_exp)
 
     _, _, c, d = w.normal_form
-    df, cf = float(d), float(c)
+    cf, df = float(abs(c)), float(abs(d))
     half = float((d * d - c * c) / 2)
     y = half * t + float((d * d + c * c) / 2)
     v = wj * half ** float(a_exp + b_exp + 1)
     x = np.sqrt(y)
     # y - c^2 = half (1 + t) and d^2 - y = half (1 - t): no cancellation
-    # between rounded endpoints when c is near d
-    x_minus_c = half * (1 + t) / (x + cf)
+    # between rounded endpoints when |c| is near |d|
+    z = half * (1 + t) / (x + cf)
     d_minus_x = half * (1 - t) / (df + x)
-    w_plus = const * v * (x + df) * x_minus_c / (2.0 * x)
-    w_minus = const * v * d_minus_x * (x + cf) / (2.0 * x)
+    # const (d ± x)(x ∓ c) is const sign(d) (|d| + x) z at the node on d's
+    # side of 0 and const sign(d) (|d| - x)(x + |c|) at its mirror image
+    const = float(w.constant) * (1.0 if d > 0 else -1.0)
+    near_d = const * v * (x + df) * z / (2.0 * x)
+    far_d = const * v * d_minus_x * (x + cf) / (2.0 * x)
+    w_plus, w_minus = (near_d, far_d) if d > 0 else (far_d, near_d)
 
-    nodes = tuple(np.concatenate((-x[::-1], x)).astype(np.float64).tolist())
-    weights = tuple(np.concatenate((w_minus[::-1], w_plus)).astype(np.float64).tolist())
-    w._rules[order] = nodes, weights
-    return QuadratureRule(nodes=nodes, weights=weights, target=w, order=order)
+    def mirrored(left, right):
+        return tuple(np.concatenate((left[::-1], right)).astype(np.float64).tolist())
+
+    nodes, weights, gaps = mirrored(-x, x), mirrored(w_minus, w_plus), mirrored(z, z)
+    w._rules[order] = nodes, weights, gaps
+    return QuadratureRule(nodes=nodes, weights=weights, gaps=gaps, target=w, order=order)
 
 
-def _node_table(rule: QuadratureRule, polys) -> np.ndarray:
-    """Rows of ``polys`` at the nodes: exact ``P_k`` expansions, rounded once.
+def _expansion(w: WeightFunction, polys) -> tuple:
+    """``(rows, units)``: each input's exact ``P_j`` coefficients, rounded once.
 
-    ``w`` is ``rule.target``.  A ``P_k`` of ``w``'s table, recognised by
-    identity before any comparison, or an equal polynomial is a unit row.  Any other,
-    ``sum_m a_m x^m``, is ``sum_m a_m C[m]`` over the integer connection
-    rows ``(D_m, v_m)`` of ``w``'s table: with the ``a_m`` and the ``D_m``
-    cleared, integer sums ``t_j`` over one denominator ``den``, each rounded
-    once as ``t_j / den``, the float that the reduced ``Fraction`` gives.
-    Each input grows the connection rows only to its own degree.
+    A ``P_k`` of ``w``'s table, recognised by identity before any
+    comparison, or an equal polynomial is the unit row ``e_k``, and
+    ``units`` lists its ``(row, k)``.  Any other, ``sum_m a_m x^m``, is
+    ``sum_m a_m C[m]`` over the integer connection rows ``(D_m, v_m)`` of
+    ``w``'s table: with the ``a_m`` and the ``D_m`` cleared, integer sums
+    ``t_j`` over one denominator ``den``, each rounded once as
+    ``t_j / den``, the float that the reduced ``Fraction`` gives.  Each
+    input grows the connection rows only to its own degree.
     """
     import numpy as np
 
-    w = rule.target
     if not all(p.is_polynomial for p in polys):
         raise ValueError("node values need polynomials")
     top = max((p.degree or 0) for p in polys) if polys else 0
     table = _basis(w, top)
-    expansion = np.zeros((len(polys), top + 1))
-    for row, p in zip(expansion, polys):
+    rows, units = np.zeros((len(polys), top + 1)), []
+    for i, (row, p) in enumerate(zip(rows, polys)):
         if p.is_zero:
             continue
         k = p.degree
         basis = table.polys[k]
         if p is basis or p == basis:
             row[k] = 1.0
+            units.append((i, k))
             continue
-        rows = _connection(w, k).connection
+        connection = _connection(w, k).connection
         s, terms = p._scaled_terms()
-        L = math.lcm(*(a.denominator * rows[m][0] for m, a in terms.items()))
+        L = math.lcm(*(a.denominator * connection[m][0] for m, a in terms.items()))
         exact = [0] * (k + 1)
         for m, a in terms.items():
-            Dm, v = rows[m]
+            Dm, v = connection[m]
             a = a.numerator * (L // (a.denominator * Dm))
             for j, t in enumerate(v):
                 exact[j] += a * t
         den = s * L
         row[:k + 1] = [t / den for t in exact]
-    x = np.asarray(rule.nodes)
-    values = [np.ones_like(x)]
-    for n, (b, u) in enumerate(table.coefficients[:top]):
-        nxt = (x - float(b)) * values[n]
-        values.append(nxt - float(u) * values[n - 1] if n else nxt)
-    return expansion @ np.array(values)
+    return rows, units
+
+
+def _node_table(rule: QuadratureRule, polys) -> tuple:
+    """``(table, scales)``: ``polys`` at the nodes in the unit frame, ``p_i = scales[i] row_i``.
+
+    The frame is the orthonormal ``q_k = P_k / s_k``, ``s_k = sqrt(u_1 ... u_k)``,
+    so ``<q_i, q_j> = h_0 delta_ij`` and no row underflows as the monic
+    ``h_k`` do.  A ``P_k`` is the row ``q_k`` with scale ``s_k``; any other
+    input is its :func:`_expansion` row times ``s_j`` in one vectorized
+    multiply, with scale 1.  The ``s_j`` are running products of the
+    rounded ``sqrt(u_n)``: each partial product is a scale itself, so none
+    underflows before its own value does, as the product of the ``u_n``
+    would.  The ``q_k`` come from :func:`_unit_values`.
+    """
+    import numpy as np
+
+    w = rule.target
+    rows, units = _expansion(w, polys)
+    top = rows.shape[1] - 1
+    steps = _steps(w, top).steps
+    s = np.array([step[2] for step in steps[:top + 1]])
+    rows *= s
+    scales = np.ones(len(polys))
+    if units:
+        i, k = np.array(units).T
+        rows[i, k], scales[i] = 1.0, s[k]
+    return rows @ _unit_values(rule, steps, top), scales
+
+
+def _unit_values(rule: QuadratureRule, steps, top: int) -> np.ndarray:
+    """``q_0..q_top`` at the rule's nodes, from the orthonormal recurrence without cancellation.
+
+    ``sqrt(u_{n+1}) q_{n+1} = (x - b_n) q_n - sqrt(u_n) q_{n-1}`` for even
+    ``n``.  For odd ``n`` two steps fold into one (Gautschi, *Orthogonal
+    Polynomials: Computation and Approximation*, 2004):
+    ``sqrt(u_n u_{n+1}) q_{n+1} = B_n q_{n-1} - (x - b_n) sqrt(u_{n-1}) q_{n-2}``,
+    with ``B_n = (x - b_n)(x - b_{n-1}) - u_n = z (2|c| + z) + K0_n - K1_n x``.
+    ``z = |x| - |c|`` is the rule's gap, so ``x^2 - c^2`` never forms, and
+    ``K0_n = c^2 - u_n + b_n b_{n-1}`` and ``K1_n = b_n + b_{n-1}`` are
+    exact rationals rounded once (:func:`_steps`).  Next to ``|c| = 1`` the
+    nodes lie within ``1e-5`` of ``±c``, where ``x^2 - u_n`` would cancel
+    O(1) terms down to O(1e-5).
+    """
+    import numpy as np
+
+    x, z = np.asarray(rule.nodes), np.asarray(rule.gaps)
+    b, r, _, k0, k1 = zip(*steps[:top + 1])
+    x_b = x - np.array(b[:top])[:, None]  # x - b_n, n < top
+    odd = slice(1, top, 2)
+    c = float(abs(rule.target.normal_form[2]))
+    fold = z * (2 * c + z) + np.array(k0[odd])[:, None] - np.array(k1[odd])[:, None] * x
+    q = np.empty((top + 1, x.size))
+    q[0] = 1.0
+    for n in range(top):
+        if n % 2 == 0:
+            np.multiply(x_b[n], q[n], out=q[n + 1])
+            if n:
+                q[n + 1] -= r[n] * q[n - 1]
+            q[n + 1] /= r[n + 1]
+        else:
+            np.multiply(fold[n // 2], q[n - 1], out=q[n + 1])
+            if n > 1:
+                q[n + 1] -= x_b[n] * (r[n - 1] * q[n - 2])
+            q[n + 1] /= r[n] * r[n + 1]
+    return q
 
 
 def _default_order(degree_sum: int) -> int:
-    """Gauss order for integrands of x-degree at most ``degree_sum``: ``degree_sum + 10``.
+    """Gauss order for integrands of x-degree at most ``degree_sum``: the exact order plus 10.
 
     On a node pair ``±x`` an integrand of x-degree ``d`` is one of
     y-degree at most ``ceil(d / 2)`` in ``y = x^2``, and an order-``n``
-    rule is exact to y-degree ``2n - 1``.  ``d + 10`` nodes are about four
-    times the ``(d / 2 + 1) / 2`` that exactness needs, and at least ten.
+    rule is exact to y-degree ``2n - 1``, so ``(ceil(d / 2) + 2) // 2``
+    nodes are exact; ten more are the margin.  The node table has no
+    cancellation to outrun (:func:`_unit_values`), so more nodes would only
+    add rounding.
     """
-    return degree_sum + 10
+    return (-(-degree_sum // 2) + 2) // 2 + 10
 
 
 def inner_product(w: WeightFunction, p: LaurentPoly, q: LaurentPoly,
@@ -292,13 +371,15 @@ def inner_product(w: WeightFunction, p: LaurentPoly, q: LaurentPoly,
 
     The integrand's x-degree ``d = deg p + deg q`` is y-degree at most
     ``ceil(d / 2)``, which an order-``n`` rule integrates exactly once
-    ``2n - 1 >= ceil(d / 2)``; the default order ``d + 10`` is about four
-    times that.
+    ``2n - 1 >= ceil(d / 2)``; the default order is the least such ``n``
+    plus 10.  The sum is ``s_p s_q fsum(w_k (p_k q_k))`` over the unit-frame
+    rows, with every product commutative, so swapping ``p`` and ``q``
+    gives the same bits.
     """
     deg = (p.degree or 0) + (q.degree or 0)
     rule = quadrature_rule(w, order if order is not None else _default_order(deg))
-    pv, qv = _node_table(rule, (p, q)).tolist()
-    return math.fsum(wt * a * b for wt, a, b in zip(rule.weights, pv, qv))
+    (pv, qv), (sp, sq) = (values.tolist() for values in _node_table(rule, (p, q)))
+    return sp * sq * math.fsum(wt * (a * b) for wt, a, b in zip(rule.weights, pv, qv))
 
 
 def moment(w: WeightFunction, n: int, order: int | None = None) -> float:
@@ -312,26 +393,33 @@ def moment(w: WeightFunction, n: int, order: int | None = None) -> float:
 class GramMatrix:
     """Matrix of pairwise inner products for a polynomial basis.
 
-    ``order`` is the Gauss rule's order that computed it (``None`` for a
-    matrix built by hand).
+    ``entries[i, j]`` is ``<p_i, p_j>``.  ``unit`` is the same matrix over
+    the node table's rows, ``entries = s_i s_j unit``: a ``P_k`` enters as
+    ``q_k = P_k / s_k``, so its diagonal entry there is ``h_0`` however
+    small the monic ``h_k`` get.  ``order`` is the Gauss rule's order that
+    computed it.  A matrix built by hand leaves ``unit`` and ``order`` at
+    ``None``, and its entries are its unit frame.
     """
 
     entries: np.ndarray
     basis: tuple
     order: int | None = None
+    unit: np.ndarray | None = None
 
     def normalization(self, n: int) -> float:
         return float(self.entries[n, n])
 
     def max_relative_off_diagonal(self) -> float:
-        """Largest ``|g_ij| / sqrt(|g_ii g_jj|)`` over ``i < j``.
+        """Largest ``|g_ij| / sqrt(|g_ii g_jj|)`` over ``i < j``, read in the unit frame.
 
-        A pair whose ``sqrt(|g_ii g_jj|)`` is zero in float64 (an underflowed
+        The ratio does not depend on the frame, and there no pair underflows
+        while its rows are representable.  A pair whose
+        ``sqrt(|g_ii|) sqrt(|g_jj|)`` is zero in float64 (a zero
         normalization) cannot be checked and counts as ``inf``.
         """
         import numpy as np
 
-        g = self.entries
+        g = self.entries if self.unit is None else self.unit
         i, j = np.triu_indices(g.shape[0], 1)
         root = np.sqrt(np.abs(np.diag(g)))
         denom = root[i] * root[j]
@@ -349,20 +437,33 @@ class GramMatrix:
 def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatrix:
     """All pairwise inner products of ``polys`` under ``w``.
 
-    One float64 matmul of the node table against the rule weights.
-    With positive weights, Cauchy-Schwarz bounds ``sum_k w_k |P_i P_j|`` by
-    ``sqrt(h_i h_j)``, so each entry's summation error relative to
-    ``sqrt(h_i h_j)`` stays below about ``n_nodes * eps`` (~2e-14 at
-    order 40, 80 nodes) without compensated summation.
+    One float64 matmul of the unit-frame node table against the rule
+    weights, then ``entries = s_i s_j unit``.  With positive weights,
+    Cauchy-Schwarz bounds ``sum_k w_k |r_i r_j|`` by ``sqrt(g_ii g_jj)``,
+    so each entry's summation error relative to ``sqrt(g_ii g_jj)`` stays
+    below about ``n_nodes * eps`` (~1e-14 at order 31, 62 nodes) without
+    compensated summation.
     """
     import numpy as np
 
     polys = tuple(polys)
     max_deg = max((p.degree or 0) for p in polys) if polys else 0
     rule = quadrature_rule(w, order if order is not None else _default_order(2 * max_deg))
-    table = _node_table(rule, polys)
+    table, scales = _node_table(rule, polys)
     g = (table * np.asarray(rule.weights)) @ table.T
-    return GramMatrix(entries=(g + g.T) / 2.0, basis=polys, order=rule.order)
+    unit = (g + g.T) / 2.0
+    return GramMatrix(entries=np.outer(scales, scales) * unit, basis=polys,
+                      order=rule.order, unit=unit)
+
+
+def _symmetry_rows(op, top: int) -> list:
+    """``x^0..x^top`` and their images ``L x^0..L x^top``, read off ``op``'s band."""
+    band = op.band(top)
+    monos = [Polynomial.monomial(k) for k in range(top + 1)]
+    images = [Polynomial._from_clean({k - i: Fraction(t, band.scale)
+                                      for i, t in enumerate(band.rows[k]) if t})
+              for k in range(top + 1)]
+    return monos + images
 
 
 def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) -> np.ndarray:
@@ -370,20 +471,15 @@ def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) ->
 
     The block ``entries[:top + 1, top + 1:]`` of the Gram matrix of
     ``x^0..x^top`` and their images ``L x^k``, read off ``op``'s band; each
-    is one connection row or an integer combination of at most four.  Its
-    integrands have x-degree at most ``2 top``, so y-degree at most
-    ``top``, and an order-``n`` rule is exact to y-degree ``2n - 1``: the
-    default order ``2 top + 10`` integrates them to rounding, and so does
-    any order above ``top / 2``.  ``certify`` passes the order of
-    its own Gram matrix (``GramMatrix.order``), so one call builds one rule
-    and the second request reads it off the weight.
+    is one connection row or an integer combination of at most four, scaled
+    into the unit frame by the table's ``s_j``.  Its integrands have
+    x-degree at most ``2 top``, so y-degree at most ``top``, and an
+    order-``n`` rule is exact to y-degree ``2n - 1``: the default order
+    ``top // 2 + 11`` integrates them to rounding, and so does any order
+    above ``top / 2``.  :func:`certify` reads the same block off its one
+    Gram matrix, whose rows include these.
     """
-    band = op.band(top)
-    monos = [Polynomial.monomial(k) for k in range(top + 1)]
-    images = [Polynomial._from_clean({k - i: Fraction(t, band.scale)
-                                      for i, t in enumerate(band.rows[k]) if t})
-              for k in range(top + 1)]
-    return gram_matrix(w, monos + images, order=order).entries[:top + 1, top + 1:]
+    return gram_matrix(w, _symmetry_rows(op, top), order=order).entries[:top + 1, top + 1:]
 
 
 @dataclass(frozen=True)
@@ -399,18 +495,23 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     """The five checks of ``family`` at degrees ``0..N``, as :class:`Check` records.
 
     ``eigen-residual``, ``orthogonality``, ``positivity``, ``symmetry`` and
-    ``pearson``, on one Gauss rule of ``order`` (default ``2N + 10``).
-    The Gram and symmetry integrands have x-degree at most ``2N``, so
-    y-degree at most ``N``, and an order-``n`` rule is exact to y-degree
-    ``2n - 1``: ``2N + 10`` is about four times the ``(N + 1) / 2`` nodes
-    that exactness needs.  The weight's table gives the recurrence and the
+    ``pearson``.  Both float checks read one Gram matrix, on one Gauss rule
+    of ``order`` (default ``N // 2 + 11``): that of ``P_0..P_N``,
+    ``x^0..x^top`` and ``L x^0..L x^top``, ``top = min(N, 10)``.  Its
+    integrands have x-degree at most ``2N``, so y-degree at most ``N``, and
+    an order-``n`` rule is exact to y-degree ``2n - 1``: ``N // 2 + 1``
+    nodes are exact, and the default adds ten.  The orthogonality figure
+    is read off the ``P`` block in the node table's unit frame
+    (``GramMatrix.unit``), where no normalization underflows at any ``N``.
+    The weight's table gives the recurrence and the
     ``P_n`` once; exact residuals on their integer forms (``eigen_defects``,
     one band grown to degree ``N``), all zero, prove them the monic
     eigenpolynomials, with no solve and no ``Fraction`` formed.
     Positivity is Favard's theorem: ``h_0 > 0`` and every exact
     ``u_n > 0`` make the functional positive definite, with those residuals
-    zero.  The symmetry block ``<x^i, L x^j>``, ``i, j <= min(N, 10)``, is
-    :func:`symmetry_block` on the Gram matrix's rule (``GramMatrix.order``).
+    zero.  The symmetry figure reads the block ``<x^i, L x^j>``, ``i, j <=
+    top``, the block that :func:`symmetry_block` computes on its own (to
+    rounding: the matmul sums in another order).
     The Pearson figure is :func:`.weights.pearson_defect`.
 
     ``big_weight`` rejects parameters outside the family.  Inside it,
@@ -423,15 +524,17 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     polys = orthogonal_polynomials(w, N)
     bad = eigen_defects(op, polys)
 
-    g = gram_matrix(w, polys, order=order)
-    off = g.max_relative_off_diagonal()
+    top, end = min(N, 10), N + 1
+    g = gram_matrix(w, polys + _symmetry_rows(op, top), order=order)
+    off = GramMatrix(g.entries[:end, :end], g.basis[:end], g.order,
+                     g.unit[:end, :end]).max_relative_off_diagonal()
     h0 = g.normalization(0)
     positivity = f"h0={h0:.3e}"
     if N >= 1:
         umin, nmin = min((u, n) for n, (_, u) in enumerate(recurrence) if n >= 1)
         positivity += f" min_u={float(umin):.3e} at n={nmin}"
 
-    b = symmetry_block(w, op, min(N, 10), order=g.order)
+    b = g.entries[end:end + top + 1, end + top + 1:]
     sym = float((abs(b - b.T) / (abs(b) + abs(b.T) + 1.0)).max())
     pearson = pearson_defect(w, op)
     return (
@@ -512,12 +615,14 @@ class ThreeTermTable:
     its ``Fraction`` map only when it is read.  ``connection[m]`` is the row
     ``C[m]`` of ``x^m = sum_j C[m][j] P_j``, j = 0..m, in the same form
     ``(D, v)`` with ``C[m][j] = v[j] / D``, also built from
-    ``coefficients[:m]``.
+    ``coefficients[:m]``.  ``steps[n]`` is the node table's floats
+    ``(b_n, sqrt(u_n), s_n, K0_n, K1_n)`` (see :func:`_steps`).
     """
 
     coefficients: tuple = ()
     polys: tuple = ()
     connection: tuple = ()
+    steps: tuple = ()
 
 
 def _coefficients(w: WeightFunction, n: int) -> ThreeTermTable:
@@ -598,6 +703,42 @@ def _basis(w: WeightFunction, n: int) -> ThreeTermTable:
         g = math.gcd(*v)  # v[k + 1] = den, so g divides den
         polys.append(_IntegerPolynomial(den // g, tuple(t // g for t in v)))
     table = replace(table, polys=tuple(polys))
+    object.__setattr__(w, "_table", table)
+    return table
+
+
+def _steps(w: WeightFunction, n: int) -> ThreeTermTable:
+    """``w``'s table with the unit recurrence's floats for indices ``0..n``, grown on demand.
+
+    ``steps[k] = (b_k, r_k, s_k, K0_k, K1_k)``: ``r_k = sqrt(u_k)``
+    (``r_0 = 0``), the scale ``s_k = r_1 ... r_k`` of ``P_k = s_k q_k``,
+    and at odd ``k`` the fold's ``K0_k = c^2 - u_k + b_k b_{k-1}`` and
+    ``K1_k = b_k + b_{k-1}`` (0 at even ``k``).  Each is rounded once from
+    the integer numerators and denominators of the exact ``(b_k, u_k)``,
+    with no ``Fraction`` formed.
+    """
+    table = _coefficients(w, n + 1)
+    if len(table.steps) > n:
+        return table
+    c = w.normal_form[2]
+    cn, cd = c.numerator ** 2, c.denominator ** 2
+    steps = list(table.steps)
+    for k in range(len(steps), n + 1):
+        b, u = table.coefficients[k]
+        bn, bd = b.numerator, b.denominator
+        if not k:
+            steps.append((bn / bd, 0.0, 1.0, 0.0, 0.0))
+            continue
+        un, ud = u.numerator, u.denominator
+        r = math.sqrt(un / ud)
+        k0 = k1 = 0.0
+        if k % 2:
+            b_prev = table.coefficients[k - 1][0]
+            pn, pd = b_prev.numerator, b_prev.denominator
+            k0 = ((cn * ud - un * cd) * bd * pd + bn * pn * cd * ud) / (cd * ud * bd * pd)
+            k1 = (bn * pd + pn * bd) / (bd * pd)
+        steps.append((bn / bd, r, steps[-1][2] * r, k0, k1))
+    table = replace(table, steps=tuple(steps))
     object.__setattr__(w, "_table", table)
     return table
 

@@ -192,9 +192,9 @@ def test_criterion_06_operator_symmetry(family_grid):
 
 
 def test_symmetry_block_at_the_gram_order(family_grid):
-    # certify runs its symmetry block on the Gram matrix's rule; at N >= 16
-    # that rule's order passes 40, and the block must still agree with the
-    # order-40 block under the symmetry check's own measure and tolerance
+    # certify runs its symmetry block on the Gram matrix's rule, of order
+    # N // 2 + 11, and the block must still agree with the order-40 block
+    # under the symmetry check's own measure and tolerance
     worst, orders = 0.0, set()
     for fam, w, op, _ in family_grid:
         ref = symmetry_block(w, op, 10, order=40)
@@ -203,17 +203,17 @@ def test_symmetry_block_at_the_gram_order(family_grid):
             b = symmetry_block(w, op, 10, order=order)
             worst = max(worst, float((abs(b - ref) / (abs(b) + abs(ref) + 1.0)).max()))
             orders.add(order)
-    assert orders == {42, 50, 90}
+    assert orders == {19, 21, 31}
     assert worst <= 1e-10
     print(f"symmetry block at Gram orders {sorted(orders)} vs order 40 on 64 families: "
           f"worst {worst:.2e} (tol 1e-10)")
 
 
 def test_certify_at_small_N_matches_order_40(family_grid):
-    # below N = 15 certify's default rule has 2N + 10 < 40 nodes; its
-    # integrands have y-degree at most N, well inside the rule's exact
-    # range, so the verdicts are those of an order-40 rule and the float
-    # figures stay at rounding level
+    # below N = 15 certify's default rule has N // 2 + 11 < 40 nodes; its
+    # integrands have y-degree at most N, inside the rule's exact range
+    # (N // 2 + 1 nodes suffice), so the verdicts are those of an order-40
+    # rule and the float figures stay at rounding level
     worst = {"orthogonality": 0.0, "symmetry": 0.0}
     for fam, _, _, _ in family_grid:
         for N in range(15):
@@ -223,21 +223,22 @@ def test_certify_at_small_N_matches_order_40(family_grid):
                 if c.name in worst:
                     worst[c.name] = max(worst[c.name], float(c.detail.split()[0].split("=")[1]))
     assert max(worst.values()) <= 1e-14, worst
-    print(f"certify(fam, N <= 14) at order 2N + 10 vs 40 on {len(family_grid)} families: "
+    print(f"certify(fam, N <= 14) at order N // 2 + 11 vs 40 on {len(family_grid)} families: "
           f"same verdicts, worst orthogonality {worst['orthogonality']:.1e}, "
           f"symmetry {worst['symmetry']:.1e}")
 
 
 def test_default_moment_order_matches_order_40(family_grid):
-    # moment(w, n) runs at order n + 10; odd moments are exactly zero, so
-    # the difference is measured against m_0, not relative to m_n
+    # moment(w, n) runs at order (ceil(n / 2) + 2) // 2 + 10; odd moments
+    # are exactly zero, so the difference is measured against m_0, not
+    # relative to m_n
     worst = 0.0
     for _, w, _, _ in family_grid:
         m0 = moment(w, 0, order=40)
         for n in range(29):
             worst = max(worst, abs(moment(w, n) - moment(w, n, order=40)) / m0)
     assert worst <= 1e-14
-    print(f"moment(w, n <= 28) at order n + 10 vs 40 on {len(family_grid)} families: "
+    print(f"moment(w, n <= 28) at the default order vs 40 on {len(family_grid)} families: "
           f"worst {worst:.1e} * m_0")
 
 

@@ -237,6 +237,14 @@ class TestCertify:
         assert code == 0
         assert out.count("PASS") == 5
 
+    def test_large_n_does_not_underflow(self, capsys):
+        # the monic h_n are 0.0 in float64 from n = 441 here; the orthogonality
+        # figure is read in the unit frame, where none is
+        code, out, _ = run(["certify", "--alpha", "1", "--beta", "1", "--c", "1/2",
+                            "--N", "500"], capsys)
+        assert code == 0
+        assert out.count("PASS") == 5
+
     def test_positivity_needs_the_recurrence_polynomials(self, capsys, monkeypatch):
         # The eigenpolynomials must equal the closed-form P_n exactly.  A wrong
         # top P_n leaves h_0 and the exact u_n as they are, so only that link
@@ -273,7 +281,7 @@ class TestCertify:
         argv = ["certify", "--alpha", "1", "--beta", "1", "--c", "1/2", "--N", str(N)]
         code, out, _ = run(argv + (["--order", str(order)] if order else []), capsys)
         assert code == 0 and out.count("PASS") == 5
-        assert calls == [order or 2 * N + 10]
+        assert calls == [order or N // 2 + 11]
 
     @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
     def test_one_exact_computation(self, family, capsys, monkeypatch):

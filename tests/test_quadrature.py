@@ -132,6 +132,20 @@ class TestRule:
         node_tol, weight_tol = wide if WIDE_LONGDOUBLE else narrow
         assert node_err <= node_tol and weight_err <= weight_tol
 
+    @pytest.mark.parametrize("c", [Fraction(99, 100), Fraction(99999, 100000)])
+    def test_negative_c_rule_is_the_mirror_image(self, c):
+        # scaling x by -1 gives the normal form (alpha, beta, -c, -1); its
+        # rule must be the positive-c rule reflected, not lose x + c to
+        # cancellation next to the inner endpoint
+        params = BigJacobiParams(1, 1, c)
+        neg = solve_pearson(build(scale_params(big_operator(params), 1, -1)))
+        assert neg.normal_form[2:] == (-c, -1)
+        rule, mirror = quadrature_rule(big_weight(params), 40), quadrature_rule(neg, 40)
+        assert mirror.nodes == tuple(-x for x in reversed(rule.nodes))
+        assert mirror.gaps == tuple(reversed(rule.gaps))
+        worst = max(abs(a / b - 1) for a, b in zip(mirror.weights, reversed(rule.weights)))
+        assert worst <= 1e-15
+
     @pytest.mark.parametrize("a, b", [(Fraction(-199, 200), -HALF), (HALF, -HALF), (0, 0)])
     @pytest.mark.parametrize("order", [1, 2, 3, 40, 90])
     def test_nodes_match_tridiagonal_eigensolve(self, order, a, b):
@@ -330,8 +344,8 @@ class TestGram:
 
     def test_records_its_rule_order(self):
         w = big_weight(BigJacobiParams(1, 1, HALF))
-        for N, order, expected in ((3, None, 16), (15, None, 40), (16, None, 42),
-                                   (30, None, 70), (3, 7, 7), (30, 50, 50)):
+        for N, order, expected in ((3, None, 12), (15, None, 18), (16, None, 19),
+                                   (30, None, 26), (3, 7, 7), (30, 50, 50)):
             assert gram_matrix(w, orthogonal_polynomials(w, N), order=order).order == expected
         assert GramMatrix(entries=np.eye(2), basis=()).order is None
 
@@ -392,27 +406,37 @@ class TestGram:
         assert GramMatrix(entries=g, basis=()).max_relative_off_diagonal() == math.inf
         assert GramMatrix(entries=g[:1, :1], basis=()).max_relative_off_diagonal() == 0.0
 
-    def test_underflowed_normalization_is_not_skipped(self):
-        # h_60 underflows to 0.0 here; its 60 pairs cannot be checked, so the
-        # figure is inf rather than the largest ratio among the other pairs
-        params = BigJacobiParams(1, 1, Fraction(99999, 100000))
-        eigs = eigen_sequence(build(big_operator(params)), 60)
-        g = gram_matrix(big_weight(params), [e.poly for e in eigs], order=40)
-        assert g.normalization(60) == 0.0 and g.normalization(59) > 0.0
-        assert g.max_relative_off_diagonal() == math.inf
-
-    def test_small_normalizations_do_not_underflow_in_pairs(self):
-        # no h is 0 here (the smallest is about 1e-222), but h_i h_j underflows
-        # for 127 pairs; sqrt(h_i) sqrt(h_j) does not, so every pair is checked
+    @pytest.mark.parametrize("N", [40, 60])
+    def test_underflowing_normalizations_are_checked_in_the_unit_frame(self, N):
+        # the monic h_n fall to about 1e-222 at N = 40 and to 0.0 by N = 60
+        # here, but the unit frame's <q_i, q_j> keep h_0 on the diagonal, so
+        # every pair is checked and the figure is finite and within 1e-10
         w = big_weight(BigJacobiParams(1, 1, Fraction(99999, 100000)))
-        g = gram_matrix(w, orthogonal_polynomials(w, 40))
-        h = np.diag(g.entries)
-        i, j = np.triu_indices(41, 1)
-        assert h.min() > 0.0 and np.count_nonzero(h[i] * h[j] == 0.0) == 127
+        g = gram_matrix(w, orthogonal_polynomials(w, N))
+        assert g.normalization(40) < 1e-200 and (N < 60 or g.normalization(60) == 0.0)
         off = g.max_relative_off_diagonal()
-        assert math.isfinite(off) and off > 1e-10  # still fails certify's tolerance
-        root = np.sqrt(h)
-        assert off == (np.abs(g.entries[i, j]) / (root[i] * root[j])).max()
+        assert math.isfinite(off) and off <= 1e-10
+        unit = np.diag(g.unit)
+        assert np.all(np.abs(unit / unit[0] - 1) <= 1e-12)
+        i, j = np.triu_indices(N + 1, 1)
+        root = np.sqrt(unit)
+        assert off == (np.abs(g.unit[i, j]) / (root[i] * root[j])).max()
+
+    @pytest.mark.parametrize("N", [40, 200, 500])
+    def test_orthogonality_near_c_one(self, N):
+        w = big_weight(BigJacobiParams(1, 1, Fraction(99999, 100000)))
+        assert gram_matrix(w, orthogonal_polynomials(w, N)).max_relative_off_diagonal() <= 1e-10
+
+    def test_entries_are_the_scaled_unit_frame(self):
+        # entries keep meaning <p_i, p_j>: s_i s_j <q_i, q_j>, symmetric bit
+        # for bit, and in the monomial rows the unit frame is the entries
+        w = big_weight(BigJacobiParams(HALF, 2, Fraction(1, 4)))
+        polys = orthogonal_polynomials(w, 8) + [Polynomial.monomial(k) for k in range(5)]
+        g = gram_matrix(w, polys)
+        assert np.array_equal(g.entries, g.entries.T)
+        s = np.sqrt(np.cumprod([1.0] + [float(u) for _, u in recurrence_coefficients(w, 8)[1:]]))
+        assert np.allclose(np.diag(g.entries)[:9], g.unit[0, 0] * s * s, rtol=1e-13, atol=0)
+        assert np.array_equal(g.entries[9:, 9:], g.unit[9:, 9:])
 
     def test_csv_export(self):
         g = gram_matrix(W_LITTLE_10, [Polynomial.one(), Polynomial.monomial(1)])
@@ -673,7 +697,8 @@ class TestThreeTermTable:
     ])
     def test_node_rows_match_subtraction_expansion(self, weight):
         # Rows other than a P_k are sums of connection rows; the expansion is
-        # unique, so each rounds as the subtraction oracle's does, bit for bit.
+        # unique, so each rounds as the subtraction oracle's does, bit for bit,
+        # before the row scale is applied.
         w = weight()
         basis = orthogonal_polynomials(weight(), 12)
         rng = random.Random(17)
@@ -682,13 +707,52 @@ class TestThreeTermTable:
             *(Polynomial({j: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                           for j in range(rng.randint(0, 12) + 1)}) for _ in range(6)),
         ]
-        rule = quadrature_rule(w, 20)
-        values = quad_mod._node_table(rule, basis)  # unit rows: the P_j at the nodes
         rows = np.zeros((len(polys), 13))
         for row, p in zip(rows, polys):
             exact = p_basis_expansion(p, basis)
             row[:len(exact)] = [float(v) for v in exact]
-        assert np.array_equal(quad_mod._node_table(rule, polys), rows @ values)
+        expansion, units = quad_mod._expansion(w, polys)
+        assert np.array_equal(expansion, rows)
+        assert (0, 0) in units and (13, 5) in units
+        # in the unit frame a P_k is q_k with scale s_k; any other row is its
+        # expansion times the s_j, with scale 1
+        rule = quadrature_rule(w, 20)
+        values, s = quad_mod._node_table(rule, basis)  # the q_j at the nodes, and s_j
+        scaled, scales = rows * s, np.ones(len(polys))
+        for i, k in units:
+            scaled[i], scales[i] = np.eye(13)[k], s[k]
+        table, got = quad_mod._node_table(rule, polys)
+        assert np.array_equal(table, scaled @ values) and np.array_equal(got, scales)
+
+    def test_unit_table_matches_40_digit_mpmath_values(self):
+        # q_k = P_k / sqrt(u_1 ... u_k) at certify's N = 40 nodes next to
+        # c = 1, against the monic recurrence in 40-digit mpmath; the worst
+        # error relative to each row's largest value measured 1.2e-14
+        # (x86-64), and the scales, products of 40 rounded sqrt(u_n), 2.2e-15
+        mpmath = pytest.importorskip("mpmath")
+        N = 40
+        w = big_weight(BigJacobiParams(1, 1, Fraction(99999, 100000)))
+        rule = quadrature_rule(w, quad_mod._default_order(2 * N))
+        table, scales = quad_mod._node_table(rule, orthogonal_polynomials(w, N))
+        coeffs = recurrence_coefficients(w, N)
+        with mpmath.workdps(40):
+            mp = mpmath.mp
+            b = [mp.mpf(q.numerator) / q.denominator for q, _ in coeffs]
+            u = [None] + [mp.mpf(q.numerator) / q.denominator for _, q in coeffs[1:]]
+            norms = [mp.sqrt(mp.fprod(u[1:k + 1])) for k in range(N + 1)]
+            ref = []
+            c = mp.mpf(99999) / 100000
+            for node, z in zip(rule.nodes, rule.gaps):
+                # the node the rule's gap z places: x = ±(c + z)
+                x = mp.sign(node) * (c + mp.mpf(z))
+                p = [mp.mpf(1), x - b[0]]
+                for n in range(1, N):
+                    p.append((x - b[n]) * p[n] - u[n] * p[n - 1])
+                ref.append([pk / norm for pk, norm in zip(p, norms)])
+            ref = np.array(ref, dtype=float).T
+            scale_err = max(abs(float(s / norm) - 1) for s, norm in zip(scales, norms))
+        err = np.max(np.abs(table - ref), axis=1) / np.max(np.abs(ref), axis=1)
+        assert err.max() <= 1e-13 and scale_err <= 2e-14
 
     @pytest.mark.parametrize("alpha, beta, c", [(1, 1, HALF), (HALF, 2, 0)])
     def test_table_rows_grow_no_connection_rows(self, alpha, beta, c):
