@@ -19,8 +19,8 @@ accuracy next to a singular endpoint.  The map to ``x`` takes the
 interval's half-width and midpoint from exact rationals and forms
 ``z = |x| - |c|`` and ``|d| - |x|`` from ``1 + t`` and ``1 - t``, so a
 narrow interval loses nothing to cancellation between rounded endpoints,
-whatever the signs of ``c`` and ``d``.  Each weight keeps the rules built
-for it, one per order, as node, weight and gap (``z``) tuples.
+whatever the signs of ``c`` and ``d``.  A rule is node, weight and gap
+(``z``) tuples, built afresh on each request: no call reads one twice.
 
 Each polynomial is written exactly in the monic orthogonal basis ``P_k``,
 whose recurrence is known in closed form (the big -1 Jacobi polynomials of
@@ -45,13 +45,13 @@ and are handed out as polynomials that carry that form and build their
 ``Fraction`` maps only when read; the rows come the same way from
 ``C[m+1][i] = C[m][i-1] + b_i C[m][i] + u_{i+1} C[m][i+1]``.  A float
 enters as one correctly rounded ``int / int`` division, the float that
-``float(Fraction)`` gives, so no value read off the table changes.
-The table also keeps the node recurrence's floats, each rounded once.
+``float(Fraction)`` gives, so no value read off the table changes; the
+node recurrence's floats are rounded that way, once per node table.
 ``recurrence_coefficients``, ``orthogonal_polynomials``,
 ``connection_coefficients``, the node evaluation and :func:`certify` all
-read that table.  The table and the rules belong to the weight object,
-never to a key hashed from it, so a freshly built weight starts cold and
-nothing outlives it.
+read that table.  The table belongs to the weight object, never to a key
+hashed from it, so a freshly built weight starts cold and nothing
+outlives it.
 
 numpy is imported inside the functions that compute in floats, so
 importing the package, and every path that stays exact, never loads it.
@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING
 
 from .dunkl import build
 from .eigen import eigen_defects
-from .errors import DegenerateSpectrum, NonIntegrable, UnsupportedWeight
+from .errors import DegenerateSpectrum, NonIntegrable, ParameterRange, UnsupportedWeight
 from .laurent import LaurentPoly, Polynomial, _IntegerPolynomial
 from .weights import BigJacobiParams, WeightFunction, big_operator, big_weight, pearson_defect
 
@@ -195,7 +195,7 @@ def _integrability_exponents(w: WeightFunction):
 
 
 def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
-    """Gauss rule with ``order`` y-nodes (2*order mirrored x-nodes), kept on ``w``.
+    """Gauss rule with ``order`` y-nodes (2*order mirrored x-nodes), built on each call.
 
     Exact (to rounding) for polynomial integrands whose even/odd transform
     has y-degree at most ``2*order - 1``.  With ``y = x^2`` on
@@ -206,12 +206,9 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     ``half (1 - t) / (|d| + |x|)``, with ``half = (d^2 - c^2) / 2`` rounded
     once from the exact rationals, so neither cancels next to an endpoint,
     whatever the signs of ``c`` and ``d``.  ``gaps`` holds ``z`` for each
-    node (mirrored nodes share it), which the node table reads.  The first
-    request for an order builds it, and ``w`` keeps its node, weight and gap
-    tuples, which do not refer back to ``w``.
+    node (mirrored nodes share it), which the node table reads.  Nothing
+    is kept on ``w``: every caller reads its rule once.
     """
-    if order in w._rules:
-        return QuadratureRule(*w._rules[order], target=w, order=order)
     import numpy as np
 
     _require_positive_family(w)
@@ -240,9 +237,8 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     def mirrored(left, right):
         return tuple(np.concatenate((left[::-1], right)).astype(np.float64).tolist())
 
-    nodes, weights, gaps = mirrored(-x, x), mirrored(w_minus, w_plus), mirrored(z, z)
-    w._rules[order] = nodes, weights, gaps
-    return QuadratureRule(nodes=nodes, weights=weights, gaps=gaps, target=w, order=order)
+    return QuadratureRule(nodes=mirrored(-x, x), weights=mirrored(w_minus, w_plus),
+                          gaps=mirrored(z, z), target=w, order=order)
 
 
 def _expansion(w: WeightFunction, polys) -> tuple:
@@ -297,25 +293,22 @@ def _node_table(rule: QuadratureRule, polys) -> tuple:
     multiply, with scale 1.  The ``s_j`` are running products of the
     rounded ``sqrt(u_n)``: each partial product is a scale itself, so none
     underflows before its own value does, as the product of the ``u_n``
-    would.  The ``q_k`` come from :func:`_unit_values`.
+    would.  The ``q_k`` and ``s_k`` come from :func:`_unit_values`.
     """
     import numpy as np
 
-    w = rule.target
-    rows, units = _expansion(w, polys)
-    top = rows.shape[1] - 1
-    steps = _steps(w, top).steps
-    s = np.array([step[2] for step in steps[:top + 1]])
+    rows, units = _expansion(rule.target, polys)
+    q, s = _unit_values(rule, rows.shape[1] - 1)
     rows *= s
     scales = np.ones(len(polys))
     if units:
         i, k = np.array(units).T
         rows[i, k], scales[i] = 1.0, s[k]
-    return rows @ _unit_values(rule, steps, top), scales
+    return rows @ q, scales
 
 
-def _unit_values(rule: QuadratureRule, steps, top: int) -> np.ndarray:
-    """``q_0..q_top`` at the rule's nodes, from the orthonormal recurrence without cancellation.
+def _unit_values(rule: QuadratureRule, top: int) -> tuple:
+    """``(q, s)``: ``q_0..q_top`` at the rule's nodes, without cancellation, and ``s_0..s_top``.
 
     ``sqrt(u_{n+1}) q_{n+1} = (x - b_n) q_n - sqrt(u_n) q_{n-1}`` for even
     ``n``.  For odd ``n`` two steps fold into one (Gautschi, *Orthogonal
@@ -324,18 +317,33 @@ def _unit_values(rule: QuadratureRule, steps, top: int) -> np.ndarray:
     with ``B_n = (x - b_n)(x - b_{n-1}) - u_n = z (2|c| + z) + K0_n - K1_n x``.
     ``z = |x| - |c|`` is the rule's gap, so ``x^2 - c^2`` never forms, and
     ``K0_n = c^2 - u_n + b_n b_{n-1}`` and ``K1_n = b_n + b_{n-1}`` are
-    exact rationals rounded once (:func:`_steps`).  Next to ``|c| = 1`` the
-    nodes lie within ``1e-5`` of ``±c``, where ``x^2 - u_n`` would cancel
-    O(1) terms down to O(1e-5).
+    exact rationals rounded once.  Next to ``|c| = 1`` the nodes lie within
+    ``1e-5`` of ``±c``, where ``x^2 - u_n`` would cancel O(1) terms down to
+    O(1e-5).  The scale of ``P_k = s_k q_k`` is ``s_k = r_1 ... r_k``, a
+    running product of the rounded ``r_n = sqrt(u_n)``.  Every float is
+    rounded once from the integer numerators and denominators of the
+    weight's exact ``(b_n, u_n)``, with no ``Fraction`` formed.
     """
     import numpy as np
 
+    w = rule.target
+    coefficients = _coefficients(w, top + 1).coefficients[:top + 1]
+    c = w.normal_form[2]
+    cn, cd = c.numerator ** 2, c.denominator ** 2
+    b = [bk.numerator / bk.denominator for bk, _ in coefficients]
+    r = [0.0] + [math.sqrt(u.numerator / u.denominator) for _, u in coefficients[1:]]
+    k0, k1 = [], []
+    for n in range(1, top, 2):
+        (bk, u), prev = coefficients[n], coefficients[n - 1][0]
+        bn, bd, un, ud = bk.numerator, bk.denominator, u.numerator, u.denominator
+        pn, pd = prev.numerator, prev.denominator
+        k0.append(((cn * ud - un * cd) * bd * pd + bn * pn * cd * ud) / (cd * ud * bd * pd))
+        k1.append((bn * pd + pn * bd) / (bd * pd))
+
     x, z = np.asarray(rule.nodes), np.asarray(rule.gaps)
-    b, r, _, k0, k1 = zip(*steps[:top + 1])
     x_b = x - np.array(b[:top])[:, None]  # x - b_n, n < top
-    odd = slice(1, top, 2)
-    c = float(abs(rule.target.normal_form[2]))
-    fold = z * (2 * c + z) + np.array(k0[odd])[:, None] - np.array(k1[odd])[:, None] * x
+    fold = (z * (2 * float(abs(c)) + z) + np.array(k0)[:, None]
+            - np.array(k1)[:, None] * x)
     q = np.empty((top + 1, x.size))
     q[0] = 1.0
     for n in range(top):
@@ -349,7 +357,7 @@ def _unit_values(rule: QuadratureRule, steps, top: int) -> np.ndarray:
             if n > 1:
                 q[n + 1] -= x_b[n] * (r[n - 1] * q[n - 2])
             q[n + 1] /= r[n] * r[n + 1]
-    return q
+    return q, np.cumprod([1.0, *r[1:]])
 
 
 def _default_order(degree_sum: int) -> int:
@@ -479,6 +487,8 @@ def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) ->
     above ``top / 2``.  :func:`certify` reads the same block off its one
     Gram matrix, whose rows include these.
     """
+    if top < 0:
+        raise ValueError("top must be >= 0")
     return gram_matrix(w, _symmetry_rows(op, top), order=order).entries[:top + 1, top + 1:]
 
 
@@ -500,7 +510,9 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     ``x^0..x^top`` and ``L x^0..L x^top``, ``top = min(N, 10)``.  Its
     integrands have x-degree at most ``2N``, so y-degree at most ``N``, and
     an order-``n`` rule is exact to y-degree ``2n - 1``: ``N // 2 + 1``
-    nodes are exact, and the default adds ten.  The orthogonality figure
+    nodes are exact, and the default adds ten.  A smaller ``order`` raises
+    :class:`~.errors.ParameterRange`: its figures would fail a positive
+    family.  The orthogonality figure
     is read off the ``P`` block in the node table's unit frame
     (``GramMatrix.unit``), where no normalization underflows at any ``N``.
     The weight's table gives the recurrence and the
@@ -518,6 +530,9 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     ``tau0 = 0``, ``tau1 = 2`` and ``eta = -(alpha + beta + 1) < 1``, so no
     odd eigenvalue vanishes (``check_nondegenerate``).
     """
+    if order is not None and order < N // 2 + 1:
+        raise ParameterRange(f"order {order} is below N // 2 + 1 = {N // 2 + 1}, "
+                             f"the least order exact at degree N = {N}")
     w = big_weight(family)
     op = build(big_operator(family))
     recurrence = recurrence_coefficients(w, N)
@@ -615,14 +630,12 @@ class ThreeTermTable:
     its ``Fraction`` map only when it is read.  ``connection[m]`` is the row
     ``C[m]`` of ``x^m = sum_j C[m][j] P_j``, j = 0..m, in the same form
     ``(D, v)`` with ``C[m][j] = v[j] / D``, also built from
-    ``coefficients[:m]``.  ``steps[n]`` is the node table's floats
-    ``(b_n, sqrt(u_n), s_n, K0_n, K1_n)`` (see :func:`_steps`).
+    ``coefficients[:m]``.
     """
 
     coefficients: tuple = ()
     polys: tuple = ()
     connection: tuple = ()
-    steps: tuple = ()
 
 
 def _coefficients(w: WeightFunction, n: int) -> ThreeTermTable:
@@ -703,42 +716,6 @@ def _basis(w: WeightFunction, n: int) -> ThreeTermTable:
         g = math.gcd(*v)  # v[k + 1] = den, so g divides den
         polys.append(_IntegerPolynomial(den // g, tuple(t // g for t in v)))
     table = replace(table, polys=tuple(polys))
-    object.__setattr__(w, "_table", table)
-    return table
-
-
-def _steps(w: WeightFunction, n: int) -> ThreeTermTable:
-    """``w``'s table with the unit recurrence's floats for indices ``0..n``, grown on demand.
-
-    ``steps[k] = (b_k, r_k, s_k, K0_k, K1_k)``: ``r_k = sqrt(u_k)``
-    (``r_0 = 0``), the scale ``s_k = r_1 ... r_k`` of ``P_k = s_k q_k``,
-    and at odd ``k`` the fold's ``K0_k = c^2 - u_k + b_k b_{k-1}`` and
-    ``K1_k = b_k + b_{k-1}`` (0 at even ``k``).  Each is rounded once from
-    the integer numerators and denominators of the exact ``(b_k, u_k)``,
-    with no ``Fraction`` formed.
-    """
-    table = _coefficients(w, n + 1)
-    if len(table.steps) > n:
-        return table
-    c = w.normal_form[2]
-    cn, cd = c.numerator ** 2, c.denominator ** 2
-    steps = list(table.steps)
-    for k in range(len(steps), n + 1):
-        b, u = table.coefficients[k]
-        bn, bd = b.numerator, b.denominator
-        if not k:
-            steps.append((bn / bd, 0.0, 1.0, 0.0, 0.0))
-            continue
-        un, ud = u.numerator, u.denominator
-        r = math.sqrt(un / ud)
-        k0 = k1 = 0.0
-        if k % 2:
-            b_prev = table.coefficients[k - 1][0]
-            pn, pd = b_prev.numerator, b_prev.denominator
-            k0 = ((cn * ud - un * cd) * bd * pd + bn * pn * cd * ud) / (cd * ud * bd * pd)
-            k1 = (bn * pd + pn * bd) / (bd * pd)
-        steps.append((bn / bd, r, steps[-1][2] * r, k0, k1))
-    table = replace(table, steps=tuple(steps))
     object.__setattr__(w, "_table", table)
     return table
 

@@ -109,17 +109,15 @@ class WeightFunction:
     weight positive there, and ``1`` otherwise; the other cases use ``1``.
 
     The descriptor never changes, and evaluation is a pure function.  The
-    state is three caches, all left out of equality, hashing and ``repr``,
-    so two equal weights built separately share none.  One is the
-    descriptor rounded to float64, built at the first evaluation.  One is
-    the exact three-term table of a positive weight: the closed-form
-    ``(b_n, u_n)`` and the monic ``P_0..P_n`` they build, which
-    :mod:`.quadrature` grows on demand.  The last maps each order a Gauss
-    rule was built at to its ``(nodes, weights)`` tuples, which
-    :func:`.quadrature.quadrature_rule` fills; they hold no reference to the
-    weight, so its rules go when it does.  Each is published with one
-    store, so two threads building it at once only repeat work: both
-    results are correct, and each caller uses the one it got back.
+    state is two caches, both left out of equality, hashing and ``repr``,
+    so two equal weights built separately share neither.  One is the
+    descriptor rounded to float64, built at the first evaluation.  The
+    other is the exact three-term table of a positive weight: the
+    closed-form ``(b_n, u_n)``, the monic ``P_0..P_n`` and the connection
+    rows they build, which :mod:`.quadrature` grows on demand; it holds no
+    reference to the weight.  Each is published with one store, so two
+    threads building it at once only repeat work: both results are
+    correct, and each caller uses the one it got back.
     """
 
     family: str  # "big" | "little" | "case_ii" | "case_iii" | "case_iv" | "case_v"
@@ -135,7 +133,6 @@ class WeightFunction:
                                              compare=False)
     _floats: Optional[_FloatWeight] = field(default=None, init=False, repr=False,
                                             compare=False)
-    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- evaluation -------------------------------------------------------
 

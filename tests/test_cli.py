@@ -13,6 +13,7 @@ import dunkl_jacobi
 from dunkl_jacobi import (
     BigJacobiParams,
     DunklOperator,
+    ParameterRange,
     Polynomial,
     big_operator,
     build,
@@ -282,6 +283,19 @@ class TestCertify:
         code, out, _ = run(argv + (["--order", str(order)] if order else []), capsys)
         assert code == 0 and out.count("PASS") == 5
         assert calls == [order or N // 2 + 11]
+
+    @pytest.mark.parametrize("N, order", [(4, 2), (40, 20)])
+    def test_order_below_the_exact_order_is_refused(self, N, order, capsys):
+        # N // 2 + 1 nodes are the fewest exact at degree 2N; one fewer fails
+        # orthogonality on this positive family, so it is a parameter error
+        argv = ["certify", "--alpha", "1", "--beta", "1", "--c", "1/2", "--N", str(N)]
+        code, out, err = run(argv + ["--order", str(order)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error: order ") and f"N // 2 + 1 = {order + 1}" in err
+        with pytest.raises(ParameterRange):
+            quad_mod.certify(BigJacobiParams(1, 1, Fraction(1, 2)), N, order)
+        code, out, _ = run(argv + ["--order", str(order + 1)], capsys)
+        assert code == 0 and out.count("PASS") == 5
 
     @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
     def test_one_exact_computation(self, family, capsys, monkeypatch):

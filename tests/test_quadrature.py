@@ -167,8 +167,9 @@ class TestRule:
         assert float(weights[0]) == pytest.approx(mu0, rel=1e-14)
         assert float(t[0]) == pytest.approx(float((b - a) / (a + b + 2)), rel=1e-15, abs=1e-18)
 
-    def test_weight_builds_each_order_once(self, monkeypatch):
-        # a weight keeps its own rules; an equal weight built apart has none
+    def test_each_request_builds_its_rule(self, monkeypatch):
+        # the weight keeps no rules: every request builds one, and a rebuilt
+        # rule, on the weight or on an equal one built apart, is the same rule
         calls = []
         real = quad_mod._gauss_jacobi_refined
         monkeypatch.setattr(quad_mod, "_gauss_jacobi_refined",
@@ -176,16 +177,17 @@ class TestRule:
         params = BigJacobiParams(Fraction(3, 7), Fraction(5, 9), Fraction(2, 7))
         w, twin = big_weight(params), big_weight(params)
         rules = [quadrature_rule(w, n) for n in (20, 30, 20, 30)]
-        assert calls == [20, 30]
+        assert calls == [20, 30, 20, 30]
         assert rules[2] == rules[0] and rules[3] == rules[1]
         assert all(rule.target is w for rule in rules)
         again = quadrature_rule(twin, 20)
-        assert calls == [20, 30, 20]
+        assert calls == [20, 30, 20, 30, 20]
         assert again.target is twin and again == rules[0]
 
     def test_certify_frees_its_weight(self, monkeypatch):
-        # the rules kept on the weight do not refer back to it, so with the
-        # cycle collector off the weight goes when certify returns
+        # what certify leaves on the weight, its exact table, does not refer
+        # back to it, so with the cycle collector off the weight goes when
+        # certify returns
         refs = []
         real = quad_mod.big_weight
 
@@ -469,6 +471,12 @@ class TestSymmetry:
                               Polynomial.monomial(1), Polynomial.monomial(2))
         assert abs(r) > 1e-3
 
+    def test_block_rejects_negative_top(self):
+        # as moment rejects n < 0: top = -1 is no block, not a 0 x 0 one
+        params = BigJacobiParams(1, 1, HALF)
+        with pytest.raises(ValueError, match="top must be >= 0"):
+            symmetry_block(big_weight(params), build(big_operator(params)), -1)
+
     def test_random_monomials_grid(self):
         rng = random.Random(103)
         for params in (BigJacobiParams(0, 0, HALF), BigJacobiParams(2, HALF, Fraction(3, 4))):
@@ -723,6 +731,25 @@ class TestThreeTermTable:
             scaled[i], scales[i] = np.eye(13)[k], s[k]
         table, got = quad_mod._node_table(rule, polys)
         assert np.array_equal(table, scaled @ values) and np.array_equal(got, scales)
+
+    @pytest.mark.parametrize("c", [HALF, Fraction(99, 100), Fraction(99999, 100000)])
+    def test_mirrored_node_table_is_the_mirror_image(self, c):
+        # (1, 1, -c, -1) is the weight of (1, 1, c) under x -> -x: its rule
+        # is the mirror image, and its P_k(x) = (-1)^k P_k(-x), so with b_n
+        # and K1_n of the opposite sign its table is the positive one with
+        # the node order reversed and row k times (-1)^k, bit for bit
+        params = BigJacobiParams(1, 1, c)
+        neg = solve_pearson(build(scale_params(big_operator(params), 1, -1)))
+        pos = big_weight(params)
+        assert neg.normal_form[2:] == (-c, -1)
+        for order in (21, 31, 40):
+            table, scales = quad_mod._node_table(quadrature_rule(pos, order),
+                                                 orthogonal_polynomials(pos, 40))
+            mirror, mirror_scales = quad_mod._node_table(quadrature_rule(neg, order),
+                                                         orthogonal_polynomials(neg, 40))
+            sign = (-1.0) ** np.arange(41)[:, None]
+            assert np.array_equal(mirror, sign * table[:, ::-1])
+            assert np.array_equal(mirror_scales, scales)
 
     def test_unit_table_matches_40_digit_mpmath_values(self):
         # q_k = P_k / sqrt(u_1 ... u_k) at certify's N = 40 nodes next to
