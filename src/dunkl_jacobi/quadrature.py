@@ -28,30 +28,29 @@ Vinet and Zhedanov).  At the nodes the table holds the orthonormal
 ``q_k = P_k / sqrt(u_1 ... u_k)`` instead, from their float recurrence
 with every second step folded into the next, so that ``x^2 - c^2`` enters
 only as ``z (2|c| + z)`` with the rule's own ``z = |x| - |c|``: nothing
-cancels next to ``|c| = 1`` and nothing underflows at large degree.  An
-input that is (or equals) a ``P_k`` is the row ``q_k`` with scale
-``sqrt(u_1 ... u_k)``; any other is an integer combination of its terms'
-connection rows (below), scaled into the same frame.  Single inner
-products sum with ``math.fsum``; a Gram matrix is one float64 matmul, and
-its orthogonality figure is read in the unit frame.
+cancels next to ``|c| = 1`` and nothing underflows at large degree.  A
+``P_k`` handed out for the weight's normal form is the row ``q_k`` with
+scale ``sqrt(u_1 ... u_k)``; any other input is an integer combination of
+its terms' connection rows (below), the same row when that combination is
+``e_k``, and otherwise scaled into the same frame.  Single inner products
+sum with ``math.fsum``; a Gram matrix is one float64 matmul, and its
+orthogonality figure is read in the unit frame.
 
-Every weight keeps one exact :class:`ThreeTermTable` on the instance: the
-closed-form ``(b_n, u_n)``, the monic ``P_0..P_n`` and the connection rows
-``x^m = sum_j C[m][j] P_j``, each grown on demand.  The exact side works in
-one representation, an integer form ``(D, v)``: an integer vector over one
-positive denominator, with content 1.  The ``P_k`` come from a
-fraction-free integer recurrence (after Bareiss, Math. Comp. 22, 1968),
-and are handed out as polynomials that carry that form and build their
-``Fraction`` maps only when read; the rows come the same way from
+A weight keeps only its closed-form ``(b_n, u_n)``, grown on demand: one
+:func:`certify` call reads it four times.  The monic ``P_0..P_n`` and the
+connection rows ``x^m = sum_j C[m][j] P_j`` are built afresh by the call
+that reads them, in one representation, an integer form ``(D, v)``: an
+integer vector over one positive denominator, with content 1.  The ``P_k``
+come from a fraction-free integer recurrence (after Bareiss, Math. Comp.
+22, 1968), and are handed out as polynomials that carry that form and
+their weight's normal form, and build their ``Fraction`` maps only when
+read; the rows come the same way from
 ``C[m+1][i] = C[m][i-1] + b_i C[m][i] + u_{i+1} C[m][i+1]``.  A float
 enters as one correctly rounded ``int / int`` division, the float that
-``float(Fraction)`` gives, so no value read off the table changes; the
-node recurrence's floats are rounded that way, once per node table.
-``recurrence_coefficients``, ``orthogonal_polynomials``,
-``connection_coefficients``, the node evaluation and :func:`certify` all
-read that table.  The table belongs to the weight object, never to a key
-hashed from it, so a freshly built weight starts cold and nothing
-outlives it.
+``float(Fraction)`` gives, so no value changes on the way; the node
+recurrence's floats are rounded that way, once per node table.  The
+recurrence belongs to the weight object, never to a key hashed from it,
+so a freshly built weight starts cold and nothing outlives it.
 
 numpy is imported inside the functions that compute in floats, so
 importing the package, and every path that stays exact, never loads it.
@@ -61,7 +60,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -77,7 +76,6 @@ if TYPE_CHECKING:
 __all__ = [
     "QuadratureRule",
     "GramMatrix",
-    "ThreeTermTable",
     "quadrature_rule",
     "inner_product",
     "moment",
@@ -244,42 +242,44 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
 def _expansion(w: WeightFunction, polys) -> tuple:
     """``(rows, units)``: each input's exact ``P_j`` coefficients, rounded once.
 
-    A ``P_k`` of ``w``'s table, recognised by identity before any
-    comparison, or an equal polynomial is the unit row ``e_k``, and
-    ``units`` lists its ``(row, k)``.  Any other, ``sum_m a_m x^m``, is
-    ``sum_m a_m C[m]`` over the integer connection rows ``(D_m, v_m)`` of
-    ``w``'s table: with the ``a_m`` and the ``D_m`` cleared, integer sums
-    ``t_j`` over one denominator ``den``, each rounded once as
-    ``t_j / den``, the float that the reduced ``Fraction`` gives.  Each
-    input grows the connection rows only to its own degree.
+    A :class:`_BasisPolynomial` of ``w``'s normal form is ``P_k`` as it
+    stands.  Any other input ``sum_m a_m x^m`` is ``sum_m a_m C[m]`` over
+    the integer connection rows ``(D_m, v_m)``, built once to the highest
+    degree among those inputs: integer sums ``t_j`` over one denominator
+    ``den``, each rounded once as ``t_j / den``, the float that the reduced
+    ``Fraction`` gives.  A ``P_k``, or an input whose sums are ``e_k``
+    (``x^0`` is one), is the unit row ``e_k``; ``units`` lists its ``(row, k)``.
     """
     import numpy as np
 
     if not all(p.is_polynomial for p in polys):
         raise ValueError("node values need polynomials")
     top = max((p.degree or 0) for p in polys) if polys else 0
-    table = _basis(w, top)
+    known = [isinstance(p, _BasisPolynomial) and p._normal_form == w.normal_form
+             for p in polys]
+    connection = _connection(w, max((p.degree for p, k in zip(polys, known)
+                                     if not (k or p.is_zero)), default=-1))
     rows, units = np.zeros((len(polys), top + 1)), []
-    for i, (row, p) in enumerate(zip(rows, polys)):
+    for i, (row, p, unit) in enumerate(zip(rows, polys, known)):
         if p.is_zero:
             continue
         k = p.degree
-        basis = table.polys[k]
-        if p is basis or p == basis:
-            row[k] = 1.0
-            units.append((i, k))
-            continue
-        connection = _connection(w, k).connection
-        s, terms = p._scaled_terms()
-        L = math.lcm(*(a.denominator * connection[m][0] for m, a in terms.items()))
-        exact = [0] * (k + 1)
-        for m, a in terms.items():
-            Dm, v = connection[m]
-            a = a.numerator * (L // (a.denominator * Dm))
-            for j, t in enumerate(v):
-                exact[j] += a * t
-        den = s * L
-        row[:k + 1] = [t / den for t in exact]
+        if not unit:
+            s, terms = p._scaled_terms()
+            L = math.lcm(*(a.denominator * connection[m][0] for m, a in terms.items()))
+            exact = [0] * (k + 1)
+            for m, a in terms.items():
+                Dm, v = connection[m]
+                a = a.numerator * (L // (a.denominator * Dm))
+                for j, t in enumerate(v):
+                    exact[j] += a * t
+            den = s * L
+            unit = exact[k] == den and not any(exact[:k])
+            if not unit:
+                row[:k + 1] = [t / den for t in exact]
+                continue
+        row[k] = 1.0
+        units.append((i, k))
     return rows, units
 
 
@@ -327,7 +327,7 @@ def _unit_values(rule: QuadratureRule, top: int) -> tuple:
     import numpy as np
 
     w = rule.target
-    coefficients = _coefficients(w, top + 1).coefficients[:top + 1]
+    coefficients = _coefficients(w, top + 1)[:top + 1]
     c = w.normal_form[2]
     cn, cd = c.numerator ** 2, c.denominator ** 2
     b = [bk.numerator / bk.denominator for bk, _ in coefficients]
@@ -480,7 +480,7 @@ def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) ->
     The block ``entries[:top + 1, top + 1:]`` of the Gram matrix of
     ``x^0..x^top`` and their images ``L x^k``, read off ``op``'s band; each
     is one connection row or an integer combination of at most four, scaled
-    into the unit frame by the table's ``s_j``.  Its integrands have
+    into the unit frame by the ``s_j``.  Its integrands have
     x-degree at most ``2 top``, so y-degree at most ``top``, and an
     order-``n`` rule is exact to y-degree ``2n - 1``: the default order
     ``top // 2 + 11`` integrates them to rounding, and so does any order
@@ -515,16 +515,17 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     family.  The orthogonality figure
     is read off the ``P`` block in the node table's unit frame
     (``GramMatrix.unit``), where no normalization underflows at any ``N``.
-    The weight's table gives the recurrence and the
-    ``P_n`` once; exact residuals on their integer forms (``eigen_defects``,
-    one band grown to degree ``N``), all zero, prove them the monic
-    eigenpolynomials, with no solve and no ``Fraction`` formed.
+    The ``P_n`` are built once; exact residuals on their integer forms
+    (``eigen_defects``, one band grown to degree ``N``), all zero, prove
+    them the monic eigenpolynomials, with no solve and no ``Fraction``
+    formed.
     Positivity is Favard's theorem: ``h_0 > 0`` and every exact
     ``u_n > 0`` make the functional positive definite, with those residuals
     zero.  The symmetry figure reads the block ``<x^i, L x^j>``, ``i, j <=
     top``, the block that :func:`symmetry_block` computes on its own (to
     rounding: the matmul sums in another order).
-    The Pearson figure is :func:`.weights.pearson_defect`.
+    The Pearson figure is :func:`.weights.pearson_defect`.  A float figure
+    with nothing to measure, every weight or term 0.0, is ``inf`` and fails.
 
     ``big_weight`` rejects parameters outside the family.  Inside it,
     ``tau0 = 0``, ``tau1 = 2`` and ``eta = -(alpha + beta + 1) < 1``, so no
@@ -550,7 +551,10 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
         positivity += f" min_u={float(umin):.3e} at n={nmin}"
 
     b = g.entries[end:end + top + 1, end + top + 1:]
-    sym = float((abs(b - b.T) / (abs(b) + abs(b.T) + 1.0)).max())
+    # at top = 0 the block is <1, L 1> = 0 by construction; above, a block
+    # with no nonzero entry (every rule weight underflowed) measures nothing
+    sym = (float((abs(b - b.T) / (abs(b) + abs(b.T) + 1.0)).max())
+           if top == 0 or b.any() else math.inf)
     pearson = pearson_defect(w, op)
     return (
         Check("eigen-residual", not bad, f"nonzero at degrees {bad}" if bad else "all exact"),
@@ -619,37 +623,31 @@ def _recurrence(normal_form, N: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class ThreeTermTable:
-    """A positive weight's closed-form ``(b_n, u_n)`` and the exact rows built on them.
+class _BasisPolynomial(_IntegerPolynomial):
+    """``P_k`` of the positive weights of normal form ``_normal_form``, which fixes every ``P_k``.
 
-    ``coefficients[n]`` is ``(b_n, u_n)`` with ``u_0 = None``, and
-    ``polys[k]`` is ``P_k``, built from ``coefficients[:k]``: an
-    :class:`~.laurent._IntegerPolynomial` holding ``(D, v)``, integers with
-    ``P_k = sum_j v[j] x^j / D``, content 1 and ``v[k] = D``, which builds
-    its ``Fraction`` map only when it is read.  ``connection[m]`` is the row
-    ``C[m]`` of ``x^m = sum_j C[m][j] P_j``, j = 0..m, in the same form
-    ``(D, v)`` with ``C[m][j] = v[j] / D``, also built from
-    ``coefficients[:m]``.
+    The node table of such a weight takes it as ``P_k`` without expanding it.
     """
 
-    coefficients: tuple = ()
-    polys: tuple = ()
-    connection: tuple = ()
+    __slots__ = ("_normal_form",)
+
+    def __init__(self, D: int, v: tuple, normal_form: tuple):
+        super().__init__(D, v)
+        object.__setattr__(self, "_normal_form", normal_form)
 
 
-def _coefficients(w: WeightFunction, n: int) -> ThreeTermTable:
-    """``w``'s table with at least ``(b_k, u_k)`` for k < n, grown on demand."""
-    table = w._table or ThreeTermTable()
-    if len(table.coefficients) >= n:
-        return table
-    table = replace(table, coefficients=tuple(_recurrence(w.normal_form, n - 1)))
-    object.__setattr__(w, "_table", table)
-    return table
+def _coefficients(w: WeightFunction, n: int) -> tuple:
+    """``w``'s closed-form ``(b_k, u_k)`` for at least k < n, grown on demand and kept on ``w``."""
+    coefficients = w._coefficients or ()
+    if len(coefficients) >= n:
+        return coefficients
+    coefficients = tuple(_recurrence(w.normal_form, n - 1))
+    object.__setattr__(w, "_coefficients", coefficients)
+    return coefficients
 
 
-def _connection(w: WeightFunction, m: int) -> ThreeTermTable:
-    """``w``'s table with at least the rows ``C[0..m]``, grown on demand.
+def _connection(w: WeightFunction, m: int) -> list:
+    """The rows ``C[0..m]`` of ``x^k = sum_j C[k][j] P_j``, built afresh.
 
     ``x^(k+1) = sum_j C[k][j] x P_j`` and the recurrence
     ``x P_j = P_{j+1} + b_j P_j + u_j P_{j-1}`` give
@@ -657,14 +655,11 @@ def _connection(w: WeightFunction, m: int) -> ThreeTermTable:
     every monomial.  Each row is ``(D, v)``, ``C[k][j] = v[j] / D`` with
     content 1 and ``v[k] = D``: the next row is the integer combination over
     the lcm ``L`` of the denominators of ``b_0..b_k`` and ``u_1..u_k``,
-    with denominator ``D L``, divided by its content.
+    with denominator ``D L``, divided by its content.  ``m = -1`` gives none.
     """
-    table = _coefficients(w, m)
-    if len(table.connection) > m:
-        return table
-    rows = list(table.connection) or [(1, (1,))]
-    coefficients = table.coefficients
-    for k in range(len(rows) - 1, m):
+    coefficients = _coefficients(w, m)
+    rows = [(1, (1,))] if m >= 0 else []
+    for k in range(m):
         D, row = rows[k]
         L = math.lcm(*(b.denominator for b, _ in coefficients[:k + 1]),
                      *(u.denominator for _, u in coefficients[1:k + 1]))
@@ -679,13 +674,11 @@ def _connection(w: WeightFunction, m: int) -> ThreeTermTable:
         nxt.append(L * row[k])
         g = math.gcd(*nxt)  # nxt[k + 1] = L D, so g divides the denominator
         rows.append((D * L // g, tuple(t // g for t in nxt)))
-    table = replace(table, connection=tuple(rows))
-    object.__setattr__(w, "_table", table)
-    return table
+    return rows
 
 
-def _basis(w: WeightFunction, n: int) -> ThreeTermTable:
-    """``w``'s table with at least ``P_0..P_n``, grown on demand.
+def _basis(w: WeightFunction, n: int) -> list:
+    """``P_0..P_n`` of ``w``, built afresh as :class:`_BasisPolynomial`.
 
     ``P_{k+1} = (x - b_k) P_k - u_k P_{k-1}`` runs fraction-free (after
     Bareiss, Math. Comp. 22, 1968): integer vectors over one common
@@ -693,12 +686,11 @@ def _basis(w: WeightFunction, n: int) -> ThreeTermTable:
     handed out as that form; its ``Fraction`` map is built only if it is
     read.
     """
-    table = _coefficients(w, n)
-    if len(table.polys) > n:
-        return table
-    polys = list(table.polys) or [_IntegerPolynomial(1, (1,))]
-    for k in range(len(polys) - 1, n):
-        b, u = table.coefficients[k]
+    coefficients = _coefficients(w, n)
+    nf = w.normal_form
+    polys = [_BasisPolynomial(1, (1,), nf)]
+    for k in range(n):
+        b, u = coefficients[k]
         d1, v1 = polys[k]._form
         # den P_{k+1} = (den/d1) x v1 - (den b/d1) v1 - (den u/d0) v0, all integral
         den = b.denominator * d1
@@ -714,23 +706,21 @@ def _basis(w: WeightFunction, n: int) -> ThreeTermTable:
             for j, t in enumerate(v0):
                 v[j] -= su * t
         g = math.gcd(*v)  # v[k + 1] = den, so g divides den
-        polys.append(_IntegerPolynomial(den // g, tuple(t // g for t in v)))
-    table = replace(table, polys=tuple(polys))
-    object.__setattr__(w, "_table", table)
-    return table
+        polys.append(_BasisPolynomial(den // g, tuple(t // g for t in v), nf))
+    return polys
 
 
 def orthogonal_polynomials(w: WeightFunction, n: int) -> list:
     """Exact monic ``P_0..P_n`` orthogonal under a positive weight.
 
     For the family weights these are the monic eigenpolynomials of
-    ``big_operator((alpha, beta, c))``.  They are read off the weight's
-    exact three-term table.
+    ``big_operator((alpha, beta, c))``.  They are built afresh from the
+    weight's closed-form recurrence, as :class:`_BasisPolynomial`.
     """
     _require_positive_family(w)
     if n < 0:
         raise ValueError("n must be >= 0")
-    return list(_basis(w, n).polys[:n + 1])
+    return _basis(w, n)
 
 
 def recurrence_coefficients(w: WeightFunction, N: int) -> list:
@@ -742,23 +732,22 @@ def recurrence_coefficients(w: WeightFunction, N: int) -> list:
     theorem ``u_n > 0`` for all ``n`` certifies a positive-definite
     functional.
     """
-    if w.normal_form is None:
-        raise UnsupportedWeight("weight is not a positive family weight")
+    _require_positive_family(w)
     if N < 0:
         raise ValueError("N must be >= 0")
-    return list(_coefficients(w, N + 1).coefficients[:N + 1])
+    return list(_coefficients(w, N + 1)[:N + 1])
 
 
 def connection_coefficients(w: WeightFunction, m: int) -> list:
     """Exact rows ``C[0..m]`` of ``x^k = sum_j C[k][j] P_j``, j = 0..k.
 
     ``P_j`` are the monic orthogonal polynomials of the positive weight
-    ``w`` (:func:`orthogonal_polynomials`); the rows are the integer forms
-    of its three-term table, each formed as the caller's own list of
-    ``Fraction``s.
+    ``w`` (:func:`orthogonal_polynomials`); the rows are built afresh from
+    its closed-form recurrence as integer forms, each read out as the
+    caller's own list of ``Fraction``s.
     """
     _require_positive_family(w)
     if m < 0:
         raise ValueError("m must be >= 0")
-    return [[Fraction(t, D) for t in v] for D, v in _connection(w, m).connection[:m + 1]]
+    return [[Fraction(t, D) for t in v] for D, v in _connection(w, m)]
 

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .dunkl import DunklOperator, OperatorParams
 from .errors import (
@@ -36,9 +36,6 @@ from .errors import (
     UnsupportedWeight,
 )
 from .laurent import Rational, as_rational, evaluate_float
-
-if TYPE_CHECKING:
-    from .quadrature import ThreeTermTable
 
 
 class CaseTag(str, enum.Enum):
@@ -112,11 +109,11 @@ class WeightFunction:
     state is two caches, both left out of equality, hashing and ``repr``,
     so two equal weights built separately share neither.  One is the
     descriptor rounded to float64, built at the first evaluation.  The
-    other is the exact three-term table of a positive weight: the
-    closed-form ``(b_n, u_n)``, the monic ``P_0..P_n`` and the connection
-    rows they build, which :mod:`.quadrature` grows on demand; it holds no
-    reference to the weight.  Each is published with one store, so two
-    threads building it at once only repeat work: both results are
+    other is a positive weight's closed-form recurrence ``(b_n, u_n)``, a
+    tuple of ``Fraction`` pairs that :mod:`.quadrature` grows on demand;
+    the basis, the connection rows and the node table each read it again,
+    and none of them is kept.  Each cache is published with one store, so
+    two threads building it at once only repeat work: both results are
     correct, and each caller uses the one it got back.
     """
 
@@ -129,8 +126,8 @@ class WeightFunction:
     support: tuple
     constant: Rational = Fraction(1)
     normal_form: Optional[tuple] = None
-    _table: Optional[ThreeTermTable] = field(default=None, init=False, repr=False,
-                                             compare=False)
+    _coefficients: Optional[tuple] = field(default=None, init=False, repr=False,
+                                           compare=False)
     _floats: Optional[_FloatWeight] = field(default=None, init=False, repr=False,
                                             compare=False)
 
@@ -680,17 +677,18 @@ def pearson_points(w: WeightFunction) -> list:
 def pearson_defect(w: WeightFunction, op: DunklOperator) -> float:
     """``certify``'s Pearson figure: the worst relative residual over :func:`pearson_points`.
 
-    At each point the figure is ``|r1| / (s1 + 1e-30)`` and
-    ``|r2| / (s2 + 1e-30)``, with the residuals of :func:`pearson_residual`
-    over the sizes of their terms.  The weight and the coefficient
-    functions are rounded to floats once for the whole sweep.
+    At each point the figure is ``|r1| / s1`` and ``|r2| / s2``, with the
+    residuals of :func:`pearson_residual` over the sizes of their terms; a
+    size of 0.0 measures nothing, and with nothing measured the figure is
+    ``inf``.  The weight and the coefficient functions are rounded to floats
+    once for the whole sweep.
     """
     pair = _PearsonPair(w, op)
-    worst = 0.0
+    measured = []
     for x in pearson_points(w):
         r1, r2, s1, s2 = pair.terms(x)
-        worst = max(worst, abs(r1) / (s1 + 1e-30), abs(r2) / (s2 + 1e-30))
-    return worst
+        measured += [abs(r) / s for r, s in ((r1, s1), (r2, s2)) if s]
+    return max(measured, default=math.inf)
 
 
 def _sign_obstruction_check(w: WeightFunction) -> Fraction:

@@ -22,7 +22,7 @@ eigenpolynomials come from the fraction-free backward sweep (after
 Bareiss, Math. Comp. 22, 1968), with one full-size ``Fraction`` gcd per
 coefficient, not from the lowest-terms sweep.  A polynomial's expansion in the
 ``P_k`` peels off leading terms by ``Polynomial`` subtraction, not by the
-connection rows of the three-term table.  The Pearson figure evaluates the
+connection rows of the three-term recurrence.  The Pearson figure evaluates the
 weight, ``G1`` and ``F`` point by point straight off their exact
 coefficients, converting each one at every use, in the float operations and
 order the figure is pinned to.
@@ -331,23 +331,25 @@ def pearson_points_reference(w) -> list:
 
 
 def pearson_figure(w, op, points) -> float:
-    """Worst ``|r| / (sum of term sizes + 1e-30)`` over ``points``.
+    """Worst ``|r| / (sum of term sizes)`` over ``points``, ``inf`` if none is measured.
 
     Points with ``|x| < 1e-9`` or whose ``x`` or ``-x`` is not interior are
-    skipped; every other point evaluates the weight four times, ``G1`` and
-    ``F`` four times each.
+    skipped, and so is a residual whose term sizes sum to 0.0; every other
+    point evaluates the weight four times, ``G1`` and ``F`` four times each.
     """
-    worst = 0.0
+    worst = None
     for x in points:
         if abs(x) < 1e-9 or not (w.contains_interior(x) and w.contains_interior(-x)):
             continue
         r1, r2 = pearson_pair(w, op, x)
         s1 = (abs(weight_value(w, x) * laurent_value(op.G1, x))
-              + abs(weight_value(w, -x) * laurent_value(op.G1, -x)) + 1e-30)
+              + abs(weight_value(w, -x) * laurent_value(op.G1, -x)))
         s2 = (abs(weight_value(w, -x) * laurent_value(op.F, -x))
-              + abs(weight_value(w, x) * laurent_value(op.F, x)) + 1e-30)
-        worst = max(worst, abs(r1) / s1, abs(r2) / s2)
-    return worst
+              + abs(weight_value(w, x) * laurent_value(op.F, x)))
+        for r, size in ((r1, s1), (r2, s2)):
+            if size != 0.0:
+                worst = max(abs(r) / size, 0.0 if worst is None else worst)
+    return math.inf if worst is None else worst
 
 
 # -- a 40-digit Gauss rule ------------------------------------------------------

@@ -246,6 +246,20 @@ class TestCertify:
         assert code == 0
         assert out.count("PASS") == 5
 
+    def test_checks_that_measure_nothing_fail(self, capsys):
+        # every rule weight and Pearson term underflows at alpha = beta = 1000,
+        # c = 1/2, so the symmetry block and the Pearson sample hold no value
+        code, out, _ = run(["certify", "--alpha", "1000", "--beta", "1000", "--c", "1/2",
+                            "--N", "10"], capsys)
+        assert code == 1
+        assert "FAIL symmetry max_residual=inf" in out
+        assert "FAIL pearson max_residual=inf" in out
+        # tiny but representable weights still measure, and pass
+        for family in (["--alpha", "200", "--beta", "3", "--c", "1/2"],
+                       ["--alpha", "1000", "--beta", "1000", "--c", "0"]):
+            code, out, _ = run(["certify", *family, "--N", "10"], capsys)
+            assert code == 0 and out.count("PASS") == 5
+
     def test_positivity_needs_the_recurrence_polynomials(self, capsys, monkeypatch):
         # The eigenpolynomials must equal the closed-form P_n exactly.  A wrong
         # top P_n leaves h_0 and the exact u_n as they are, so only that link
@@ -260,7 +274,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
     def test_recurrence_evaluated_once(self, family, capsys, monkeypatch):
-        # recurrence, link check and both Gram matrices read one table
+        # recurrence, link check and both Gram matrices read one recurrence
         calls = []
         real = quad_mod._recurrence
         monkeypatch.setattr(quad_mod, "_recurrence",
@@ -299,7 +313,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
     def test_one_exact_computation(self, family, capsys, monkeypatch):
-        # the residuals run on the table's P_n: no eigen solve, and the band
+        # the residuals run on the built P_n: no eigen solve, and the band
         # grows once, to degree N, before the residual loop
         def no_solve(op, N):
             raise AssertionError("certify solved for the eigenpolynomials")
@@ -324,19 +338,20 @@ class TestCertify:
     @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
     def test_basis_builds_no_fractions(self, family, capsys, monkeypatch):
         # certify reads its P_k only through their integer forms
-        weights = []
+        bases = []
+        real = quad_mod.orthogonal_polynomials
 
-        def weight(params):
-            weights.append(dunkl_jacobi.big_weight(params))
-            return weights[-1]
+        def basis(w, n):
+            bases.append(real(w, n))
+            return bases[-1]
 
-        monkeypatch.setattr(quad_mod, "big_weight", weight)
+        monkeypatch.setattr(quad_mod, "orthogonal_polynomials", basis)
         code, out, _ = run(["certify", "--alpha", "1", "--beta", "1", *family,
                             "--N", "24"], capsys)
         assert code == 0 and out.count("PASS") == 5
-        (w,) = weights
-        assert len(w._table.polys) == 25
-        assert all(p._map is None for p in w._table.polys)
+        (polys,) = bases
+        assert len(polys) == 25
+        assert all(p._map is None for p in polys)
 
     @pytest.mark.parametrize("argv, family, N, order", [
         (["--c", "1/2", "--N", "6"], BigJacobiParams(1, 1, Fraction(1, 2)), 6, None),
@@ -378,7 +393,7 @@ class TestEigenvaluesAndGram:
 
     @pytest.mark.parametrize("c", [Fraction(0), Fraction(2, 5)])
     def test_gram_csv_is_that_of_the_eigenpolynomials(self, c, capsys):
-        # gram reads the weight's table P_n; they are the eigenpolynomials,
+        # gram reads the weight's P_n; they are the eigenpolynomials,
         # so the CSV is byte for byte the Gram matrix of the solved ones
         family = BigJacobiParams(Fraction(1, 2), Fraction(-1, 3), c)
         eigs = eigen_mod.eigen_sequence(build(big_operator(family)), 12)

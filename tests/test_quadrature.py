@@ -185,9 +185,9 @@ class TestRule:
         assert again.target is twin and again == rules[0]
 
     def test_certify_frees_its_weight(self, monkeypatch):
-        # what certify leaves on the weight, its exact table, does not refer
-        # back to it, so with the cycle collector off the weight goes when
-        # certify returns
+        # what certify leaves on the weight, its closed-form recurrence, does
+        # not refer back to it, so with the cycle collector off the weight
+        # goes when certify returns
         refs = []
         real = quad_mod.big_weight
 
@@ -604,19 +604,20 @@ class TestThreeTermTable:
     def test_new_weight_carries_no_table(self):
         params = BigJacobiParams(Fraction(3, 7), Fraction(5, 9), Fraction(2, 7))
         first, second = big_weight(params), big_weight(params)
-        assert first._table is None and second._table is None
+        assert first._coefficients is None and second._coefficients is None
         orthogonal_polynomials(first, 6)
-        assert first._table is not None and second._table is None
+        assert len(first._coefficients) == 6 and second._coefficients is None
         assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
 
     def test_node_table_reads_the_weight_it_is_given(self):
-        # Two equal weights: the basis must come from (and grow) the weight
-        # passed in.
+        # Two equal weights: the recurrence must come from (and grow) the
+        # weight passed in, and never fill the other's.
         params = BigJacobiParams(Fraction(3, 7), Fraction(5, 9), Fraction(2, 7))
         older, newer = big_weight(params), big_weight(params)
         gram_matrix(older, [Polynomial.monomial(3)], order=30)
+        assert len(older._coefficients) == 4 and newer._coefficients is None
         g = gram_matrix(newer, [Polynomial.monomial(8)], order=30)
-        assert len(older._table.polys) == 4 and len(newer._table.polys) == 9
+        assert len(older._coefficients) == 4 and len(newer._coefficients) == 9
         assert g.entries[0, 0] == pytest.approx(moment(big_weight(params), 16, order=30),
                                                 rel=1e-13)
 
@@ -661,7 +662,9 @@ class TestThreeTermTable:
     def test_connection_forms_are_reduced_and_match_fraction_recurrence(self, alpha, beta, c):
         w = _family_weight(alpha, beta, c)
         rows = connection_coefficients(w, 40)
-        for m, (D, v) in enumerate(w._table.connection):
+        forms = quad_mod._connection(w, 40)
+        assert len(forms) == 41
+        for m, (D, v) in enumerate(forms):
             assert D > 0 and math.gcd(D, *v) == 1 and len(v) == m + 1 and v[m] == D
         ref = connection_rows_reference(quad_mod._recurrence(w.normal_form, 40), 40)
         assert rows == ref and all(type(t) is Fraction for row in rows for t in row)
@@ -782,15 +785,56 @@ class TestThreeTermTable:
         assert err.max() <= 1e-13 and scale_err <= 2e-14
 
     @pytest.mark.parametrize("alpha, beta, c", [(1, 1, HALF), (HALF, 2, 0)])
-    def test_table_rows_grow_no_connection_rows(self, alpha, beta, c):
+    def test_table_rows_grow_no_connection_rows(self, alpha, beta, c, monkeypatch):
         # a high P_k is a unit row: only the low-degree input's rows are
-        # built, and the value is the one the fully grown table gives
-        lean, grown = _family_weight(alpha, beta, c), _family_weight(alpha, beta, c)
-        quad_mod._connection(grown, 200)
-        x = Polynomial.monomial(1)
-        values = [inner_product(w, orthogonal_polynomials(w, 200)[200], x) for w in (lean, grown)]
-        assert len(lean._table.connection) <= 2 and len(grown._table.connection) == 201
-        assert values[0] == values[1]
+        # built, and the value is the one its expansion over all 201 rows gives
+        requests = []
+        real = quad_mod._connection
+
+        def connection(w, m):
+            requests.append(m)
+            return real(w, m)
+
+        monkeypatch.setattr(quad_mod, "_connection", connection)
+        w, x = _family_weight(alpha, beta, c), Polynomial.monomial(1)
+        p = orthogonal_polynomials(w, 200)[200]
+        value = inner_product(w, p, x)
+        assert requests == [1]
+        assert inner_product(w, Polynomial(p.terms), x) == value
+        assert requests == [1, 200]
+
+    @pytest.mark.parametrize("c", [HALF, Fraction(99999, 100000)])
+    def test_plain_copies_of_the_basis_give_its_bits(self, c):
+        # a polynomial equal to P_k, but not one handed out, expands to e_k
+        # and is the unit row q_k with scale s_k, as the P_k itself is
+        w = big_weight(BigJacobiParams(1, 1, c))
+        basis = orthogonal_polynomials(w, 12)
+        plain = [Polynomial(p.terms) for p in basis]
+        assert not any(isinstance(p, _IntegerPolynomial) for p in plain)
+        got, ref = gram_matrix(w, plain), gram_matrix(w, basis)
+        assert np.array_equal(got.unit, ref.unit) and np.array_equal(got.entries, ref.entries)
+
+    @pytest.mark.parametrize("c", [HALF, Fraction(99999, 100000)])
+    def test_basis_of_an_equal_weight_gives_the_same_bits(self, c):
+        params = BigJacobiParams(1, 1, c)
+        w, twin = big_weight(params), big_weight(params)
+        got = gram_matrix(w, orthogonal_polynomials(twin, 12))
+        ref = gram_matrix(w, orthogonal_polynomials(w, 12))
+        assert twin.normal_form == w.normal_form
+        assert np.array_equal(got.unit, ref.unit) and np.array_equal(got.entries, ref.entries)
+
+    def test_basis_of_another_weight_is_expanded(self):
+        # the P_k of (1, 1, 1/2) under the (1, 1, 1/4) weight: only P_0 = 1
+        # is a P_k there, and the rest match exact node values (2.1e-16
+        # relative to sqrt(g_ii g_jj) measured on x86-64)
+        w = big_weight(BigJacobiParams(1, 1, Fraction(1, 4)))
+        polys = orthogonal_polynomials(big_weight(BigJacobiParams(1, 1, HALF)), 12)
+        assert quad_mod._expansion(w, polys)[1] == [(0, 0)]
+        g = gram_matrix(w, polys, order=40).entries
+        ref, h = _exact_gram(quadrature_rule(w, 40), polys)
+        for i in range(len(polys)):
+            for j in range(len(polys)):
+                assert abs(g[i, j] - ref[i][j]) <= 1e-14 * math.sqrt(h[i] * h[j])
 
     @pytest.mark.parametrize("alpha, beta, c", [(HALF, 2, Fraction(1, 4)), (1, 0, 0),
                                                 (Fraction(-99, 100), 0, HALF)])
@@ -825,6 +869,14 @@ class TestThreeTermTable:
                          lambda: orthogonal_polynomials(w, 4)):
                 with pytest.raises(UnsupportedWeight):
                     call()
+
+    def test_empty_support_is_unsupported(self):
+        # |c| > 1: the normal form exists, but the weight has no support
+        w = _positive_family_weight(Fraction(1), Fraction(1), Fraction(3, 2), Fraction(1))
+        assert w.normal_form is not None and not w.support
+        for read in (recurrence_coefficients, orthogonal_polynomials, connection_coefficients):
+            with pytest.raises(UnsupportedWeight, match="empty support"):
+                read(w, 4)
 
     @pytest.mark.parametrize("alpha, beta", [(-1, -1), (-2, 0), (-3, -1), (-5, -1),
                                              (Fraction(-5, 2), Fraction(-3, 2)), (-3, 0)])
