@@ -91,15 +91,12 @@ def _add_family_flags(parser, with_raw: bool = True):
 
 
 def _params_from_args(args, parser) -> OperatorParams:
-    family_mode = args.alpha is not None or args.beta is not None
+    family_mode = any(v is not None for v in (args.alpha, args.beta, args.c))
     raw_given = [n for n in PARAM_NAMES if getattr(args, n, None) is not None]
     if family_mode and raw_given:
         parser.error("use either --alpha/--beta/--c or the raw nine parameters, not both")
     if family_mode:
-        if args.alpha is None or args.beta is None:
-            parser.error("family mode needs both --alpha and --beta")
-        c = args.c if args.c is not None else Fraction(0)
-        return big_operator(BigJacobiParams(args.alpha, args.beta, c))
+        return big_operator(_family_from_args(args, parser))
     if not raw_given:
         parser.error("no operator parameters given")
     return OperatorParams(**{n: getattr(args, n) or Fraction(0) for n in PARAM_NAMES

@@ -95,10 +95,10 @@ class DunklOperator:
 
     The coefficient functions and parameters never change, and ``apply``
     is a pure function.  The one piece of state is the cached
-    :class:`OperatorBand`, which :meth:`band` grows on demand.  A growth
-    builds a new band from ``F``, ``G0`` and ``G1`` and publishes it with one
-    attribute store, so two threads growing it at once only repeat work: both
-    bands are correct, and each caller uses the one it got back.
+    :class:`OperatorBand`.  :meth:`band` builds it whole from ``F``, ``G0``
+    and ``G1`` for the degree asked and publishes it with one attribute
+    store, so two threads building it at once only repeat work: both bands
+    are correct, and each caller uses the one it got back.
     """
 
     F: LaurentPoly
@@ -127,20 +127,20 @@ class DunklOperator:
     def band(self, n: int) -> OperatorBand:
         """The integer band on degrees ``0..n`` or more, read off ``F``, ``G0``, ``G1``.
 
-        Column ``k`` is ``L x^k`` from the linear forms of
-        :func:`_column_forms`, a few integer operations per column; ``apply``
-        stays the independent Laurent path.  As ``apply`` would, a negative
-        power in any new column raises :class:`NegativePowerResidue`; after
-        that, a term outside ``x^(k-3)..x^k`` raises
-        :class:`InternalConsistencyError`.
+        The cached band is returned when it reaches ``n``; otherwise a band
+        on ``0..n`` is built whole and cached.  Column ``k`` is ``L x^k``
+        from the linear forms of :func:`_column_forms`, a few integer
+        operations per column; ``apply`` stays the independent Laurent path.
+        As ``apply`` would, a negative power in any column raises
+        :class:`NegativePowerResidue`; after that, a term outside
+        ``x^(k-3)..x^k`` raises :class:`InternalConsistencyError`.
         """
         band = self._band
         if band is not None and band.degree >= n:
             return band
-        rows = list(band.rows) if band is not None else []
         S, forms = _column_forms(self.F, self.G0, self.G1)
         columns = []
-        for k in range(len(rows), n + 1):
+        for k in range(n + 1):
             col = [(k + s, a + b * k) for s, a, b in forms[k & 1]]
             columns.append((k, [(e, v) for e, v in col if v]))
         for k, col in columns:
@@ -154,10 +154,8 @@ class DunklOperator:
                 raise InternalConsistencyError(
                     f"L x^{k} has a term at x^{outside[0]}, outside the band x^{k - 3}..x^{k}"
                 )
-        old = band.scale if band is not None else 1
-        scale = math.lcm(old, *(S // math.gcd(v, S) for _, col in columns for _, v in col))
-        if scale != old:
-            rows = [tuple(t * (scale // old) for t in row) for row in rows]
+        scale = math.lcm(*(S // math.gcd(v, S) for _, col in columns for _, v in col))
+        rows = []
         for k, col in columns:
             row = [0, 0, 0, 0]
             for e, v in col:

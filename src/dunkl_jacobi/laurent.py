@@ -14,10 +14,10 @@ are clean by construction, hand them to :class:`Polynomial` unchecked.
 
 The monic basis of :mod:`.quadrature` is built as integer vectors over
 one denominator and handed out as :class:`_IntegerPolynomial`, which forms
-its ``Fraction`` map only when someone reads it.  The exact kernels that
-clear denominators read either kind through
-:meth:`LaurentPoly._scaled_terms`: the coefficient map itself, or the
-integer vector with its denominator.
+its ``Fraction`` map only when someone reads it; comparing it with ``==``
+reads the map, as for any polynomial.  The exact kernels that clear
+denominators read either kind through :meth:`LaurentPoly._scaled_terms`:
+the coefficient map itself, or the integer vector with its denominator.
 """
 
 from __future__ import annotations
@@ -411,9 +411,10 @@ class _IntegerPolynomial(Polynomial):
     """A nonzero polynomial held as ``(D, v)``: ``sum_j v[j] x^j / D``.
 
     ``D > 0`` and the integers ``v`` (``v[-1] != 0``) have no common factor
-    with ``D``, so each form stands for one polynomial.  Degree, monicity,
-    equality and :meth:`_scaled_terms` read the form; the ``Fraction`` map
-    is built the first time it is read, and kept.
+    with ``D``, so each form stands for one polynomial.  Degree, monicity
+    and :meth:`_scaled_terms` read the form; the ``Fraction`` map is built
+    the first time it is read, and kept.  Equality and hashing are
+    :class:`LaurentPoly`'s, and read the map.
     """
 
     __slots__ = ("_form", "_map")
@@ -451,18 +452,3 @@ class _IntegerPolynomial(Polynomial):
     def is_monic(self) -> bool:
         D, v = self._form
         return v[-1] == D
-
-    def __eq__(self, other):
-        if isinstance(other, _IntegerPolynomial):
-            return self._form == other._form
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # c = v[k] / D, cross-multiplied, at every exponent of ``other``
-        D, v = self._form
-        terms = other._terms
-        return len(terms) == len(v) - v.count(0) and all(
-            0 <= k < len(v) and c.numerator * D == v[k] * c.denominator
-            for k, c in terms.items())
-
-    __hash__ = LaurentPoly.__hash__

@@ -198,7 +198,7 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     Exact (to rounding) for polynomial integrands whose even/odd transform
     has y-degree at most ``2*order - 1``.  With ``y = x^2`` on
     ``[c^2, d^2]`` the node pair ``±x`` carries
-    ``const * v * (d ± x)(x ∓ c) / (2x)`` for the Gauss-Jacobi weight ``v``;
+    ``constant * v * (d ± x)(x ∓ c) / (2x)`` for the Gauss-Jacobi weight ``v``;
     ``c = 0`` is the one-interval family.  ``z = |x| - |c|`` and
     ``|d| - |x|`` are ``half (1 + t) / (|x| + |c|)`` and
     ``half (1 - t) / (|d| + |x|)``, with ``half = (d^2 - c^2) / 2`` rounded
@@ -225,11 +225,11 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     # between rounded endpoints when |c| is near |d|
     z = half * (1 + t) / (x + cf)
     d_minus_x = half * (1 - t) / (df + x)
-    # const (d ± x)(x ∓ c) is const sign(d) (|d| + x) z at the node on d's
-    # side of 0 and const sign(d) (|d| - x)(x + |c|) at its mirror image
-    const = float(w.constant) * (1.0 if d > 0 else -1.0)
-    near_d = const * v * (x + df) * z / (2.0 * x)
-    far_d = const * v * d_minus_x * (x + cf) / (2.0 * x)
+    # constant (d ± x)(x ∓ c) is constant sign(d) (|d| + x) z at the node on
+    # d's side of 0 and constant sign(d) (|d| - x)(x + |c|) at its mirror
+    # image; the weight's constant is sign(d), so the sign cancels
+    near_d = v * (x + df) * z / (2.0 * x)
+    far_d = v * d_minus_x * (x + cf) / (2.0 * x)
     w_plus, w_minus = (near_d, far_d) if d > 0 else (far_d, near_d)
 
     def mirrored(left, right):
@@ -516,7 +516,7 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     is read off the ``P`` block in the node table's unit frame
     (``GramMatrix.unit``), where no normalization underflows at any ``N``.
     The ``P_n`` are built once; exact residuals on their integer forms
-    (``eigen_defects``, one band grown to degree ``N``), all zero, prove
+    (``eigen_defects``, one band built to degree ``N``), all zero, prove
     them the monic eigenpolynomials, with no solve and no ``Fraction``
     formed.
     Positivity is Favard's theorem: ``h_0 > 0`` and every exact

@@ -150,11 +150,9 @@ class WeightFunction:
 
     # -- support ------------------------------------------------------------
 
-    def contains_interior(self, x, margin: float = 0.0) -> bool:
+    def contains_interior(self, x) -> bool:
         xf = float(x)
-        return any(
-            float(lo) + margin < xf < float(hi) - margin for lo, hi in self.support
-        )
+        return any(float(lo) < xf < float(hi) for lo, hi in self.support)
 
     def interior_grid(self, per_interval: int, eps: float = 1e-6) -> list:
         """Evenly spaced interior points, ``eps`` away from the endpoints."""

@@ -53,20 +53,6 @@ def random_nondegenerate_params(rng, N) -> OperatorParams:
             return p
 
 
-def random_symmetrizable_params(rng, N=None) -> OperatorParams:
-    """Random parameters with zero plain-derivative part (mu=nu0=rho0=tau0=0)."""
-    while True:
-        p = OperatorParams(
-            nu1=random_rational(rng),
-            rho1=random_rational(rng),
-            tau1=random_rational(rng),
-            xi=random_rational(rng),
-            eta=random_rational(rng),
-        )
-        if N is None or check_nondegenerate(p, N):
-            return p
-
-
 def random_generic_params(rng, rational_zeros=True) -> OperatorParams:
     """Random symmetrizable parameters in the generic (distinct-zeros) regime.
 

@@ -118,6 +118,27 @@ class TestClassify:
         assert code == 0
         assert out.startswith("Case_iii positive=false")
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--c=1/2", "--tau1=2", "--eta=-1"],
+        ["gen-poly", "--c=1/2", "--tau1=2", "--eta=-1", "--N", "3"],
+        ["eigenvalues", "--c=1/2", "--tau1=2", "--eta=-1", "--N", "3"],
+    ])
+    def test_c_with_raw_parameters_rejected(self, argv, capsys):
+        # --c is a family flag: beside raw parameters it is refused, not dropped
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the raw nine parameters, not both" in captured.err
+
+    def test_c_alone_needs_alpha_and_beta(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--c=1/2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--alpha and --beta" in captured.err
+
 
 class TestWeightSample:
     def test_little_values(self, tmp_path, capsys):

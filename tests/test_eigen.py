@@ -157,12 +157,13 @@ class TestResidual:
                 if q.is_zero:
                     continue
                 lazy = integer_form(q)
-                assert lazy == q and lazy._map is None
+                assert lazy._map is None
                 for lam in (lams[k], lams[k] + Fraction(2, 9)):
                     got, want = residual(op, lazy, lam), residual(op, q, lam)
                     assert got.terms == want.terms
                 assert not got.is_zero  # lam is off the spectrum
                 assert lazy._map is None
+                assert lazy == q
 
     def test_defects_empty_exactly_on_the_monic_eigenpolynomials(self):
         rng = random.Random(73)
@@ -261,8 +262,8 @@ class TestBand:
             assert all(residual(op, e.poly, e.eigenvalue).is_zero for e in eigs)
 
     def test_grown_band_equals_fresh_band(self):
-        # One degree at a time, so the earlier rows are rescaled whenever a
-        # column brings a new denominator: nu0 enters at x^2, mu at x^3.
+        # One degree at a time, so each larger band is built again and its
+        # scale takes each new denominator: nu0 enters at x^2, mu at x^3.
         op = build(OperatorParams(mu=Fraction(1, 7), nu0=Fraction(1, 3), tau1=2, eta=-1))
         assert [op.band(k).scale for k in range(5)] == [1, 1, 3, 21, 21]
         assert op.band(14) == build(op.params).band(14)

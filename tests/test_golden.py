@@ -1,4 +1,4 @@
-"""Byte-for-byte outputs of the exact tables and of four certify runs.
+"""Byte-for-byte outputs of the exact tables, the classify lines and the certify runs.
 
 ``golden/commands.txt`` lists each command with its exit code and the file
 holding its expected stdout; CI runs the same list through the installed

