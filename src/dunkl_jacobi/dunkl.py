@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .errors import InternalConsistencyError, NegativePowerResidue
-from .laurent import LaurentPoly, Polynomial, Rational, as_rational
+from .laurent import LaurentPoly, Polynomial, Rational, _wrap, as_rational
 
 PARAM_NAMES = ("mu", "nu0", "nu1", "rho0", "rho1", "tau0", "tau1", "xi", "eta")
 
@@ -172,16 +172,20 @@ def _column_forms(F: LaurentPoly, G0: LaurentPoly, G1: LaurentPoly) -> tuple:
     On a monomial, ``L x^k = (1 - (-1)^k) F x^k + k (G0 + (-1)^k G1) x^(k-1)``,
     so the coefficient of ``x^(k+s)`` is ``(A_s + B_s k) / S`` with
     ``A_s = S (1 - (-1)^k) [x^s] F`` and ``B_s = S ([x^(s+1)] G0 + (-1)^k [x^(s+1)] G1)``.
-    Returns ``S`` and, for even then odd ``k``, the triples ``(s, A_s, B_s)``
-    that are not both zero, with ``s`` descending.
+    ``S`` is the lcm of the denominators of ``F``, ``G0`` and ``G1``: each
+    is scaled once to integers, and ``A_s`` and ``B_s`` are formed as ints.
+    Any common multiple serves the band, whose scale is the lcm of the
+    reduced denominators of ``(A_s + B_s k) / S``.  Returns ``S`` and, for
+    even then odd ``k``, the triples ``(s, A_s, B_s)`` that are not both
+    zero, with ``s`` descending.
     """
-    f, g0, g1 = F._terms, G0._terms, G1._terms
+    S = math.lcm(*(v.denominator for p in (F, G0, G1) for v in p._terms.values()))
+    f, g0, g1 = ({k: v.numerator * (S // v.denominator) for k, v in p._terms.items()}
+                 for p in (F, G0, G1))
     shifts = sorted(set(f) | {e - 1 for e in g0} | {e - 1 for e in g1}, reverse=True)
     forms = [[(s, (1 - sign) * f.get(s, 0), g0.get(s + 1, 0) + sign * g1.get(s + 1, 0))
               for s in shifts] for sign in (1, -1)]
-    S = math.lcm(*(v.denominator for parity in forms for _, a, b in parity for v in (a, b)))
-    return S, [[(s, int(a * S), int(b * S)) for s, a, b in parity if a or b]
-               for parity in forms]
+    return S, [[(s, a, b) for s, a, b in parity if a or b] for parity in forms]
 
 
 def apply_raw(F0: LaurentPoly, F1: LaurentPoly, G0: LaurentPoly,
@@ -198,9 +202,10 @@ def apply_raw(F0: LaurentPoly, F1: LaurentPoly, G0: LaurentPoly,
 def build(params: OperatorParams) -> DunklOperator:
     """Construct the operator with the closed-form coefficient functions."""
     mu, nu0, nu1, rho0, rho1, tau0, tau1, xi, eta = params.astuple()
-    g0 = LaurentPoly({-2: mu, -1: nu0, 0: rho0, 1: tau0})
-    g1 = LaurentPoly({-2: -mu, -1: nu1, 0: rho1, 1: tau1})
-    f = LaurentPoly({-3: -mu, -2: (nu1 - nu0) / 2, -1: xi, 0: eta})
+    # every parameter is a Fraction already: drop the zeros, convert nothing
+    g0 = _wrap({-2: mu, -1: nu0, 0: rho0, 1: tau0})
+    g1 = _wrap({-2: -mu, -1: nu1, 0: rho1, 1: tau1})
+    f = _wrap({-3: -mu, -2: (nu1 - nu0) / 2, -1: xi, 0: eta})
     return DunklOperator(F=f, G0=g0, G1=g1, params=params)
 
 

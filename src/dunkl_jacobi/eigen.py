@@ -5,8 +5,10 @@ on ``1, x, ..., x^N`` is upper triangular with the eigenvalues on the
 diagonal and at most three superdiagonals.  :meth:`DunklOperator.band`
 holds those entries as integers over one common denominator ``M``, read
 once per operator off the coefficient functions, a few integer operations
-per column.  The monic eigenpolynomial of degree ``n`` is one backward
-sweep over that band in lowest terms: each coefficient is a reduced
+per column.  The eigenvalues are formed as integers over one denominator
+and checked against the band's diagonal by integer cross-products.  The
+monic eigenpolynomial of degree ``n`` is one backward sweep over that
+band in lowest terms: each coefficient is a reduced
 integer pair, formed over the common denominator (an lcm where needed) of
 the at most three coefficients above it, then reduced by one gcd, which
 is small because its inputs are already reduced, and handed to
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dunkl import DunklOperator, OperatorBand, eigenvalue
+from .dunkl import DunklOperator, OperatorBand
 from .errors import DegenerateSpectrum, InternalConsistencyError
 from .laurent import LaurentPoly, Polynomial, Rational, _coprime_fraction, as_rational
 
@@ -45,18 +47,25 @@ class EigenPolynomial:
 
 
 def _spectrum(op: DunklOperator, N: int) -> list:
-    """Eigenvalues of degrees 0..N, in one pass.
+    """Eigenvalues of degrees 0..N, in one pass over integers.
 
-    Raises :class:`DegenerateSpectrum` at the first degree whose eigenvalue
-    vanishes (n >= 1) or repeats an earlier one.
+    ``tau0 + tau1``, ``tau0 - tau1`` and ``2 eta`` are formed once, over
+    their common denominator ``q``, and ``q lambda_n`` is an int from the
+    parity law of :func:`.dunkl.eigenvalue`; each eigenvalue is reduced by
+    one gcd.  Raises :class:`DegenerateSpectrum` at the first degree whose
+    eigenvalue vanishes (n >= 1) or repeats an earlier one.
     """
     if op.params is None:
         raise ValueError("operator must carry its parameter record")
     if N < 0:
         raise ValueError("degree must be >= 0")
+    p = op.params
+    rates = (p.tau0 + p.tau1, p.tau0 - p.tau1, 2 * p.eta)
+    q = math.lcm(*(r.denominator for r in rates))
+    even, odd, shift = (r.numerator * (q // r.denominator) for r in rates)
     lams, first = [], {}
     for n in range(N + 1):
-        lam = eigenvalue(op.params, n)
+        lam = shift + odd * n if n & 1 else even * n
         if n >= 1 and lam == 0:
             raise DegenerateSpectrum(n, f"eigenvalue vanishes at degree {n}")
         m = first.setdefault(lam, n)
@@ -64,15 +73,16 @@ def _spectrum(op: DunklOperator, N: int) -> list:
             raise DegenerateSpectrum(
                 n, f"eigenvalue at degree {n} collides with degree {m}"
             )
-        lams.append(lam)
+        g = math.gcd(lam, q)
+        lams.append(_coprime_fraction(lam // g, q // g))
     return lams
 
 
 def _band_diagonal(band: OperatorBand, lams: list) -> list:
-    """``M * lambda_k`` off the band, checked against the eigenvalue law."""
+    """``M * lambda_k`` off the band, checked against the eigenvalue law in integers."""
     diag = [row[0] for row in band.rows[:len(lams)]]
     for k, lam in enumerate(lams):
-        if diag[k] != band.scale * lam:
+        if diag[k] * lam.denominator != band.scale * lam.numerator:
             raise InternalConsistencyError(
                 f"diagonal of L x^{k} is {Fraction(diag[k], band.scale)}, "
                 f"the eigenvalue law gives {lam}"

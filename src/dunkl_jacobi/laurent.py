@@ -339,22 +339,29 @@ class LaurentPoly:
         return text
 
 
-def evaluate_float(form: tuple, xf: float) -> float:
-    """A Laurent polynomial at ``xf`` from its :meth:`LaurentPoly.float_form`.
+def _any(mask) -> bool:
+    """Whether ``mask``, a comparison on a float or on a float64 array, holds anywhere."""
+    return mask if isinstance(mask, bool) else bool(mask.any())
 
-    Horner on the nonnegative part, and on the negative part in ``u = 1/x``,
-    most negative exponent first.  Raises :class:`PoleAtZero` when
-    ``xf == 0`` and negative powers are present.
+
+def evaluate_float(form: tuple, x):
+    """A Laurent polynomial at ``x`` from its :meth:`LaurentPoly.float_form`.
+
+    ``x`` is a float, or a float64 array evaluated elementwise with the same
+    operations in the same order, so each element has the bits of the
+    single-point value.  Horner on the nonnegative part, and on the negative
+    part in ``u = 1/x``, most negative exponent first.  Raises
+    :class:`PoleAtZero` when ``x`` holds 0 and negative powers are present.
     """
     pos_coeffs, neg_coeffs = form
-    if neg_coeffs and xf == 0.0:
+    if neg_coeffs and _any(x == 0.0):
         raise PoleAtZero("Laurent polynomial has a pole at x = 0")
     pos = 0.0
     for c in pos_coeffs:
-        pos = pos * xf + c
+        pos = pos * x + c
     neg = 0.0
     if neg_coeffs:
-        u = 1.0 / xf
+        u = 1.0 / x
         for c in neg_coeffs:
             neg = neg * u + c
         neg *= u
@@ -387,9 +394,13 @@ class Polynomial(LaurentPoly):
 
     @classmethod
     def monomial(cls, n: int, coeff: RationalLike = 1) -> "Polynomial":
+        """``coeff * x**n``, formed with no pass over a coefficient map."""
+        if not isinstance(n, int):
+            raise TypeError(f"exponent must be int, got {n!r}")
         if n < 0:
             raise ValueError("monomial degree must be >= 0")
-        return cls({n: coeff})
+        c = as_rational(coeff)
+        return cls._from_clean({n: c} if c else {})
 
     @classmethod
     def from_laurent(cls, p: LaurentPoly) -> "Polynomial":

@@ -15,6 +15,13 @@ on ``[-1,1]`` and on ``[-1,-c] union [c,1]``), and flags every other case
 as sign-indefinite on symmetric supports.  ``pearson_defect`` is the float
 check of the pair that ``certify`` reports, over the sample
 ``pearson_points``.
+
+The weight has one float evaluator, ``_FloatWeight``.  ``w(x)``,
+``w.log_derivative`` and ``pearson_residual`` pass it one point, a Python
+float, and load no numpy; ``pearson_defect`` passes the whole sample as
+one float64 array.  Both run the same operations in the same order, with
+``pow`` and ``exp`` called through libm one element at a time, so the
+sweep's figures have the bits of the point-by-point ones.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .errors import (
     UnsupportedPoint,
     UnsupportedWeight,
 )
-from .laurent import Rational, as_rational, evaluate_float
+from .laurent import Rational, _any, as_rational, evaluate_float
 
 
 class CaseTag(str, enum.Enum):
@@ -142,11 +149,13 @@ class WeightFunction:
         return floats
 
     def __call__(self, x) -> float:
-        return self.float_form().value(float(x))
+        floats, xf = self.float_form(), float(x)
+        return floats.value(xf, floats.even_part(xf, floats.bases(xf)))
 
     def log_derivative(self, x) -> float:
         """Analytic logarithmic derivative ``w'(x)/w(x)`` away from zeros."""
-        return self.float_form().log_derivative(float(x))
+        floats, xf = self.float_form(), float(x)
+        return floats.log_derivative(xf, floats.bases(xf))
 
     # -- support ------------------------------------------------------------
 
@@ -200,11 +209,74 @@ def _spaced(lo: float, hi: float, count: int, eps: float) -> list:
     return [a + i * step for i in range(count)]
 
 
+def _where(mask, a, b):
+    """``a`` where ``mask`` holds, else ``b``: on a float, or elementwise on arrays."""
+    if isinstance(mask, bool):
+        return a if mask else b
+    import numpy as np  # an array mask: numpy is loaded already
+
+    return np.where(mask, a, b)
+
+
+def _each(f, x):
+    """``f`` on each element of ``x``, a float or a float64 array, as a Python float."""
+    if isinstance(x, float):
+        return f(x)
+    import numpy as np  # an array argument: numpy is loaded already
+
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _pow(x, p):
+    """``x ** p`` on a float, or on each element of a float64 array as a Python float.
+
+    Every ``pow`` of the weight goes through here or :func:`_each`: one libm
+    call per element, as for a single point.  numpy's own vector kernels may
+    round otherwise.
+    """
+    if isinstance(x, float):
+        return x**p
+    import numpy as np  # an array argument: numpy is loaded already
+
+    return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _at_both(f, x) -> tuple:
+    """``(f(x), f(-x))``: on an array, one call on ``x`` and ``-x`` stacked as two rows."""
+    if isinstance(x, float):
+        return f(x), f(-x)
+    import numpy as np  # an array argument: numpy is loaded already
+
+    both = f(np.array((x, -x)))
+    return (both, both) if isinstance(both, float) else (both[0], both[1])
+
+
+def _all(mask) -> bool:
+    """Whether ``mask``, a comparison on a float or on a float64 array, holds everywhere."""
+    return mask if isinstance(mask, bool) else bool(mask.all())
+
+
+def _exp(arg: float) -> float:
+    """``math.exp``, with ``inf`` where the result is past float range (``math.exp`` raises)."""
+    try:
+        return math.exp(arg)
+    except OverflowError:
+        return math.inf
+
+
 class _FloatWeight:
     """A weight descriptor with every rational rounded to float64 once.
 
-    ``WeightFunction.__call__``, ``log_derivative`` and the Pearson sweep
-    all evaluate through it, so a point costs float operations only.
+    The one float evaluator of the weight.  Each method takes a point, a
+    float, or a float64 array of points and then works elementwise with the
+    same operations in the same order, so an element of an array result has
+    the bits of the single-point result; a single point loads no numpy.
+    :meth:`even_part` computes the factors that are even in ``x`` (``|x|^p``,
+    ``(a0 + a2 x^2)^e`` and the exponential) once, and :meth:`value`
+    multiplies them into the odd part at ``x`` or at ``-x``: ``(-x) (-x)``
+    has the bits of ``x x``.  ``pow`` and ``exp`` run one element at a time
+    through libm.  An array caller silences numpy's float warnings: a Python
+    float overflows to ``inf`` without one.
     """
 
     __slots__ = ("constant", "sign_factor", "affine", "abs_power", "algebraic",
@@ -222,65 +294,113 @@ class _FloatWeight:
         self.exponential = (None if fac is None else
                             (fac.kind == "gauss", float(fac.coefficient), float(fac.shift)))
 
-    def value(self, xf: float) -> float:
-        value = self.constant
-        if self.sign_factor:
-            value *= math.copysign(1.0, xf) if xf != 0.0 else 0.0
-        for root, multiplicity in self.affine:
-            value *= (xf - root) ** multiplicity
+    def bases(self, x) -> list:
+        """The quadratic bases ``a0 + a2 x^2`` at ``x``, one per algebraic factor."""
+        return [a0 + a2 * x * x for a0, a2, _, _ in self.algebraic]
+
+    def even_part(self, x, bases: list) -> list:
+        """The even factors at ``x``, for :meth:`value` at ``x`` and at ``-x``.
+
+        Lists, in the order the weight multiplies them,
+        ``(factor, zero, stop, signed)``.  ``zero`` marks where the weight
+        becomes 0.0 (a zero base to a positive power).  ``stop`` marks where
+        it returns: ``inf`` (``|x|^p`` at 0 with ``p < 0``), or, when
+        ``signed``, an ``inf`` of the sign of the product so far (a zero
+        base to a negative power, an exponential past float range).
+        ``False`` marks nowhere.  Past a stop an element computes nothing
+        that could raise.  ``bases`` are :meth:`bases` at ``x``.  Raises
+        :class:`UnsupportedPoint` where a live element meets a negative base
+        to a fractional power or a pole of the exponential.
+        """
+        steps = []
+        live = True  # where no factor has returned yet
         p = self.abs_power
         if p != 0.0:
-            if xf == 0.0 and p < 0.0:
-                return math.inf
-            value *= abs(xf) ** p
-        for a0, a2, ef, e in self.algebraic:
-            base = a0 + a2 * xf * xf
-            if base > 0.0:
-                value *= base**ef
-            elif base == 0.0:
-                if ef > 0.0:
-                    value = 0.0
-                elif ef < 0.0:
-                    return math.inf if value >= 0 else -math.inf
-            else:
-                if e.denominator == 1:
-                    value *= base ** int(e)
-                else:
-                    raise UnsupportedPoint(
-                        f"x={xf} is outside the natural domain (negative base to "
-                        f"fractional power {e})"
-                    )
+            stop = x == 0.0 if p < 0.0 and _any(x == 0.0) else False
+            live = _where(stop, False, live)
+            steps.append((_pow(_where(stop, 1.0, abs(x)), p), False, stop, False))
+        for (_, _, ef, e), base in zip(self.algebraic, bases):
+            if live is True and _all(base > 0.0):
+                steps.append((_pow(base, ef), False, False, False))
+                continue
+            at_zero = base == 0.0
+            outside = _where((base > 0.0) | at_zero, False, live)
+            if e.denominator != 1 and _any(outside):
+                first = x if isinstance(x, float) else float(x[outside][0])
+                raise UnsupportedPoint(
+                    f"x={first} is outside the natural domain (negative base to "
+                    f"fractional power {e})"
+                )
+            integral = int(e) if e.denominator == 1 else None
+
+            def power(b, ef=ef, integral=integral):
+                return b**ef if b > 0.0 else 1.0 if b == 0.0 else b**integral
+
+            zero = stop = False
+            if ef != 0.0 and _any(at_zero):
+                ends = _where(live, at_zero, False)
+                zero, stop = (ends, False) if ef > 0.0 else (False, ends)
+            factor = _each(power, _where(live, base, 1.0))
+            if stop is not False:
+                live = _where(stop, False, live)
+            steps.append((factor, zero, stop, True))
         if self.exponential is not None:
             gauss, coefficient, shift = self.exponential
             if gauss:
-                arg = coefficient * xf * xf
+                arg = coefficient * x * x
             else:
-                denom = xf * xf - shift
-                if denom == 0.0:
-                    raise UnsupportedPoint("x is a singular point of the exponential factor")
+                denom = x * x - shift
+                pole = denom == 0.0
+                if _any(pole):
+                    if _any(_where(live, pole, False)):
+                        raise UnsupportedPoint("x is a singular point of the exponential factor")
+                    denom = _where(pole, 1.0, denom)
                 arg = coefficient / denom
-            try:
-                value *= math.exp(arg)
-            except OverflowError:  # beyond float range, as at a pole
-                return math.inf if value >= 0 else -math.inf
-        return value
+            if live is not True:
+                arg = _where(live, arg, 0.0)
+            factor = _each(_exp, arg)
+            # math.exp reaches inf from a finite argument only past float range
+            over = (factor == math.inf) & (arg < math.inf)
+            steps.append((factor, False, over if _any(over) else False, True))
+        return steps
 
-    def log_derivative(self, xf: float) -> float:
+    def value(self, x, steps: list):
+        """The weight at ``x``, a float or an array, with :meth:`even_part`'s ``steps``.
+
+        ``steps`` may come from ``-x`` instead, and on an array they broadcast:
+        ``x`` may stack rows of points whose even factors are those steps.
+        """
+        value = self.constant
+        if self.sign_factor:
+            value = value * ((x > 0.0) * 1.0 - (x < 0.0))
+        for root, multiplicity in self.affine:
+            value = value * _pow(x - root, multiplicity)
+        ends = done = False
+        for factor, zero, stop, signed in steps:
+            if stop is not False:
+                end = _where(value >= 0, math.inf, -math.inf) if signed else math.inf
+                ends, done = _where(stop, end, ends), done | stop
+            if zero is not False:
+                value = _where(zero, 0.0, value)
+            value = value * factor
+        return _where(done, ends, value) if _any(done) else value
+
+    def log_derivative(self, x, bases: list):
+        """``w'(x)/w(x)`` at ``x``, with the :meth:`bases` at ``x``."""
         total = 0.0
         for root, multiplicity in self.affine:
-            total += multiplicity / (xf - root)
+            total += multiplicity / (x - root)
         if self.abs_power:
-            total += self.abs_power / xf
-        for a0, a2, ef, _ in self.algebraic:
-            base = a0 + a2 * xf * xf
-            total += ef * 2.0 * a2 * xf / base
+            total += self.abs_power / x
+        for (_, a2, ef, _), base in zip(self.algebraic, bases):
+            total += ef * 2.0 * a2 * x / base
         if self.exponential is not None:
             gauss, coefficient, shift = self.exponential
             if gauss:
-                total += 2.0 * coefficient * xf
+                total += 2.0 * coefficient * x
             else:
-                denom = xf * xf - shift
-                total += -2.0 * coefficient * xf / (denom * denom)
+                denom = x * x - shift
+                total += -2.0 * coefficient * x / (denom * denom)
         return total
 
 
@@ -607,8 +727,7 @@ class _PearsonPair:
     """The Pearson pair of ``(w, op)`` with every rational rounded to float64 once.
 
     :func:`pearson_residual` and :func:`pearson_defect` both read
-    :meth:`terms`, which evaluates ``w(x)``, ``w(-x)``, ``G1(+-x)``,
-    ``F(+-x)``, ``w'/w(x)`` and ``G1'(x)`` once each.
+    :meth:`terms`, at one point or at the whole sample as one array.
     """
 
     __slots__ = ("w", "g1", "f", "dg1")
@@ -619,19 +738,24 @@ class _PearsonPair:
         self.f = op.F.float_form()
         self.dg1 = op.G1.differentiate().float_form()
 
-    def terms(self, xf: float) -> tuple:
+    def terms(self, x) -> tuple:
         """``(r1, r2, s1, s2)``: the two residuals and the sums of their terms' sizes.
 
         ``r1 = w(x)G1(x) - w(-x)G1(-x)`` with ``s1 = |w(x)G1(x)| + |w(-x)G1(-x)|``,
         and ``r2 = w(-x)F(-x) - w(x)F(x) - d/dx[w(x)G1(x)]`` with
-        ``s2 = |w(-x)F(-x)| + |w(x)F(x)|``.
+        ``s2 = |w(-x)F(-x)| + |w(x)F(x)|``.  ``x`` is a float or an array.
+        The weight's even factors are computed once for ``x`` and ``-x``; on
+        an array, ``x`` and ``-x`` are then evaluated as one stacked array.
         """
-        wx, wmx = self.w.value(xf), self.w.value(-xf)
-        g1x, g1mx = evaluate_float(self.g1, xf), evaluate_float(self.g1, -xf)
-        fx, fmx = evaluate_float(self.f, xf), evaluate_float(self.f, -xf)
+        w = self.w
+        bases = w.bases(x)
+        steps = w.even_part(x, bases)
+        wx, wmx = _at_both(lambda v: w.value(v, steps), x)
+        g1x, g1mx = _at_both(lambda v: evaluate_float(self.g1, v), x)
+        fx, fmx = _at_both(lambda v: evaluate_float(self.f, v), x)
         even, odd = wx * g1x, wmx * g1mx
         reflected, direct = wmx * fmx, wx * fx
-        d_wg1 = wx * self.w.log_derivative(xf) * g1x + wx * evaluate_float(self.dg1, xf)
+        d_wg1 = wx * w.log_derivative(x, bases) * g1x + wx * evaluate_float(self.dg1, x)
         return (even - odd, reflected - direct - d_wg1,
                 abs(even) + abs(odd), abs(reflected) + abs(direct))
 
@@ -642,7 +766,8 @@ def pearson_residual(w: WeightFunction, op: DunklOperator, x) -> tuple:
     Returns ``(w(x)G1(x) - w(-x)G1(-x),
     w(-x)F(-x) - w(x)F(x) - d/dx[w(x)G1(x)])`` with the derivative taken
     analytically from the weight descriptor.  Both vanish identically when
-    ``w`` solves the Pearson pair for ``op``.
+    ``w`` solves the Pearson pair for ``op``.  The evaluation is that of
+    :func:`pearson_defect` at one point.
     """
     xf = float(x)
     if xf == 0.0:
@@ -659,17 +784,23 @@ def pearson_points(w: WeightFunction) -> list:
     25 evenly spaced points on each support interval, kept
     ``min(1e-3, width/4)`` from its endpoints so that they stay inside even
     a narrow interval, and only those with ``|x| >= 1e-9`` whose mirror
-    ``-x`` is interior too.
+    ``-x`` is interior too.  In floats, ``x`` and ``-x`` are both interior
+    exactly when ``x`` lies inside one of the intersections of an interval
+    ``(lo, hi)`` with a mirrored one ``(-hi', -lo')``, so each point is
+    compared with those bounds directly.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in w.support]
+    both = [(max(lo, -hi2), min(hi, -lo2)) for lo, hi in bounds for lo2, hi2 in bounds]
+    both = [(lo, hi) for lo, hi in both if lo < hi]
     points = []
     for (lo, hi), (flo, fhi) in zip(w.support, bounds):
-        points.extend(_spaced(flo, fhi, 25, min(1e-3, float(hi - lo) / 4)))
-
-    def interior(x):
-        return any(lo < x < hi for lo, hi in bounds)
-
-    return [x for x in points if abs(x) >= 1e-9 and interior(x) and interior(-x)]
+        for x in _spaced(flo, fhi, 25, min(1e-3, float(hi - lo) / 4)):
+            for blo, bhi in both:
+                if blo < x < bhi:
+                    if abs(x) >= 1e-9:
+                        points.append(x)
+                    break
+    return points
 
 
 def pearson_defect(w: WeightFunction, op: DunklOperator) -> float:
@@ -678,15 +809,19 @@ def pearson_defect(w: WeightFunction, op: DunklOperator) -> float:
     At each point the figure is ``|r1| / s1`` and ``|r2| / s2``, with the
     residuals of :func:`pearson_residual` over the sizes of their terms; a
     size of 0.0 measures nothing, and with nothing measured the figure is
-    ``inf``.  The weight and the coefficient functions are rounded to floats
-    once for the whole sweep.
+    ``inf``.  The whole sample is one float64 array, evaluated in one pass
+    by the code that evaluates a single point (``pow`` and ``exp`` one
+    element at a time through libm), so each figure has the bits of the
+    point-by-point sweep, and the worst is taken in the same order.
     """
-    pair = _PearsonPair(w, op)
-    measured = []
-    for x in pearson_points(w):
-        r1, r2, s1, s2 = pair.terms(x)
-        measured += [abs(r) / s for r, s in ((r1, s1), (r2, s2)) if s]
-    return max(measured, default=math.inf)
+    import numpy as np
+
+    x = np.array(pearson_points(w))
+    with np.errstate(all="ignore"):  # a Python float overflows without a warning
+        r1, r2, s1, s2 = _PearsonPair(w, op).terms(x)
+        figures = np.array((abs(r1) / s1, abs(r2) / s2)).T
+    measured = figures[np.array((s1, s2)).T != 0.0]  # point by point, r1 before r2
+    return max(measured.tolist(), default=math.inf)
 
 
 def _sign_obstruction_check(w: WeightFunction) -> Fraction:

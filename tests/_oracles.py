@@ -17,7 +17,9 @@ The coefficient table is written by ``csv.writer`` from
 ``Polynomial.coefficient``, not by plain comma joins over the coefficient
 map.  The operator band is built column by column from the Laurent
 ``apply``, not from linear forms in ``k``.  Nondegeneracy is the loop over
-degrees, not the closed form in ``-2 eta / (tau0 - tau1)``.  The monic
+degrees, not the closed form in ``-2 eta / (tau0 - tau1)``, and the
+spectrum is that loop over ``eigenvalue(params, n)`` with ``Fraction``
+keys, not integers over one denominator.  The monic
 eigenpolynomials come from the fraction-free backward sweep (after
 Bareiss, Math. Comp. 22, 1968), with one full-size ``Fraction`` gcd per
 coefficient, not from the lowest-terms sweep.  A polynomial's expansion in the
@@ -38,13 +40,35 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from dunkl_jacobi import (
+    DegenerateSpectrum,
     InternalConsistencyError,
     OperatorBand,
     OperatorParams,
     PoleAtZero,
     Polynomial,
     UnsupportedPoint,
+    eigenvalue,
 )
+
+
+# -- the spectrum, degree by degree -----------------------------------------
+
+def spectrum_scan(params, N: int) -> list:
+    """``eigenvalue(params, n)`` for n = 0..N, each checked against the ones before.
+
+    Raises ``DegenerateSpectrum`` at the first degree whose eigenvalue
+    vanishes (n >= 1) or equals an earlier one, naming the earliest.
+    """
+    lams, first = [], {}
+    for n in range(N + 1):
+        lam = eigenvalue(params, n)
+        if n >= 1 and lam == 0:
+            raise DegenerateSpectrum(n, f"eigenvalue vanishes at degree {n}")
+        m = first.setdefault(lam, n)
+        if m != n:
+            raise DegenerateSpectrum(n, f"eigenvalue at degree {n} collides with degree {m}")
+        lams.append(lam)
+    return lams
 
 
 # -- the operator band from the Laurent apply ------------------------------

@@ -541,9 +541,11 @@ class TestStartup:
         [],
         ["gen-poly", "--alpha", "1/2", "--beta", "-1/3", "--c", "2/5", "--N", "40"],
         ["classify", "--alpha", "1", "--beta", "1", "--c", "1/2"],
+        ["weight-sample", "--alpha", "1/2", "--beta", "-1/3", "--c", "2/5", "--samples", "40"],
     ])
     def test_exact_paths_leave_numpy_unloaded(self, argv):
-        # numpy is needed only by the float layer of quadrature
+        # numpy is needed only by the float layer of quadrature and by the
+        # Pearson sweep; the weight evaluates one point in Python floats
         code = (
             "import contextlib, io, sys, dunkl_jacobi\n"
             "from dunkl_jacobi import cli\n"

@@ -26,6 +26,7 @@ from dunkl_jacobi import (
     parse_coefficient_table_csv,
     residual,
 )
+from dunkl_jacobi.eigen import _spectrum
 from dunkl_jacobi.laurent import _IntegerPolynomial
 
 from _helpers import random_nondegenerate_params, random_params, random_rational
@@ -34,6 +35,7 @@ from _oracles import (
     coefficient_table_csv_reference,
     coefficient_table_json_reference,
     fraction_free_eigen_coefficients,
+    spectrum_scan,
 )
 
 
@@ -393,6 +395,36 @@ class TestDegeneracy:
         with pytest.raises(DegenerateSpectrum) as exc:
             eigen_sequence(op, 3)
         assert exc.value.n == 1
+
+    def test_spectrum_matches_the_degree_by_degree_scan(self):
+        # tau1 = 2, eta = 1: the odd eigenvalue vanishes at degree 1;
+        # tau1 = -tau0: every even one vanishes; tau1 = tau0: the odd ones
+        # collide; tau0 = 1, tau1 = 2, eta = 7/2: lambda_2 = lambda_1.
+        def outcome(spectrum, *args):
+            try:
+                return spectrum(*args)
+            except DegenerateSpectrum as exc:
+                return exc.n, str(exc)
+
+        rates = [Fraction(v) for v in ("0", "1", "-1", "2", "-1/2", "1/3", "-5/3")]
+        etas = [Fraction(v) for v in ("0", "1", "-1", "7/2", "-3/2", "1/2", "5/6", "-7")]
+        kinds = set()
+        for tau0 in rates:
+            for tau1 in rates:
+                for eta in etas:
+                    p = OperatorParams(tau0=tau0, tau1=tau1, eta=eta, xi=Fraction(1, 3))
+                    op = build(p)
+                    for N in (0, 1, 2, 5, 13):
+                        got = outcome(_spectrum, op, N)
+                        assert got == outcome(spectrum_scan, p, N)
+                        if isinstance(got, tuple):
+                            kinds.add(("vanishes" if "vanishes" in got[1] else "collides",
+                                       got[0] % 2))
+                        else:
+                            assert [(q.numerator, q.denominator) for q in got] == [
+                                (q.numerator, q.denominator) for q in spectrum_scan(p, N)]
+        # vanishing odd and even eigenvalues, collisions at odd and even degrees
+        assert kinds == {("vanishes", 1), ("vanishes", 0), ("collides", 1), ("collides", 0)}
 
     def test_even_odd_collision(self):
         # tau0=1, tau1=2, eta=7/2: lambda_2 = 6 = lambda_1; res_tau scan up to

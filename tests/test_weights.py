@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dunkl_jacobi import (
@@ -30,7 +31,8 @@ from dunkl_jacobi import (
     scale_params,
     solve_pearson,
 )
-from dunkl_jacobi.weights import AffineFactor, _sign_obstruction_check
+from dunkl_jacobi.quadrature import PEARSON_TOL
+from dunkl_jacobi.weights import AffineFactor, _PearsonPair, _sign_obstruction_check
 
 from _helpers import (
     NEAR_BOUNDARY_FAMILIES,
@@ -466,6 +468,16 @@ def _family(alpha, beta, c):
 # RECURRENCE_FAMILIES starts with the criterion-05 grid
 SWEEP_FAMILIES = RECURRENCE_FAMILIES + NEAR_BOUNDARY_FAMILIES
 
+#: The three golden ``certify`` FAILs near the boundary, then two families
+#: away from it: the golden N = 200 one and a one-interval one.
+GOLDEN_FAMILIES = [
+    (Fraction(-99, 100), Fraction(0), HALF),
+    (Fraction(1), Fraction(1), Fraction(99999, 100000)),
+    (Fraction(-99, 100), Fraction(-99, 100), Fraction(99999, 100000)),
+    (Fraction(1), Fraction(1), HALF),
+    (HALF, Fraction(2), Fraction(0)),
+]
+
 
 class TestPearsonSweep:
     @pytest.mark.parametrize("alpha, beta, c", SWEEP_FAMILIES)
@@ -474,13 +486,56 @@ class TestPearsonSweep:
         points = pearson_points(w)
         assert points == pearson_points_reference(w)
         assert pearson_defect(w, op) == pearson_figure(w, op, points)
-        for x in points[::6]:
+        # every point, in the sweep's array pass and one at a time: a max
+        # over the sample can hide a one-ulp change at one point
+        with np.errstate(all="ignore"):
+            r1, r2, _, _ = _PearsonPair(w, op).terms(np.array(points))
+        assert list(zip(r1.tolist(), r2.tolist())) == [pearson_pair(w, op, x) for x in points]
+        for x in points:
             assert pearson_residual(w, op, x) == pearson_pair(w, op, x)
             for probe in (x, -x):
                 assert w(probe) == weight_value(w, probe)
                 assert w.log_derivative(probe) == weight_log_derivative(w, probe)
                 for p in (op.F, op.G1, op.G1.differentiate()):
                     assert p.evaluate(probe) == laurent_value(p, probe)
+
+    @pytest.mark.parametrize("alpha, beta, c", GOLDEN_FAMILIES)
+    def test_figure_rejects_a_perturbed_operator(self, alpha, beta, c):
+        # The weight stays; alpha, beta or c moves by 1/1000 in the operator.
+        w, _ = _family(alpha, beta, c)
+        for i in range(3):
+            for step in (Fraction(1, 1000), Fraction(-1, 1000)):
+                moved = [alpha, beta, c]
+                moved[i] += step
+                op = build(big_operator(BigJacobiParams(*moved)))
+                assert pearson_defect(w, op) > PEARSON_TOL, (i, step)
+
+    def test_array_evaluation_keeps_the_single_point_results(self):
+        # Zeros, returns of +-inf and raises, elementwise, on an array that
+        # mixes them with ordinary points.
+        weights = [solve_pearson(build(p)) for p in (CASE_II, CASE_III, CASE_IV, CASE_V)]
+        weights += [big_weight(BigJacobiParams(1, 0, HALF)), big_weight(BigJacobiParams(3, 2, HALF)),
+                    little_weight(HALF, -HALF), little_weight(-HALF, 2),
+                    solve_pearson(build(OperatorParams(nu1=-2, xi=-1, eta=2000)))]
+        probes = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 0.75, -0.75, 1.5, 2.0, -2.0, 30.0]
+        for w in weights:
+            floats = w.float_form()
+            kept, refused = [], []
+            for x in probes:
+                try:
+                    kept.append((x, w(x)))
+                except UnsupportedPoint:
+                    refused.append(x)
+            xs = np.array([x for x, _ in kept])
+            with np.errstate(all="ignore"):
+                values = floats.value(xs, floats.even_part(xs, floats.bases(xs)))
+            for (x, expected), got in zip(kept, np.broadcast_to(values, xs.shape).tolist()):
+                assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+                assert got == expected or math.isnan(got) and math.isnan(expected), (w, x)
+            for x in refused:
+                xs = np.array([0.6, x])
+                with np.errstate(all="ignore"), pytest.raises(UnsupportedPoint):
+                    floats.value(xs, floats.even_part(xs, floats.bases(xs)))
 
     @pytest.mark.parametrize("alpha, beta, c",
                              [f for f in SWEEP_FAMILIES if f[2] != Fraction(99999, 100000)])
