@@ -465,13 +465,22 @@ def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatri
 
 
 def _symmetry_rows(op, top: int) -> list:
-    """``x^0..x^top`` and their images ``L x^0..L x^top``, read off ``op``'s band."""
+    """``x^0..x^top`` and their images ``L x^0..L x^top``, read off ``op``'s band.
+
+    Each nonzero image is an :class:`_IntegerPolynomial` over ``band.scale``
+    with the content divided out, so no ``Fraction`` is formed.
+    """
     band = op.band(top)
-    monos = [Polynomial.monomial(k) for k in range(top + 1)]
-    images = [Polynomial._from_clean({k - i: Fraction(t, band.scale)
-                                      for i, t in enumerate(band.rows[k]) if t})
-              for k in range(top + 1)]
-    return monos + images
+    images = []
+    for k in range(top + 1):
+        row = band.rows[k][:k + 1]  # x^k down to x^(k-3), above x^0
+        v = [0] * (k + 1 - len(row)) + list(row[::-1])
+        while v and not v[-1]:
+            v.pop()
+        g = math.gcd(band.scale, *v)
+        images.append(_IntegerPolynomial(band.scale // g, tuple(t // g for t in v))
+                      if v else Polynomial())
+    return [Polynomial.monomial(k) for k in range(top + 1)] + images
 
 
 def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) -> np.ndarray:

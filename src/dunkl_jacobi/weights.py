@@ -16,12 +16,11 @@ as sign-indefinite on symmetric supports.  ``pearson_defect`` is the float
 check of the pair that ``certify`` reports, over the sample
 ``pearson_points``.
 
-The weight has one float evaluator, ``_FloatWeight``.  ``w(x)``,
-``w.log_derivative`` and ``pearson_residual`` pass it one point, a Python
-float, and load no numpy; ``pearson_defect`` passes the whole sample as
-one float64 array.  Both run the same operations in the same order, with
-``pow`` and ``exp`` called through libm one element at a time, so the
-sweep's figures have the bits of the point-by-point ones.
+The weight's float form, ``_FloatWeight``, has two paths.  ``w(x)`` and
+``w.log_derivative`` evaluate one Python float and load no numpy.
+``pearson_defect`` evaluates its sample as one float64 array, and
+``pearson_residual`` a one-element array, with the bits of the
+point-by-point values.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .errors import (
     UnsupportedPoint,
     UnsupportedWeight,
 )
-from .laurent import Rational, _any, as_rational, evaluate_float
+from .laurent import Rational, as_rational, evaluate_float
 
 
 class CaseTag(str, enum.Enum):
@@ -149,13 +148,11 @@ class WeightFunction:
         return floats
 
     def __call__(self, x) -> float:
-        floats, xf = self.float_form(), float(x)
-        return floats.value(xf, floats.even_part(xf, floats.bases(xf)))
+        return self.float_form().value(float(x))
 
     def log_derivative(self, x) -> float:
         """Analytic logarithmic derivative ``w'(x)/w(x)`` away from zeros."""
-        floats, xf = self.float_form(), float(x)
-        return floats.log_derivative(xf, floats.bases(xf))
+        return self.float_form().log_derivative(float(x))
 
     # -- support ------------------------------------------------------------
 
@@ -209,74 +206,22 @@ def _spaced(lo: float, hi: float, count: int, eps: float) -> list:
     return [a + i * step for i in range(count)]
 
 
-def _where(mask, a, b):
-    """``a`` where ``mask`` holds, else ``b``: on a float, or elementwise on arrays."""
-    if isinstance(mask, bool):
-        return a if mask else b
-    import numpy as np  # an array mask: numpy is loaded already
-
-    return np.where(mask, a, b)
-
-
-def _each(f, x):
-    """``f`` on each element of ``x``, a float or a float64 array, as a Python float."""
-    if isinstance(x, float):
-        return f(x)
-    import numpy as np  # an array argument: numpy is loaded already
-
-    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 def _pow(x, p):
-    """``x ** p`` on a float, or on each element of a float64 array as a Python float.
+    """``x ** p`` on each element of a 1-D float64 array, as a Python float.
 
-    Every ``pow`` of the weight goes through here or :func:`_each`: one libm
-    call per element, as for a single point.  numpy's own vector kernels may
-    round otherwise.
+    One libm call per element, as :meth:`_FloatWeight.value` makes for a
+    single point; numpy's own vector kernels may round otherwise.
     """
-    if isinstance(x, float):
-        return x**p
     import numpy as np  # an array argument: numpy is loaded already
 
-    return np.array([v**p for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _at_both(f, x) -> tuple:
-    """``(f(x), f(-x))``: on an array, one call on ``x`` and ``-x`` stacked as two rows."""
-    if isinstance(x, float):
-        return f(x), f(-x)
-    import numpy as np  # an array argument: numpy is loaded already
-
-    both = f(np.array((x, -x)))
-    return (both, both) if isinstance(both, float) else (both[0], both[1])
-
-
-def _all(mask) -> bool:
-    """Whether ``mask``, a comparison on a float or on a float64 array, holds everywhere."""
-    return mask if isinstance(mask, bool) else bool(mask.all())
-
-
-def _exp(arg: float) -> float:
-    """``math.exp``, with ``inf`` where the result is past float range (``math.exp`` raises)."""
-    try:
-        return math.exp(arg)
-    except OverflowError:
-        return math.inf
+    return np.array([v**p for v in x.tolist()])
 
 
 class _FloatWeight:
     """A weight descriptor with every rational rounded to float64 once.
 
-    The one float evaluator of the weight.  Each method takes a point, a
-    float, or a float64 array of points and then works elementwise with the
-    same operations in the same order, so an element of an array result has
-    the bits of the single-point result; a single point loads no numpy.
-    :meth:`even_part` computes the factors that are even in ``x`` (``|x|^p``,
-    ``(a0 + a2 x^2)^e`` and the exponential) once, and :meth:`value`
-    multiplies them into the odd part at ``x`` or at ``-x``: ``(-x) (-x)``
-    has the bits of ``x x``.  ``pow`` and ``exp`` run one element at a time
-    through libm.  An array caller silences numpy's float warnings: a Python
-    float overflows to ``inf`` without one.
+    :meth:`value` evaluates one point, a Python float, and loads no numpy;
+    :meth:`at_both` evaluates ``x`` and ``-x`` for a float64 array ``x``.
     """
 
     __slots__ = ("constant", "sign_factor", "affine", "abs_power", "algebraic",
@@ -294,106 +239,92 @@ class _FloatWeight:
         self.exponential = (None if fac is None else
                             (fac.kind == "gauss", float(fac.coefficient), float(fac.shift)))
 
-    def bases(self, x) -> list:
-        """The quadratic bases ``a0 + a2 x^2`` at ``x``, one per algebraic factor."""
-        return [a0 + a2 * x * x for a0, a2, _, _ in self.algebraic]
-
-    def even_part(self, x, bases: list) -> list:
-        """The even factors at ``x``, for :meth:`value` at ``x`` and at ``-x``.
-
-        Lists, in the order the weight multiplies them,
-        ``(factor, zero, stop, signed)``.  ``zero`` marks where the weight
-        becomes 0.0 (a zero base to a positive power).  ``stop`` marks where
-        it returns: ``inf`` (``|x|^p`` at 0 with ``p < 0``), or, when
-        ``signed``, an ``inf`` of the sign of the product so far (a zero
-        base to a negative power, an exponential past float range).
-        ``False`` marks nowhere.  Past a stop an element computes nothing
-        that could raise.  ``bases`` are :meth:`bases` at ``x``.  Raises
-        :class:`UnsupportedPoint` where a live element meets a negative base
-        to a fractional power or a pole of the exponential.
-        """
-        steps = []
-        live = True  # where no factor has returned yet
+    def value(self, xf: float) -> float:
+        """The weight at one point."""
+        value = self.constant
+        if self.sign_factor:
+            value *= math.copysign(1.0, xf) if xf != 0.0 else 0.0
+        for root, multiplicity in self.affine:
+            value *= (xf - root) ** multiplicity
         p = self.abs_power
         if p != 0.0:
-            stop = x == 0.0 if p < 0.0 and _any(x == 0.0) else False
-            live = _where(stop, False, live)
-            steps.append((_pow(_where(stop, 1.0, abs(x)), p), False, stop, False))
-        for (_, _, ef, e), base in zip(self.algebraic, bases):
-            if live is True and _all(base > 0.0):
-                steps.append((_pow(base, ef), False, False, False))
-                continue
-            at_zero = base == 0.0
-            outside = _where((base > 0.0) | at_zero, False, live)
-            if e.denominator != 1 and _any(outside):
-                first = x if isinstance(x, float) else float(x[outside][0])
+            if xf == 0.0 and p < 0.0:
+                return math.inf
+            value *= abs(xf) ** p
+        for a0, a2, ef, e in self.algebraic:
+            base = a0 + a2 * xf * xf
+            if base > 0.0:
+                value *= base**ef
+            elif base == 0.0:
+                if ef > 0.0:
+                    value = 0.0
+                elif ef < 0.0:
+                    return math.inf if value >= 0 else -math.inf
+            elif e.denominator == 1:
+                value *= base ** int(e)
+            else:
                 raise UnsupportedPoint(
-                    f"x={first} is outside the natural domain (negative base to "
+                    f"x={xf} is outside the natural domain (negative base to "
                     f"fractional power {e})"
                 )
-            integral = int(e) if e.denominator == 1 else None
-
-            def power(b, ef=ef, integral=integral):
-                return b**ef if b > 0.0 else 1.0 if b == 0.0 else b**integral
-
-            zero = stop = False
-            if ef != 0.0 and _any(at_zero):
-                ends = _where(live, at_zero, False)
-                zero, stop = (ends, False) if ef > 0.0 else (False, ends)
-            factor = _each(power, _where(live, base, 1.0))
-            if stop is not False:
-                live = _where(stop, False, live)
-            steps.append((factor, zero, stop, True))
         if self.exponential is not None:
             gauss, coefficient, shift = self.exponential
             if gauss:
-                arg = coefficient * x * x
+                arg = coefficient * xf * xf
             else:
-                denom = x * x - shift
-                pole = denom == 0.0
-                if _any(pole):
-                    if _any(_where(live, pole, False)):
-                        raise UnsupportedPoint("x is a singular point of the exponential factor")
-                    denom = _where(pole, 1.0, denom)
+                denom = xf * xf - shift
+                if denom == 0.0:
+                    raise UnsupportedPoint("x is a singular point of the exponential factor")
                 arg = coefficient / denom
-            if live is not True:
-                arg = _where(live, arg, 0.0)
-            factor = _each(_exp, arg)
-            # math.exp reaches inf from a finite argument only past float range
-            over = (factor == math.inf) & (arg < math.inf)
-            steps.append((factor, False, over if _any(over) else False, True))
-        return steps
+            try:
+                value *= math.exp(arg)
+            except OverflowError:  # beyond float range, as at a pole
+                return math.inf if value >= 0 else -math.inf
+        return value
 
-    def value(self, x, steps: list):
-        """The weight at ``x``, a float or an array, with :meth:`even_part`'s ``steps``.
+    def at_both(self, x) -> tuple:
+        """``(w(x), w(-x))`` for a 1-D float64 array ``x``, each element with :meth:`value`'s bits.
 
-        ``steps`` may come from ``-x`` instead, and on an array they broadcast:
-        ``x`` may stack rows of points whose even factors are those steps.
+        The points are regular when the weight has no exponential factor,
+        every base ``a0 + a2 x^2`` is positive and no ``x = 0`` meets a
+        negative power of ``|x|``: then :meth:`value` returns at none of
+        them, and its factors multiply as arrays in its order, with ``pow``
+        one element at a time through libm.  The even factors are computed
+        once for ``x`` and ``-x``, since ``(-x) (-x)`` has the bits of
+        ``x x``.  Otherwise each point goes through :meth:`value`.  The
+        caller silences numpy's float warnings: a Python float overflows to
+        ``inf`` without one.
         """
-        value = self.constant
-        if self.sign_factor:
-            value = value * ((x > 0.0) * 1.0 - (x < 0.0))
-        for root, multiplicity in self.affine:
-            value = value * _pow(x - root, multiplicity)
-        ends = done = False
-        for factor, zero, stop, signed in steps:
-            if stop is not False:
-                end = _where(value >= 0, math.inf, -math.inf) if signed else math.inf
-                ends, done = _where(stop, end, ends), done | stop
-            if zero is not False:
-                value = _where(zero, 0.0, value)
-            value = value * factor
-        return _where(done, ends, value) if _any(done) else value
+        import numpy as np  # an array argument: numpy is loaded already
 
-    def log_derivative(self, x, bases: list):
-        """``w'(x)/w(x)`` at ``x``, with the :meth:`bases` at ``x``."""
+        p = self.abs_power
+        bases = [a0 + a2 * x * x for a0, a2, _, _ in self.algebraic]
+        if (self.exponential is not None or not all((b > 0.0).all() for b in bases)
+                or p < 0.0 and (x == 0.0).any()):
+            return (np.array([self.value(v) for v in x.tolist()]),
+                    np.array([self.value(-v) for v in x.tolist()]))
+        even = [_pow(abs(x), p)] if p != 0.0 else []
+        even += [_pow(base, ef) for base, (_, _, ef, _) in zip(bases, self.algebraic)]
+        v = np.concatenate((x, -x))
+        value = np.full(v.shape, self.constant)
+        if self.sign_factor:
+            value = value * ((v > 0.0) * 1.0 - (v < 0.0))
+        for root, multiplicity in self.affine:
+            value = value * _pow(v - root, multiplicity)
+        value = value.reshape(2, -1)
+        for factor in even:
+            value = value * factor
+        return value[0], value[1]
+
+    def log_derivative(self, x):
+        """``w'(x)/w(x)`` at ``x``, a float or a float64 array."""
         total = 0.0
         for root, multiplicity in self.affine:
             total += multiplicity / (x - root)
         if self.abs_power:
             total += self.abs_power / x
-        for (_, a2, ef, _), base in zip(self.algebraic, bases):
-            total += ef * 2.0 * a2 * x / base
+        for a0, a2, ef, _ in self.algebraic:
+            total += ef * 2.0 * a2 * x / (a0 + a2 * x * x)
         if self.exponential is not None:
             gauss, coefficient, shift = self.exponential
             if gauss:
@@ -727,7 +658,7 @@ class _PearsonPair:
     """The Pearson pair of ``(w, op)`` with every rational rounded to float64 once.
 
     :func:`pearson_residual` and :func:`pearson_defect` both read
-    :meth:`terms`, at one point or at the whole sample as one array.
+    :meth:`terms`, on a one-element array or on the whole sample.
     """
 
     __slots__ = ("w", "g1", "f", "dg1")
@@ -743,39 +674,42 @@ class _PearsonPair:
 
         ``r1 = w(x)G1(x) - w(-x)G1(-x)`` with ``s1 = |w(x)G1(x)| + |w(-x)G1(-x)|``,
         and ``r2 = w(-x)F(-x) - w(x)F(x) - d/dx[w(x)G1(x)]`` with
-        ``s2 = |w(-x)F(-x)| + |w(x)F(x)|``.  ``x`` is a float or an array.
-        The weight's even factors are computed once for ``x`` and ``-x``; on
-        an array, ``x`` and ``-x`` are then evaluated as one stacked array.
+        ``s2 = |w(-x)F(-x)| + |w(x)F(x)|``, elementwise on a float64 array
+        ``x``, whose caller silences numpy's float warnings.
         """
+        import numpy as np  # an array argument: numpy is loaded already
+
         w = self.w
-        bases = w.bases(x)
-        steps = w.even_part(x, bases)
-        wx, wmx = _at_both(lambda v: w.value(v, steps), x)
-        g1x, g1mx = _at_both(lambda v: evaluate_float(self.g1, v), x)
-        fx, fmx = _at_both(lambda v: evaluate_float(self.f, v), x)
+        wx, wmx = w.at_both(x)
+        both = np.concatenate((x, -x))
+        g1x, g1mx = evaluate_float(self.g1, both).reshape(2, -1)
+        fx, fmx = evaluate_float(self.f, both).reshape(2, -1)
         even, odd = wx * g1x, wmx * g1mx
         reflected, direct = wmx * fmx, wx * fx
-        d_wg1 = wx * w.log_derivative(x, bases) * g1x + wx * evaluate_float(self.dg1, x)
+        d_wg1 = wx * w.log_derivative(x) * g1x + wx * evaluate_float(self.dg1, x)
         return (even - odd, reflected - direct - d_wg1,
                 abs(even) + abs(odd), abs(reflected) + abs(direct))
 
 
 def pearson_residual(w: WeightFunction, op: DunklOperator, x) -> tuple:
-    """The two symmetry-identity residuals at a point.
+    """The two symmetry-identity residuals at a point, as Python floats.
 
     Returns ``(w(x)G1(x) - w(-x)G1(-x),
     w(-x)F(-x) - w(x)F(x) - d/dx[w(x)G1(x)])`` with the derivative taken
     analytically from the weight descriptor.  Both vanish identically when
     ``w`` solves the Pearson pair for ``op``.  The evaluation is that of
-    :func:`pearson_defect` at one point.
+    :func:`pearson_defect`, on a one-element array.
     """
+    import numpy as np
+
     xf = float(x)
     if xf == 0.0:
         raise UnsupportedPoint("x must be nonzero")
     if not (w.contains_interior(xf) and w.contains_interior(-xf)):
         raise UnsupportedPoint(f"x={xf} and -x must both be interior to the support")
-    r1, r2, _, _ = _PearsonPair(w, op).terms(xf)
-    return r1, r2
+    with np.errstate(all="ignore"):  # a Python float overflows without a warning
+        r1, r2, _, _ = _PearsonPair(w, op).terms(np.array([xf]))
+    return float(r1[0]), float(r2[0])
 
 
 def pearson_points(w: WeightFunction) -> list:
@@ -810,9 +744,9 @@ def pearson_defect(w: WeightFunction, op: DunklOperator) -> float:
     residuals of :func:`pearson_residual` over the sizes of their terms; a
     size of 0.0 measures nothing, and with nothing measured the figure is
     ``inf``.  The whole sample is one float64 array, evaluated in one pass
-    by the code that evaluates a single point (``pow`` and ``exp`` one
-    element at a time through libm), so each figure has the bits of the
-    point-by-point sweep, and the worst is taken in the same order.
+    (``pow`` one element at a time through libm), so each figure has the
+    bits of the point-by-point sweep, and the worst is taken in the same
+    order.
     """
     import numpy as np
 

@@ -490,6 +490,20 @@ class TestSymmetry:
                 v_lw = inner_product(w, v, op.apply(u))
                 assert abs(r) <= 1e-10 * (abs(lv_w) + abs(v_lw) + 1.0)
 
+    @pytest.mark.parametrize("params", [BigJacobiParams(1, 1, HALF), BigJacobiParams(HALF, 2),
+                                        BigJacobiParams(Fraction(-99, 100), 0, HALF)])
+    def test_rows_are_the_images_in_integer_form(self, params):
+        op = build(big_operator(params))
+        rows = quad_mod._symmetry_rows(op, 10)
+        assert rows[:11] == [Polynomial.monomial(k) for k in range(11)]
+        for k, image in enumerate(rows[11:]):
+            assert image == op.apply(Polynomial.monomial(k))
+            if image.is_zero:
+                assert k == 0 and type(image) is Polynomial
+            else:
+                D, v = image._form
+                assert type(image) is _IntegerPolynomial and v[-1] and math.gcd(D, *v) == 1
+
 
 class TestRecurrence:
     def test_little_b0_is_moment_ratio(self):

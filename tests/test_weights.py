@@ -32,7 +32,12 @@ from dunkl_jacobi import (
     solve_pearson,
 )
 from dunkl_jacobi.quadrature import PEARSON_TOL
-from dunkl_jacobi.weights import AffineFactor, _PearsonPair, _sign_obstruction_check
+from dunkl_jacobi.weights import (
+    AffineFactor,
+    _FloatWeight,
+    _PearsonPair,
+    _sign_obstruction_check,
+)
 
 from _helpers import (
     NEAR_BOUNDARY_FAMILIES,
@@ -479,6 +484,18 @@ GOLDEN_FAMILIES = [
 ]
 
 
+def _count_point_calls(monkeypatch) -> list:
+    """Record every point passed to ``_FloatWeight.value`` from here on."""
+    calls, value = [], _FloatWeight.value
+
+    def counted(self, xf):
+        calls.append(xf)
+        return value(self, xf)
+
+    monkeypatch.setattr(_FloatWeight, "value", counted)
+    return calls
+
+
 class TestPearsonSweep:
     @pytest.mark.parametrize("alpha, beta, c", SWEEP_FAMILIES)
     def test_figure_equals_point_by_point_reference(self, alpha, beta, c):
@@ -511,8 +528,9 @@ class TestPearsonSweep:
                 assert pearson_defect(w, op) > PEARSON_TOL, (i, step)
 
     def test_array_evaluation_keeps_the_single_point_results(self):
-        # Zeros, returns of +-inf and raises, elementwise, on an array that
-        # mixes them with ordinary points.
+        # Zeros, returns of +-inf and raises, at x and at -x, on an array
+        # that mixes them with ordinary points (the point branch), and on
+        # each point alone (the array branch where the point is regular).
         weights = [solve_pearson(build(p)) for p in (CASE_II, CASE_III, CASE_IV, CASE_V)]
         weights += [big_weight(BigJacobiParams(1, 0, HALF)), big_weight(BigJacobiParams(3, 2, HALF)),
                     little_weight(HALF, -HALF), little_weight(-HALF, 2),
@@ -523,19 +541,39 @@ class TestPearsonSweep:
             kept, refused = [], []
             for x in probes:
                 try:
-                    kept.append((x, w(x)))
+                    kept.append((x, w(x), w(-x)))
                 except UnsupportedPoint:
                     refused.append(x)
-            xs = np.array([x for x, _ in kept])
             with np.errstate(all="ignore"):
-                values = floats.value(xs, floats.even_part(xs, floats.bases(xs)))
-            for (x, expected), got in zip(kept, np.broadcast_to(values, xs.shape).tolist()):
-                assert math.copysign(1.0, got) == math.copysign(1.0, expected)
-                assert got == expected or math.isnan(got) and math.isnan(expected), (w, x)
+                mixed = floats.at_both(np.array([x for x, _, _ in kept]))
+                alone = [floats.at_both(np.array([x])) for x, _, _ in kept]
+            for i, (x, *expected) in enumerate(kept):
+                for got in ((mixed[0][i], mixed[1][i]), (alone[i][0][0], alone[i][1][0])):
+                    for e, g in zip(expected, got):
+                        assert math.copysign(1.0, g) == math.copysign(1.0, e), (w, x)
+                        assert g == e or math.isnan(g) and math.isnan(e), (w, x)
             for x in refused:
-                xs = np.array([0.6, x])
                 with np.errstate(all="ignore"), pytest.raises(UnsupportedPoint):
-                    floats.value(xs, floats.even_part(xs, floats.bases(xs)))
+                    floats.at_both(np.array([0.6, x]))
+
+    @pytest.mark.parametrize("alpha, beta, c",
+                             GOLDEN_FAMILIES + [(Fraction(1000), Fraction(1000), HALF)])
+    def test_sweep_of_a_positive_family_takes_the_array_branch(self, alpha, beta, c, monkeypatch):
+        w, op = _family(alpha, beta, c)
+        calls = _count_point_calls(monkeypatch)
+        figure = pearson_defect(w, op)
+        assert calls == []
+        assert figure == pearson_figure(w, op, pearson_points(w))
+
+    @pytest.mark.parametrize("params", [CASE_III, CASE_V])
+    def test_sweep_with_an_exponential_factor_takes_the_point_branch(self, params, monkeypatch):
+        op = build(params)
+        w = solve_pearson(op)
+        points = pearson_points(w)
+        calls = _count_point_calls(monkeypatch)
+        figure = pearson_defect(w, op)
+        assert calls == points + [-x for x in points]
+        assert figure == pearson_figure(w, op, points)
 
     @pytest.mark.parametrize("alpha, beta, c",
                              [f for f in SWEEP_FAMILIES if f[2] != Fraction(99999, 100000)])
