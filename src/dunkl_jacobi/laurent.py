@@ -3,8 +3,7 @@
 A Laurent polynomial is a finite sum ``sum c_k x**k`` with integer exponents
 ``k`` of either sign and coefficients stored as ``fractions.Fraction``.
 Everything in this module is exact; floating point enters only through
-:meth:`LaurentPoly.float_form`, read by :func:`evaluate_float` and
-:meth:`LaurentPoly.evaluate`.
+:meth:`LaurentPoly.evaluate`, at one point.
 
 A sum or product stores the first contribution to an exponent as it is and
 adds only where a coefficient is already there; coefficients that cancel to
@@ -246,27 +245,30 @@ class LaurentPoly:
 
     # -- evaluation --------------------------------------------------------
 
-    def float_form(self) -> tuple:
-        """The coefficients rounded to float64 once, for :func:`evaluate_float`.
-
-        ``(pos, neg)``: ``pos`` runs from the degree down to ``x^0`` and
-        ``neg`` from the lowest exponent up to ``x^-1``; a part that is
-        absent is empty.  A caller evaluating many points converts once.
-        """
-        if not self._terms:
-            return (), ()
-        deg, val = max(self._terms), min(self._terms)
-        pos = tuple(float(self._terms.get(k, 0)) for k in range(deg, -1, -1))
-        neg = tuple(float(self._terms.get(k, 0)) for k in range(val, 0))
-        return pos, neg
-
     def evaluate(self, x) -> float:
-        """Floating evaluation: :func:`evaluate_float` on :meth:`float_form`.
+        """Floating evaluation, each coefficient rounded to float64 where it is read.
 
-        Raises :class:`PoleAtZero` when ``x == 0`` and negative powers are
-        present.
+        Horner on the nonnegative part, and on the negative part in
+        ``u = 1/x``, most negative exponent first.  Raises
+        :class:`PoleAtZero` when ``x == 0`` and negative powers are present.
         """
-        return evaluate_float(self.float_form(), float(x))
+        xf = float(x)
+        terms = self._terms
+        if not terms:
+            return 0.0
+        val = min(terms)
+        if val < 0 and xf == 0.0:
+            raise PoleAtZero("Laurent polynomial has a pole at x = 0")
+        pos = 0.0
+        for k in range(max(terms), -1, -1):
+            pos = pos * xf + float(terms.get(k, 0))
+        neg = 0.0
+        if val < 0:
+            u = 1.0 / xf
+            for k in range(val, 0):
+                neg = neg * u + float(terms.get(k, 0))
+            neg *= u
+        return pos + neg
 
     def evaluate_exact(self, x: RationalLike) -> Fraction:
         """Exact rational evaluation at rational ``x``."""
@@ -337,35 +339,6 @@ class LaurentPoly:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
-
-
-def _any(mask) -> bool:
-    """Whether ``mask``, a comparison on a float or on a float64 array, holds anywhere."""
-    return mask if isinstance(mask, bool) else bool(mask.any())
-
-
-def evaluate_float(form: tuple, x):
-    """A Laurent polynomial at ``x`` from its :meth:`LaurentPoly.float_form`.
-
-    ``x`` is a float, or a float64 array evaluated elementwise with the same
-    operations in the same order, so each element has the bits of the
-    single-point value.  Horner on the nonnegative part, and on the negative
-    part in ``u = 1/x``, most negative exponent first.  Raises
-    :class:`PoleAtZero` when ``x`` holds 0 and negative powers are present.
-    """
-    pos_coeffs, neg_coeffs = form
-    if neg_coeffs and _any(x == 0.0):
-        raise PoleAtZero("Laurent polynomial has a pole at x = 0")
-    pos = 0.0
-    for c in pos_coeffs:
-        pos = pos * x + c
-    neg = 0.0
-    if neg_coeffs:
-        u = 1.0 / x
-        for c in neg_coeffs:
-            neg = neg * u + c
-        neg *= u
-    return pos + neg
 
 
 def _wrap(terms: dict) -> LaurentPoly:

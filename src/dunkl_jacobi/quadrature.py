@@ -533,8 +533,9 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     zero.  The symmetry figure reads the block ``<x^i, L x^j>``, ``i, j <=
     top``, the block that :func:`symmetry_block` computes on its own (to
     rounding: the matmul sums in another order).
-    The Pearson figure is :func:`.weights.pearson_defect`.  A float figure
-    with nothing to measure, every weight or term 0.0, is ``inf`` and fails.
+    The Pearson figure is :func:`.weights.pearson_defect`, which takes no
+    power of the weight.  A float figure with nothing to measure, every
+    rule weight or term 0.0, is ``inf`` and fails.
 
     ``big_weight`` rejects parameters outside the family.  Inside it,
     ``tau0 = 0``, ``tau1 = 2`` and ``eta = -(alpha + beta + 1) < 1``, so no

@@ -16,11 +16,9 @@ as sign-indefinite on symmetric supports.  ``pearson_defect`` is the float
 check of the pair that ``certify`` reports, over the sample
 ``pearson_points``.
 
-The weight's float form, ``_FloatWeight``, has two paths.  ``w(x)`` and
-``w.log_derivative`` evaluate one Python float and load no numpy.
-``pearson_defect`` evaluates its sample as one float64 array, and
-``pearson_residual`` a one-element array, with the bits of the
-point-by-point values.
+``w(x)``, ``w.log_derivative`` and ``pearson_residual`` evaluate one
+Python float; ``pearson_defect`` forms the pair exactly at exact sample
+points and takes no power of the weight.  Nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional
 
 from .dunkl import DunklOperator, OperatorParams
@@ -41,7 +40,7 @@ from .errors import (
     UnsupportedPoint,
     UnsupportedWeight,
 )
-from .laurent import Rational, as_rational, evaluate_float
+from .laurent import LaurentPoly, Rational, as_rational
 
 
 class CaseTag(str, enum.Enum):
@@ -161,10 +160,13 @@ class WeightFunction:
         return any(float(lo) < xf < float(hi) for lo, hi in self.support)
 
     def interior_grid(self, per_interval: int, eps: float = 1e-6) -> list:
-        """Evenly spaced interior points, ``eps`` away from the endpoints."""
+        """Evenly spaced interior points, ``eps`` away from the endpoints (the midpoint if one)."""
         points = []
         for lo, hi in self.support:
-            points.extend(_spaced(float(lo), float(hi), per_interval, eps))
+            a, b = float(lo) + eps, float(hi) - eps
+            step = (b - a) / max(per_interval - 1, 1)
+            points.extend([(a + b) / 2] if per_interval == 1 else
+                          [a + i * step for i in range(per_interval)])
         return points
 
     # -- serialization -----------------------------------------------------
@@ -197,32 +199,16 @@ class WeightFunction:
         return json.dumps(self.to_json_obj(), indent=2)
 
 
-def _spaced(lo: float, hi: float, count: int, eps: float) -> list:
-    """``count`` evenly spaced points of ``[lo + eps, hi - eps]`` (its midpoint if one)."""
-    a, b = lo + eps, hi - eps
-    if count == 1:
-        return [(a + b) / 2]
-    step = (b - a) / (count - 1)
-    return [a + i * step for i in range(count)]
-
-
-def _pow(x, p):
-    """``x ** p`` on each element of a 1-D float64 array, as a Python float.
-
-    One libm call per element, as :meth:`_FloatWeight.value` makes for a
-    single point; numpy's own vector kernels may round otherwise.
-    """
-    import numpy as np  # an array argument: numpy is loaded already
-
-    return np.array([v**p for v in x.tolist()])
+def _power(base: float, exponent) -> float:
+    """``base ** exponent``, or an infinity of its sign where that leaves float range."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return -math.inf if base < 0.0 and exponent % 2 else math.inf
 
 
 class _FloatWeight:
-    """A weight descriptor with every rational rounded to float64 once.
-
-    :meth:`value` evaluates one point, a Python float, and loads no numpy;
-    :meth:`at_both` evaluates ``x`` and ``-x`` for a float64 array ``x``.
-    """
+    """A weight descriptor with every rational rounded to float64 once, evaluated at one float."""
 
     __slots__ = ("constant", "sign_factor", "affine", "abs_power", "algebraic",
                  "exponential")
@@ -240,28 +226,28 @@ class _FloatWeight:
                             (fac.kind == "gauss", float(fac.coefficient), float(fac.shift)))
 
     def value(self, xf: float) -> float:
-        """The weight at one point."""
+        """The weight at one point; a factor beyond float range is an infinity, as at a pole."""
         value = self.constant
         if self.sign_factor:
             value *= math.copysign(1.0, xf) if xf != 0.0 else 0.0
         for root, multiplicity in self.affine:
-            value *= (xf - root) ** multiplicity
+            value *= _power(xf - root, multiplicity)
         p = self.abs_power
         if p != 0.0:
             if xf == 0.0 and p < 0.0:
                 return math.inf
-            value *= abs(xf) ** p
+            value *= _power(abs(xf), p)
         for a0, a2, ef, e in self.algebraic:
             base = a0 + a2 * xf * xf
             if base > 0.0:
-                value *= base**ef
+                value *= _power(base, ef)
             elif base == 0.0:
                 if ef > 0.0:
                     value = 0.0
                 elif ef < 0.0:
                     return math.inf if value >= 0 else -math.inf
             elif e.denominator == 1:
-                value *= base ** int(e)
+                value *= _power(base, int(e))
             else:
                 raise UnsupportedPoint(
                     f"x={xf} is outside the natural domain (negative base to "
@@ -282,42 +268,8 @@ class _FloatWeight:
                 return math.inf if value >= 0 else -math.inf
         return value
 
-    def at_both(self, x) -> tuple:
-        """``(w(x), w(-x))`` for a 1-D float64 array ``x``, each element with :meth:`value`'s bits.
-
-        The points are regular when the weight has no exponential factor,
-        every base ``a0 + a2 x^2`` is positive and no ``x = 0`` meets a
-        negative power of ``|x|``: then :meth:`value` returns at none of
-        them, and its factors multiply as arrays in its order, with ``pow``
-        one element at a time through libm.  The even factors are computed
-        once for ``x`` and ``-x``, since ``(-x) (-x)`` has the bits of
-        ``x x``.  Otherwise each point goes through :meth:`value`.  The
-        caller silences numpy's float warnings: a Python float overflows to
-        ``inf`` without one.
-        """
-        import numpy as np  # an array argument: numpy is loaded already
-
-        p = self.abs_power
-        bases = [a0 + a2 * x * x for a0, a2, _, _ in self.algebraic]
-        if (self.exponential is not None or not all((b > 0.0).all() for b in bases)
-                or p < 0.0 and (x == 0.0).any()):
-            return (np.array([self.value(v) for v in x.tolist()]),
-                    np.array([self.value(-v) for v in x.tolist()]))
-        even = [_pow(abs(x), p)] if p != 0.0 else []
-        even += [_pow(base, ef) for base, (_, _, ef, _) in zip(bases, self.algebraic)]
-        v = np.concatenate((x, -x))
-        value = np.full(v.shape, self.constant)
-        if self.sign_factor:
-            value = value * ((v > 0.0) * 1.0 - (v < 0.0))
-        for root, multiplicity in self.affine:
-            value = value * _pow(v - root, multiplicity)
-        value = value.reshape(2, -1)
-        for factor in even:
-            value = value * factor
-        return value[0], value[1]
-
-    def log_derivative(self, x):
-        """``w'(x)/w(x)`` at ``x``, a float or a float64 array."""
+    def log_derivative(self, x: float) -> float:
+        """``w'(x)/w(x)`` at one point."""
         total = 0.0
         for root, multiplicity in self.affine:
             total += multiplicity / (x - root)
@@ -654,108 +606,181 @@ def solve_pearson(op: DunklOperator) -> WeightFunction:
     return weight
 
 
-class _PearsonPair:
-    """The Pearson pair of ``(w, op)`` with every rational rounded to float64 once.
-
-    :func:`pearson_residual` and :func:`pearson_defect` both read
-    :meth:`terms`, on a one-element array or on the whole sample.
-    """
-
-    __slots__ = ("w", "g1", "f", "dg1")
-
-    def __init__(self, w: WeightFunction, op: DunklOperator):
-        self.w = w.float_form()
-        self.g1 = op.G1.float_form()
-        self.f = op.F.float_form()
-        self.dg1 = op.G1.differentiate().float_form()
-
-    def terms(self, x) -> tuple:
-        """``(r1, r2, s1, s2)``: the two residuals and the sums of their terms' sizes.
-
-        ``r1 = w(x)G1(x) - w(-x)G1(-x)`` with ``s1 = |w(x)G1(x)| + |w(-x)G1(-x)|``,
-        and ``r2 = w(-x)F(-x) - w(x)F(x) - d/dx[w(x)G1(x)]`` with
-        ``s2 = |w(-x)F(-x)| + |w(x)F(x)|``, elementwise on a float64 array
-        ``x``, whose caller silences numpy's float warnings.
-        """
-        import numpy as np  # an array argument: numpy is loaded already
-
-        w = self.w
-        wx, wmx = w.at_both(x)
-        both = np.concatenate((x, -x))
-        g1x, g1mx = evaluate_float(self.g1, both).reshape(2, -1)
-        fx, fmx = evaluate_float(self.f, both).reshape(2, -1)
-        even, odd = wx * g1x, wmx * g1mx
-        reflected, direct = wmx * fmx, wx * fx
-        d_wg1 = wx * w.log_derivative(x) * g1x + wx * evaluate_float(self.dg1, x)
-        return (even - odd, reflected - direct - d_wg1,
-                abs(even) + abs(odd), abs(reflected) + abs(direct))
-
-
 def pearson_residual(w: WeightFunction, op: DunklOperator, x) -> tuple:
     """The two symmetry-identity residuals at a point, as Python floats.
 
     Returns ``(w(x)G1(x) - w(-x)G1(-x),
     w(-x)F(-x) - w(x)F(x) - d/dx[w(x)G1(x)])`` with the derivative taken
     analytically from the weight descriptor.  Both vanish identically when
-    ``w`` solves the Pearson pair for ``op``.  The evaluation is that of
-    :func:`pearson_defect`, on a one-element array.
+    ``w`` solves the Pearson pair for ``op``.
     """
-    import numpy as np
-
     xf = float(x)
     if xf == 0.0:
         raise UnsupportedPoint("x must be nonzero")
     if not (w.contains_interior(xf) and w.contains_interior(-xf)):
         raise UnsupportedPoint(f"x={xf} and -x must both be interior to the support")
-    with np.errstate(all="ignore"):  # a Python float overflows without a warning
-        r1, r2, _, _ = _PearsonPair(w, op).terms(np.array([xf]))
-    return float(r1[0]), float(r2[0])
+    wx, wmx = w(xf), w(-xf)
+    g1x = op.G1.evaluate(xf)
+    d_wg1 = wx * w.log_derivative(xf) * g1x + wx * op.G1.differentiate().evaluate(xf)
+    return (wx * g1x - wmx * op.G1.evaluate(-xf),
+            wmx * op.F.evaluate(-xf) - wx * op.F.evaluate(xf) - d_wg1)
+
+
+def _sample(w: WeightFunction) -> tuple:
+    """:func:`pearson_points` as ``(Q, [P, ...])``, the points ``P/Q``.
+
+    With the support's bounds over one ``M``, ``(low/M, high/M)`` has
+    ``eps = min(4M, 1000 (high - low)) / (4000 M)``, and ``96000 M`` is a
+    common denominator of every point.
+    """
+    M = math.lcm(*(b.denominator for interval in w.support for b in interval))
+    bounds = [(lo.numerator * (M // lo.denominator), hi.numerator * (M // hi.denominator))
+              for lo, hi in w.support]
+    grids = []  # (first point, step) over 96000 M
+    for low, high in bounds:
+        eps = min(4 * M, 1000 * (high - low))
+        grids.append((24 * (4000 * low + eps), 4000 * (high - low) - 2 * eps))
+    g = math.gcd(96000 * M, *(n for grid in grids for n in grid))
+    Q = 96000 * M // g
+    grid = [(start + i * step) // g for start, step in grids for i in range(25)]
+    # -P/Q is in (low/M, high/M) exactly when floor(-high Q/M) < P < ceil(-low Q/M)
+    mirrors = [(-high * Q // M, -(low * Q // M)) for low, high in bounds]
+    inside = {P for floor, ceil in mirrors for P in grid if floor < P < ceil}
+    return Q, [P for P in grid if P in inside and abs(P) * 10**9 >= Q]
 
 
 def pearson_points(w: WeightFunction) -> list:
-    """The sample of :func:`pearson_defect`.
+    """The sample of :func:`pearson_defect`, exact ``Fraction``s.
 
-    25 evenly spaced points on each support interval, kept
-    ``min(1e-3, width/4)`` from its endpoints so that they stay inside even
-    a narrow interval, and only those with ``|x| >= 1e-9`` whose mirror
-    ``-x`` is interior too.  In floats, ``x`` and ``-x`` are both interior
-    exactly when ``x`` lies inside one of the intersections of an interval
-    ``(lo, hi)`` with a mirrored one ``(-hi', -lo')``, so each point is
-    compared with those bounds directly.
+    On each support interval ``(lo, hi)``, the points ``a + i (b - a)/24``,
+    ``i = 0..24``, with ``a = lo + eps``, ``b = hi - eps`` and
+    ``eps = min(1/1000, (hi - lo)/4)``, that have ``|x| >= 1/10^9`` and an
+    interior mirror ``-x``.
     """
-    bounds = [(float(lo), float(hi)) for lo, hi in w.support]
-    both = [(max(lo, -hi2), min(hi, -lo2)) for lo, hi in bounds for lo2, hi2 in bounds]
-    both = [(lo, hi) for lo, hi in both if lo < hi]
-    points = []
-    for (lo, hi), (flo, fhi) in zip(w.support, bounds):
-        for x in _spaced(flo, fhi, 25, min(1e-3, float(hi - lo) / 4)):
-            for blo, bhi in both:
-                if blo < x < bhi:
-                    if abs(x) >= 1e-9:
-                        points.append(x)
-                    break
-    return points
+    Q, points = _sample(w)
+    return [Fraction(P, Q) for P in points]
+
+
+def _times(a, b) -> list:
+    """The product of two integer coefficient lists, lowest power first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _laurent_form(p: LaurentPoly) -> tuple:
+    """``(k, D, v)``: integers with ``p(x) = sum_j v[j] x^j / (D x^(2k))``, ``len(v) > 2k``."""
+    terms = p.terms or {0: 0}
+    k = -(min(min(terms), 0) // 2)
+    coefficients = [terms.get(j, 0) for j in range(-2 * k, max(max(terms), 0) + 1)]
+    D = math.lcm(*(c.denominator for c in coefficients))
+    return k, D, [c.numerator * (D // c.denominator) for c in coefficients]
+
+
+def _weight_forms(w: WeightFunction) -> list:
+    """``A`` without its sign factor, ``A'``, and ``E'/E`` as a numerator and a denominator.
+
+    Forms of :func:`_laurent_form` with ``k = 0``; ``A'`` shares ``A``'s
+    ``D``, and the two of ``E'/E`` share one length, so their ratio is that
+    of their numerators.  Its terms are the non-affine ones of
+    :meth:`_FloatWeight.log_derivative`, over the product of their
+    denominators.
+    """
+    v, D = [w.constant.numerator], w.constant.denominator
+    for f in w.affine_factors:
+        for _ in range(f.multiplicity):
+            v = _times(v, [-f.root.numerator, f.root.denominator])
+            D *= f.root.denominator
+    p = w.abs_power
+    terms = [([0, p.numerator], [0, 0, p.denominator])] if p else []  # p x / x^2
+    for f in w.algebraic_factors:  # 2 e a2 x / (a0 + a2 x^2)
+        (e, ed), (a0, a0d), (a2, a2d) = ((q.numerator, q.denominator)
+                                         for q in (f.exponent, f.a0, f.a2))
+        terms.append(([0, 2 * e * a2 * a0d], [ed * a0 * a2d, 0, ed * a2 * a0d]))
+    fac = w.exponential_factor
+    if fac is not None:
+        c, cd = fac.coefficient.numerator, fac.coefficient.denominator
+        s, sd = fac.shift.numerator, fac.shift.denominator
+        if fac.kind == "gauss":  # 2 c x
+            terms.append(([0, 2 * c], [cd]))
+        else:  # -2 c x / (x^2 - s)^2
+            terms.append(([0, -2 * c * sd * sd],
+                          [cd * s * s, 0, -2 * cd * s * sd, 0, cd * sd * sd]))
+    top, bottom = [0], [1]
+    for t, b in terms:
+        top = [x + y for x, y in zip_longest(_times(top, b), _times(t, bottom), fillvalue=0)]
+        bottom = _times(bottom, b)
+    forms = [(0, D, v), (0, D, [j * c for j, c in enumerate(v)][1:] or [0])]
+    return forms + [(0, 1, list(u)) for u in zip(*zip_longest(top, bottom, fillvalue=0))]
+
+
+def _homogeneous(form: tuple, Q: int) -> tuple:
+    """``(even, odd, D Q^(n - 2k), k)``, ``v[j] Q^(n - j)`` for even and odd ``j`` highest first."""
+    k, D, v = form
+    n = len(v) - 1
+    h = [c * Q ** (n - j) for j, c in enumerate(v)]
+    return h[::2][::-1], h[1::2][::-1], D * Q ** (n - 2 * k), k
+
+
+def _numerators(forms: list, P: int, P2: int) -> list:
+    """``(N(P), N(-P), den)``, ``p(+-P/Q) = N(+-P) / den``, for each :func:`_homogeneous` form."""
+    out = []
+    for even, odd, den, k in forms:
+        e = o = 0
+        for c in even:
+            e = e * P2 + c
+        for c in odd:
+            o = o * P2 + c
+        o *= P
+        out.append((e + o, e - o, den * P2**k))
+    return out
 
 
 def pearson_defect(w: WeightFunction, op: DunklOperator) -> float:
     """``certify``'s Pearson figure: the worst relative residual over :func:`pearson_points`.
 
-    At each point the figure is ``|r1| / s1`` and ``|r2| / s2``, with the
-    residuals of :func:`pearson_residual` over the sizes of their terms; a
-    size of 0.0 measures nothing, and with nothing measured the figure is
-    ``inf``.  The whole sample is one float64 array, evaluated in one pass
-    (``pow`` one element at a time through libm), so each figure has the
-    bits of the point-by-point sweep, and the worst is taken in the same
-    order.
+    The weight is ``w = A(x) E(x^2)``: ``A`` is the constant, the sign
+    factor and the affine factors, and ``E``, nonzero on the sample, is the
+    rest.  Divided by ``E``, :func:`pearson_residual`'s residuals and the
+    sizes of their terms are ``r1 = A(x)G1(x) - A(-x)G1(-x)``,
+    ``s1 = |A(x)G1(x)| + |A(-x)G1(-x)|``,
+    ``r2 = A(-x)F(-x) - A(x)F(x) - A(x)[(A'/A + E'/E) G1(x) + G1'(x)]`` and
+    ``s2 = |A(-x)F(-x)| + |A(x)F(x)|``; the figures ``|r| / s`` are theirs.
+    Each quantity in these is formed from ints at the exact point and
+    rounded once by one ``int / int``, with no ``pow`` and no ``exp``, so
+    nothing underflows.  A size of 0.0 measures nothing; with nothing
+    measured the figure is ``inf``.
     """
-    import numpy as np
-
-    x = np.array(pearson_points(w))
-    with np.errstate(all="ignore"):  # a Python float overflows without a warning
-        r1, r2, s1, s2 = _PearsonPair(w, op).terms(x)
-        figures = np.array((abs(r1) / s1, abs(r2) / s2)).T
-    measured = figures[np.array((s1, s2)).T != 0.0]  # point by point, r1 before r2
-    return max(measured.tolist(), default=math.inf)
+    forms = [_laurent_form(p) for p in (op.G1, op.F, op.G1.differentiate())] + _weight_forms(w)
+    Q, points = _sample(w)
+    scaled = [_homogeneous(form, Q) for form in forms]
+    members = set(points)
+    figures = []
+    for P in points:
+        if P < 0 and -P in members:
+            continue  # evaluated with its mirror
+        P2 = P * P
+        (g, g_, dg), (f, f_, df), (d, d_, dd), (a, a_, da), (s, s_, _), (t, t_, _), (b, b_, _) = (
+            _numerators(scaled, P, P2))
+        ax, amx = a / da, a_ / da
+        if w.sign_factor:
+            ax, amx = (ax, -amx) if P > 0 else (-ax, amx)
+        g1x, g1mx, fx, fmx = g / dg, g_ / dg, f / df, f_ / df
+        # at x and at -x; A'/A + E'/E is s Q / a + t / b, from the numerators of A' and E'/E
+        sides = [(ax, amx, g1x, g1mx, fx, fmx, d / dd, (s * Q * b + a * t) / (a * b))]
+        if -P in members:
+            sides.append((amx, ax, g1mx, g1x, fmx, fx, d_ / dd,
+                          (s_ * Q * b_ + a_ * t_) / (a_ * b_)))
+        for ax, amx, g1x, g1mx, fx, fmx, dg1x, log_derivative in sides:
+            even, odd, reflected, direct = ax * g1x, amx * g1mx, amx * fmx, ax * fx
+            s1, s2 = abs(even) + abs(odd), abs(reflected) + abs(direct)
+            if s1:
+                figures.append(abs(even - odd) / s1)
+            if s2:
+                figures.append(abs(reflected - direct - ax * (log_derivative * g1x + dg1x)) / s2)
+    return max(figures, default=math.inf)
 
 
 def _sign_obstruction_check(w: WeightFunction) -> Fraction:

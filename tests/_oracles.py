@@ -24,10 +24,13 @@ eigenpolynomials come from the fraction-free backward sweep (after
 Bareiss, Math. Comp. 22, 1968), with one full-size ``Fraction`` gcd per
 coefficient, not from the lowest-terms sweep.  A polynomial's expansion in the
 ``P_k`` peels off leading terms by ``Polynomial`` subtraction, not by the
-connection rows of the three-term recurrence.  The Pearson figure evaluates the
-weight, ``G1`` and ``F`` point by point straight off their exact
-coefficients, converting each one at every use, in the float operations and
-order the figure is pinned to.
+connection rows of the three-term recurrence.  The Pearson pair at a point
+evaluates the weight, ``G1`` and ``F`` straight off their exact coefficients,
+converting each one at every use.  The Pearson figure is ``Fraction``
+arithmetic at the exact sample points, factor by factor and term by term, not
+integer numerators over one denominator; each quantity is rounded once by
+``float(Fraction)``, and the floats combine in the order the figure is pinned
+to.
 """
 
 import csv
@@ -263,32 +266,45 @@ def laurent_value(p, x) -> float:
     return pos + neg
 
 
+def _float_power(base: float, exponent) -> float:
+    """``base ** exponent``; beyond float range, an infinity with the power's sign."""
+    try:
+        return base**exponent
+    except OverflowError:
+        odd = isinstance(exponent, int) and exponent % 2 == 1
+        return math.copysign(math.inf, base) if odd else math.inf
+
+
 def weight_value(w, x) -> float:
-    """``w(x)`` factor by factor off the exact descriptor."""
+    """``w(x)`` factor by factor off the exact descriptor.
+
+    A power beyond float range is an infinity with its sign; an exponential
+    beyond it returns an infinity with the sign of the product so far.
+    """
     xf = float(x)
     value = float(w.constant)
     if w.sign_factor:
         value *= math.copysign(1.0, xf) if xf != 0.0 else 0.0
     for fac in w.affine_factors:
-        value *= (xf - float(fac.root)) ** fac.multiplicity
+        value *= _float_power(xf - float(fac.root), fac.multiplicity)
     p = float(w.abs_power)
     if p != 0.0:
         if xf == 0.0 and p < 0.0:
             return math.inf
-        value *= abs(xf) ** p
+        value *= _float_power(abs(xf), p)
     for fac in w.algebraic_factors:
         base = float(fac.a0) + float(fac.a2) * xf * xf
         e = fac.exponent
         ef = float(e)
         if base > 0.0:
-            value *= base**ef
+            value *= _float_power(base, ef)
         elif base == 0.0:
             if ef > 0.0:
                 value = 0.0
             elif ef < 0.0:
                 return math.inf if value >= 0 else -math.inf
         elif e.denominator == 1:
-            value *= base ** int(e)
+            value *= _float_power(base, int(e))
         else:
             raise UnsupportedPoint(f"x={xf}: negative base to fractional power {e}")
     fac = w.exponential_factor
@@ -343,34 +359,72 @@ def pearson_pair(w, op, x) -> tuple:
 
 
 def pearson_points_reference(w) -> list:
-    """:func:`pearson_points` point by point, each tested with ``contains_interior``."""
+    """:func:`pearson_points` in ``Fraction`` arithmetic, each point tested on the support."""
     points = []
     for lo, hi in w.support:
-        eps = min(1e-3, float(hi - lo) / 4)
-        a, b = float(lo) + eps, float(hi) - eps
-        step = (b - a) / 24
-        points.extend(a + i * step for i in range(25))
+        eps = min(Fraction(1, 1000), (hi - lo) / 4)
+        a, b = lo + eps, hi - eps
+        points.extend(a + i * (b - a) / 24 for i in range(25))
+
+    def interior(x):
+        return any(lo < x < hi for lo, hi in w.support)
+
     return [x for x in points
-            if abs(x) >= 1e-9 and w.contains_interior(x) and w.contains_interior(-x)]
+            if abs(x) >= Fraction(1, 10**9) and interior(x) and interior(-x)]
+
+
+def _laurent_exact(p, x: Fraction) -> Fraction:
+    return sum((c * x**k for k, c in p.terms.items()), Fraction(0))
+
+
+def _affine_part(w, x: Fraction) -> Fraction:
+    """``A(x)``: the constant, the sign factor and the affine factors."""
+    value = w.constant * ((x > 0) - (x < 0) if w.sign_factor else 1)
+    for fac in w.affine_factors:
+        value *= (x - fac.root) ** fac.multiplicity
+    return value
+
+
+def _log_derivative_exact(w, x: Fraction) -> Fraction:
+    """``w'/w = A'/A + E'/E`` at ``x``, summed term by term."""
+    total = sum((Fraction(fac.multiplicity) / (x - fac.root) for fac in w.affine_factors),
+                Fraction(0))
+    if w.abs_power:
+        total += w.abs_power / x
+    for fac in w.algebraic_factors:
+        total += 2 * fac.exponent * fac.a2 * x / (fac.a0 + fac.a2 * x * x)
+    fac = w.exponential_factor
+    if fac is not None:
+        if fac.kind == "gauss":
+            total += 2 * fac.coefficient * x
+        else:
+            total -= 2 * fac.coefficient * x / (x * x - fac.shift) ** 2
+    return total
 
 
 def pearson_figure(w, op, points) -> float:
-    """Worst ``|r| / (sum of term sizes)`` over ``points``, ``inf`` if none is measured.
+    """Worst ``|r| / (sum of term sizes)`` of the pair over ``E``, ``inf`` if none is measured.
 
-    Points with ``|x| < 1e-9`` or whose ``x`` or ``-x`` is not interior are
-    skipped, and so is a residual whose term sizes sum to 0.0; every other
-    point evaluates the weight four times, ``G1`` and ``F`` four times each.
+    ``w = A(x) E(x^2)`` with ``A`` from :func:`_affine_part`.  At each exact
+    point, ``A(+-x)``, ``G1(+-x)``, ``F(+-x)``, ``G1'(x)`` and ``w'/w`` are
+    formed in ``Fraction`` arithmetic and rounded once; then
+    ``r1 = A(x)G1(x) - A(-x)G1(-x)`` over ``|A(x)G1(x)| + |A(-x)G1(-x)|``,
+    and ``r2 = A(-x)F(-x) - A(x)F(x) - A(x)[(w'/w) G1(x) + G1'(x)]`` over
+    ``|A(-x)F(-x)| + |A(x)F(x)|``.  A size of 0.0 measures nothing.
     """
+    dg1 = op.G1.differentiate()
     worst = None
     for x in points:
-        if abs(x) < 1e-9 or not (w.contains_interior(x) and w.contains_interior(-x)):
-            continue
-        r1, r2 = pearson_pair(w, op, x)
-        s1 = (abs(weight_value(w, x) * laurent_value(op.G1, x))
-              + abs(weight_value(w, -x) * laurent_value(op.G1, -x)))
-        s2 = (abs(weight_value(w, -x) * laurent_value(op.F, -x))
-              + abs(weight_value(w, x) * laurent_value(op.F, x)))
-        for r, size in ((r1, s1), (r2, s2)):
+        ax, amx = float(_affine_part(w, x)), float(_affine_part(w, -x))
+        g1x, g1mx = float(_laurent_exact(op.G1, x)), float(_laurent_exact(op.G1, -x))
+        fx, fmx = float(_laurent_exact(op.F, x)), float(_laurent_exact(op.F, -x))
+        dg1x = float(_laurent_exact(dg1, x))
+        ld = float(_log_derivative_exact(w, x))
+        even, odd = ax * g1x, amx * g1mx
+        reflected, direct = amx * fmx, ax * fx
+        r1 = even - odd
+        r2 = reflected - direct - ax * (ld * g1x + dg1x)
+        for r, size in ((r1, abs(even) + abs(odd)), (r2, abs(reflected) + abs(direct))):
             if size != 0.0:
                 worst = max(abs(r) / size, 0.0 if worst is None else worst)
     return math.inf if worst is None else worst

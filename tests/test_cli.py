@@ -243,10 +243,11 @@ class TestCertify:
 
     def test_positivity_exact_near_c_one(self, capsys):
         # The monic h_n underflow float64 near n = 56 here; positivity is
-        # decided by Favard (h_0 > 0, exact u_n > 0), so it holds at N = 60.
-        # Orthogonality and Pearson still fail on this family.
+        # decided by Favard (h_0 > 0, exact u_n > 0), so it holds at N = 60,
+        # and so does every other check.
         code, out, _ = run(["certify", "--alpha", "1", "--beta", "1",
                             "--c", "99999/100000", "--N", "60"], capsys)
+        assert code == 0
         lines = out.strip().splitlines()
         assert [ln.split()[1] for ln in lines] == [
             "eigen-residual", "orthogonality", "positivity", "symmetry", "pearson"]
@@ -268,13 +269,14 @@ class TestCertify:
         assert out.count("PASS") == 5
 
     def test_checks_that_measure_nothing_fail(self, capsys):
-        # every rule weight and Pearson term underflows at alpha = beta = 1000,
-        # c = 1/2, so the symmetry block and the Pearson sample hold no value
+        # every rule weight underflows at alpha = beta = 1000, c = 1/2, so the
+        # symmetry block holds no value; the Pearson figure takes no power of
+        # the weight, and measures
         code, out, _ = run(["certify", "--alpha", "1000", "--beta", "1000", "--c", "1/2",
                             "--N", "10"], capsys)
         assert code == 1
         assert "FAIL symmetry max_residual=inf" in out
-        assert "FAIL pearson max_residual=inf" in out
+        assert "PASS pearson max_residual=" in out
         # tiny but representable weights still measure, and pass
         for family in (["--alpha", "200", "--beta", "3", "--c", "1/2"],
                        ["--alpha", "1000", "--beta", "1000", "--c", "0"]):
@@ -544,8 +546,8 @@ class TestStartup:
         ["weight-sample", "--alpha", "1/2", "--beta", "-1/3", "--c", "2/5", "--samples", "40"],
     ])
     def test_exact_paths_leave_numpy_unloaded(self, argv):
-        # numpy is needed only by the float layer of quadrature and by the
-        # Pearson sweep; the weight evaluates one point in Python floats
+        # numpy is needed only by the float layer of quadrature; the weight
+        # evaluates one point in Python floats
         code = (
             "import contextlib, io, sys, dunkl_jacobi\n"
             "from dunkl_jacobi import cli\n"
@@ -555,6 +557,22 @@ class TestStartup:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         )
         done = self.python(code, *argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines() == ["[]"]
+
+    def test_pearson_sweep_leaves_numpy_unloaded(self):
+        # the figure and the point residuals are Python ints and floats
+        code = (
+            "import sys\n"
+            "from dunkl_jacobi import BigJacobiParams, big_operator, big_weight, build\n"
+            "from dunkl_jacobi import pearson_defect, pearson_residual\n"
+            "fam = BigJacobiParams(1, 1, '1/2')\n"
+            "w, op = big_weight(fam), build(big_operator(fam))\n"
+            "assert pearson_defect(w, op) <= 1e-12 and w(0.75) > 0.0\n"
+            "assert max(map(abs, pearson_residual(w, op, 0.75))) <= 1e-12\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        done = self.python(code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.decode().splitlines() == ["[]"]
 

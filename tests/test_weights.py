@@ -3,7 +3,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from dunkl_jacobi import (
@@ -32,12 +31,7 @@ from dunkl_jacobi import (
     solve_pearson,
 )
 from dunkl_jacobi.quadrature import PEARSON_TOL
-from dunkl_jacobi.weights import (
-    AffineFactor,
-    _FloatWeight,
-    _PearsonPair,
-    _sign_obstruction_check,
-)
+from dunkl_jacobi.weights import AffineFactor, _sign_obstruction_check
 
 from _helpers import (
     NEAR_BOUNDARY_FAMILIES,
@@ -484,18 +478,6 @@ GOLDEN_FAMILIES = [
 ]
 
 
-def _count_point_calls(monkeypatch) -> list:
-    """Record every point passed to ``_FloatWeight.value`` from here on."""
-    calls, value = [], _FloatWeight.value
-
-    def counted(self, xf):
-        calls.append(xf)
-        return value(self, xf)
-
-    monkeypatch.setattr(_FloatWeight, "value", counted)
-    return calls
-
-
 class TestPearsonSweep:
     @pytest.mark.parametrize("alpha, beta, c", SWEEP_FAMILIES)
     def test_figure_equals_point_by_point_reference(self, alpha, beta, c):
@@ -503,12 +485,9 @@ class TestPearsonSweep:
         points = pearson_points(w)
         assert points == pearson_points_reference(w)
         assert pearson_defect(w, op) == pearson_figure(w, op, points)
-        # every point, in the sweep's array pass and one at a time: a max
-        # over the sample can hide a one-ulp change at one point
-        with np.errstate(all="ignore"):
-            r1, r2, _, _ = _PearsonPair(w, op).terms(np.array(points))
-        assert list(zip(r1.tolist(), r2.tolist())) == [pearson_pair(w, op, x) for x in points]
-        for x in points:
+        # the scalar path at every point: a max over the sample can hide a
+        # one-ulp change at one point
+        for x in map(float, points):
             assert pearson_residual(w, op, x) == pearson_pair(w, op, x)
             for probe in (x, -x):
                 assert w(probe) == weight_value(w, probe)
@@ -516,7 +495,8 @@ class TestPearsonSweep:
                 for p in (op.F, op.G1, op.G1.differentiate()):
                     assert p.evaluate(probe) == laurent_value(p, probe)
 
-    @pytest.mark.parametrize("alpha, beta, c", GOLDEN_FAMILIES)
+    @pytest.mark.parametrize("alpha, beta, c",
+                             GOLDEN_FAMILIES + [(Fraction(1000), Fraction(1000), HALF)])
     def test_figure_rejects_a_perturbed_operator(self, alpha, beta, c):
         # The weight stays; alpha, beta or c moves by 1/1000 in the operator.
         w, _ = _family(alpha, beta, c)
@@ -527,62 +507,51 @@ class TestPearsonSweep:
                 op = build(big_operator(BigJacobiParams(*moved)))
                 assert pearson_defect(w, op) > PEARSON_TOL, (i, step)
 
-    def test_array_evaluation_keeps_the_single_point_results(self):
-        # Zeros, returns of +-inf and raises, at x and at -x, on an array
-        # that mixes them with ordinary points (the point branch), and on
-        # each point alone (the array branch where the point is regular).
+    @pytest.mark.parametrize("alpha, beta, c",
+                             GOLDEN_FAMILIES + [(Fraction(1000), Fraction(1000), HALF)])
+    def test_figure_stays_at_the_rounding_floor(self, alpha, beta, c):
+        # near the boundary, factors of the pair vanish at +-c and +-d; at
+        # alpha = beta = 1000 the weight's even factor is below float range
+        assert pearson_defect(*_family(alpha, beta, c)) <= 1e-13
+
+    def test_weight_keeps_the_single_point_results(self):
+        # zeros, returns of +-inf and raises, at x and at -x, against the
+        # reference; 1e-300 puts |x|^-4 of the Case II weight beyond float range
         weights = [solve_pearson(build(p)) for p in (CASE_II, CASE_III, CASE_IV, CASE_V)]
         weights += [big_weight(BigJacobiParams(1, 0, HALF)), big_weight(BigJacobiParams(3, 2, HALF)),
                     little_weight(HALF, -HALF), little_weight(-HALF, 2),
                     solve_pearson(build(OperatorParams(nu1=-2, xi=-1, eta=2000)))]
-        probes = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 0.75, -0.75, 1.5, 2.0, -2.0, 30.0]
+        probes = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 0.75, -0.75, 1.5, 2.0, -2.0, 30.0,
+                  1e-300]
+        seen = set()
         for w in weights:
-            floats = w.float_form()
-            kept, refused = [], []
             for x in probes:
-                try:
-                    kept.append((x, w(x), w(-x)))
-                except UnsupportedPoint:
-                    refused.append(x)
-            with np.errstate(all="ignore"):
-                mixed = floats.at_both(np.array([x for x, _, _ in kept]))
-                alone = [floats.at_both(np.array([x])) for x, _, _ in kept]
-            for i, (x, *expected) in enumerate(kept):
-                for got in ((mixed[0][i], mixed[1][i]), (alone[i][0][0], alone[i][1][0])):
-                    for e, g in zip(expected, got):
-                        assert math.copysign(1.0, g) == math.copysign(1.0, e), (w, x)
-                        assert g == e or math.isnan(g) and math.isnan(e), (w, x)
-            for x in refused:
-                with np.errstate(all="ignore"), pytest.raises(UnsupportedPoint):
-                    floats.at_both(np.array([0.6, x]))
-
-    @pytest.mark.parametrize("alpha, beta, c",
-                             GOLDEN_FAMILIES + [(Fraction(1000), Fraction(1000), HALF)])
-    def test_sweep_of_a_positive_family_takes_the_array_branch(self, alpha, beta, c, monkeypatch):
-        w, op = _family(alpha, beta, c)
-        calls = _count_point_calls(monkeypatch)
-        figure = pearson_defect(w, op)
-        assert calls == []
-        assert figure == pearson_figure(w, op, pearson_points(w))
-
-    @pytest.mark.parametrize("params", [CASE_III, CASE_V])
-    def test_sweep_with_an_exponential_factor_takes_the_point_branch(self, params, monkeypatch):
-        op = build(params)
-        w = solve_pearson(op)
-        points = pearson_points(w)
-        calls = _count_point_calls(monkeypatch)
-        figure = pearson_defect(w, op)
-        assert calls == points + [-x for x in points]
-        assert figure == pearson_figure(w, op, points)
+                for probe in (x, -x):
+                    try:
+                        expected = weight_value(w, probe)
+                    except UnsupportedPoint:
+                        with pytest.raises(UnsupportedPoint):
+                            w(probe)
+                        seen.add("raise")
+                        continue
+                    got = w(probe)
+                    assert math.copysign(1.0, got) == math.copysign(1.0, expected), (w, probe)
+                    assert got == expected or math.isnan(got) and math.isnan(expected), (w, probe)
+                    seen.add("zero" if got == 0.0 else "inf" if math.isinf(got) else "finite")
+        assert seen == {"raise", "zero", "inf", "finite"}
+        w = solve_pearson(build(CASE_II))
+        assert (w(1e-300), w(-1e-300)) == (math.inf, -math.inf)
 
     @pytest.mark.parametrize("alpha, beta, c",
                              [f for f in SWEEP_FAMILIES if f[2] != Fraction(99999, 100000)])
     def test_sample_on_wide_intervals_is_the_fixed_margin_grid(self, alpha, beta, c):
-        # every interval here is at least 1/4 wide, so the margin stays 1e-3
+        # every interval here is at least 1/4 wide, so the margin stays 1/1000
         w, op = _family(alpha, beta, c)
-        grid = w.interior_grid(25, eps=1e-3)
-        assert pearson_points(w) == [x for x in grid if abs(x) >= 1e-9 and
-                                     w.contains_interior(x) and w.contains_interior(-x)]
+        eps = Fraction(1, 1000)
+        grid = [lo + eps + i * (hi - lo - 2 * eps) / 24 for lo, hi in w.support for i in range(25)]
+        grid = [x for x in grid
+                if abs(x) >= Fraction(1, 10**9) and any(lo < -x < hi for lo, hi in w.support)]
+        assert pearson_points(w) == grid
         assert pearson_defect(w, op) == pearson_figure(w, op, grid)
 
     @pytest.mark.parametrize("c", [HALF, Fraction(99999, 100000)])
