@@ -16,6 +16,7 @@ from .errors import (
     NonIntegrable,
     NotCanonicalizable,
     NotSymmetrizableError,
+    OutOfFloatRange,
     ParameterRange,
     PoleAtZero,
     UnsupportedPoint,

@@ -52,7 +52,7 @@ def _int_from(low: int):
 _degree = _int_from(0)
 _order = _int_from(1)
 _ORDER_HELP = ("Gauss rule order, in y-nodes (default N // 2 + 11); N // 2 + 1 is the "
-               "least exact order, and certify refuses a smaller one")
+               "least exact order, and gram and certify refuse a smaller one")
 
 
 def _margin(text: str) -> float:

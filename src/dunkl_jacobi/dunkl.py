@@ -219,12 +219,13 @@ def eigenvalue(params: OperatorParams, n: int) -> Fraction:
 
 
 def check_nondegenerate(params: OperatorParams, N: int) -> bool:
-    """Exact nondegeneracy test up to degree ``N``, in constant time.
+    """Exact test of ``tau1 != +-tau0`` and of nonzero odd eigenvalues up to degree ``N``.
 
-    Requires ``tau1 != +-tau0`` and ``2 eta + (2k+1)(tau0 - tau1) != 0``
-    for all k = 0..N (odd eigenvalues nonzero).  With ``tau0 != tau1`` the
-    second fails for some k exactly when ``-2 eta / (tau0 - tau1)`` is an
-    odd integer ``2k + 1`` between 1 and ``2N + 1``.
+    In constant time: the odd eigenvalue ``2 eta + (2k+1)(tau0 - tau1)``
+    vanishes for some k = 0..N exactly when ``-2 eta / (tau0 - tau1)`` is an
+    odd integer from 1 to ``2N + 1``.  Even/odd collisions pass, as
+    ``lambda_1 = lambda_2 = 2`` at ``(tau0, tau1, eta) = (1, 0, 1/2)``, N = 2;
+    :func:`.eigen.eigen_sequence` raises ``DegenerateSpectrum`` on them.
     """
     if N < 0:
         raise ValueError("N must be >= 0")

@@ -50,5 +50,9 @@ class NonIntegrable(DunklJacobiError):
     """Weight exponents make the integral diverge."""
 
 
+class OutOfFloatRange(DunklJacobiError, OverflowError):
+    """A constant that a float computation needs lies beyond float64 range."""
+
+
 class InternalConsistencyError(DunklJacobiError):
     """A cross-check contradicted a hard-coded verdict or an exact identity."""

@@ -7,20 +7,12 @@ rules matched to the endpoint exponents integrate polynomial inputs to
 machine accuracy.  The equivalent x-space rule (mirrored nodes, positive
 weights) is what gets exposed.
 
-A Gauss-Jacobi rule is two extended-precision passes over the monic Jacobi
-matrix, whose coefficients are computed once from the exact exponents.  The
-start nodes are the eigenvalues of the matrix's symmetric form, from
-numpy's ``eigvalsh`` in float64 (Golub & Welsch, 1969).  One Newton step
-polishes them, with ``P_n`` and ``P_n'`` from the monic recurrence, and the
-weights are the Christoffel numbers ``mu_0 / sum_k q_k(t)^2`` over the
-orthonormal recurrence (Gautschi, *Orthogonal Polynomials: Computation and
-Approximation*, 2004).  Unlike ``(1 - t^2) P_n'(t)^2`` these keep their
-accuracy next to a singular endpoint.  The map to ``x`` takes the
-interval's half-width and midpoint from exact rationals and forms
-``z = |x| - |c|`` and ``|d| - |x|`` from ``1 + t`` and ``1 - t``, so a
-narrow interval loses nothing to cancellation between rounded endpoints,
-whatever the signs of ``c`` and ``d``.  A rule is node, weight and gap
-(``z``) tuples, built afresh on each request: no call reads one twice.
+A Gauss-Jacobi rule is one Newton step from float64 eigenvalues, with
+Christoffel-number weights that stay accurate next to a singular endpoint
+(:func:`_gauss_jacobi_refined`), mapped to ``x`` without cancellation
+between rounded endpoints (:func:`quadrature_rule`).  A rule is node, weight
+and gap (``z``) tuples, built afresh on each request: no call reads one
+twice.  Every float entry point takes its order from :func:`_gauss_order`.
 
 Each polynomial is written exactly in the monic orthogonal basis ``P_k``,
 whose recurrence is known in closed form (the big -1 Jacobi polynomials of
@@ -66,7 +58,8 @@ from typing import TYPE_CHECKING
 
 from .dunkl import build
 from .eigen import eigen_defects
-from .errors import DegenerateSpectrum, NonIntegrable, ParameterRange, UnsupportedWeight
+from .errors import (DegenerateSpectrum, NonIntegrable, OutOfFloatRange, ParameterRange,
+                     UnsupportedWeight)
 from .laurent import LaurentPoly, Polynomial, _IntegerPolynomial
 from .weights import BigJacobiParams, WeightFunction, big_operator, big_weight, pearson_defect
 
@@ -170,7 +163,15 @@ def _gauss_jacobi_refined(order: int, a: Fraction, b: Fraction):
         squares += q * q
     log_mu0 = (float(a + b + 1) * math.log(2.0) + math.lgamma(float(a) + 1)
                + math.lgamma(float(b) + 1) - math.lgamma(float(a + b) + 2))
-    return t, np.longdouble(math.exp(log_mu0)) / squares
+    return t, np.longdouble(_in_float_range("mu_0", math.exp, log_mu0)) / squares
+
+
+def _in_float_range(name: str, f, *args):
+    """``f(*args)``, the rule's constant ``name``, or :class:`~.errors.OutOfFloatRange`."""
+    try:
+        return f(*args)
+    except OverflowError:
+        raise OutOfFloatRange(f"the Gauss rule's constant {name} overflows float64") from None
 
 
 def _require_positive_family(w: WeightFunction) -> None:
@@ -219,7 +220,7 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     cf, df = float(abs(c)), float(abs(d))
     half = float((d * d - c * c) / 2)
     y = half * t + float((d * d + c * c) / 2)
-    v = wj * half ** float(a_exp + b_exp + 1)
+    v = wj * _in_float_range("half ** (a + b + 1)", pow, half, float(a_exp + b_exp + 1))
     x = np.sqrt(y)
     # y - c^2 = half (1 + t) and d^2 - y = half (1 - t): no cancellation
     # between rounded endpoints when |c| is near |d|
@@ -360,38 +361,41 @@ def _unit_values(rule: QuadratureRule, top: int) -> tuple:
     return q, np.cumprod([1.0, *r[1:]])
 
 
-def _default_order(degree_sum: int) -> int:
-    """Gauss order for integrands of x-degree at most ``degree_sum``: the exact order plus 10.
+def _gauss_order(degree: int, order: int | None) -> int:
+    """Every float entry point's Gauss order for integrands of x-degree at most ``degree``.
 
     On a node pair ``±x`` an integrand of x-degree ``d`` is one of
     y-degree at most ``ceil(d / 2)`` in ``y = x^2``, and an order-``n``
     rule is exact to y-degree ``2n - 1``, so ``(ceil(d / 2) + 2) // 2``
-    nodes are exact; ten more are the margin.  The node table has no
-    cancellation to outrun (:func:`_unit_values`), so more nodes would only
-    add rounding.
+    nodes are exact.  The default adds ten (the node table has no
+    cancellation to outrun, :func:`_unit_values`); a given ``order`` below
+    the least exact one raises :class:`~.errors.ParameterRange`.
     """
-    return (-(-degree_sum // 2) + 2) // 2 + 10
+    least = (-(-degree // 2) + 2) // 2
+    if order is None:
+        return least + 10
+    if order < least:
+        raise ParameterRange(f"order {order} is below {least}, the least order exact "
+                             f"at x-degree {degree}")
+    return order
 
 
 def inner_product(w: WeightFunction, p: LaurentPoly, q: LaurentPoly,
                   order: int | None = None) -> float:
     """``integral p q w dx`` over the support of ``w``.
 
-    The integrand's x-degree ``d = deg p + deg q`` is y-degree at most
-    ``ceil(d / 2)``, which an order-``n`` rule integrates exactly once
-    ``2n - 1 >= ceil(d / 2)``; the default order is the least such ``n``
-    plus 10.  The sum is ``s_p s_q fsum(w_k (p_k q_k))`` over the unit-frame
-    rows, with every product commutative, so swapping ``p`` and ``q``
-    gives the same bits.
+    The order is :func:`_gauss_order`'s at x-degree ``deg p + deg q``.  The
+    sum is ``s_p s_q fsum(w_k (p_k q_k))`` over the unit-frame rows, with
+    every product commutative, so swapping ``p`` and ``q`` gives the same bits.
     """
     deg = (p.degree or 0) + (q.degree or 0)
-    rule = quadrature_rule(w, order if order is not None else _default_order(deg))
+    rule = quadrature_rule(w, _gauss_order(deg, order))
     (pv, qv), (sp, sq) = (values.tolist() for values in _node_table(rule, (p, q)))
     return sp * sq * math.fsum(wt * (a * b) for wt, a, b in zip(rule.weights, pv, qv))
 
 
 def moment(w: WeightFunction, n: int, order: int | None = None) -> float:
-    """``integral x^n w dx`` via the same rule machinery."""
+    """``integral x^n w dx`` by :func:`inner_product`: :func:`_gauss_order`'s at x-degree ``n``."""
     if n < 0:
         raise ValueError("n must be >= 0")
     return inner_product(w, Polynomial.one(), Polynomial.monomial(n), order)
@@ -418,28 +422,26 @@ class GramMatrix:
         return float(self.entries[n, n])
 
     def max_relative_off_diagonal(self) -> float:
-        """Largest ``|g_ij| / sqrt(|g_ii g_jj|)`` over ``i < j``, read in the unit frame.
-
-        The ratio does not depend on the frame, and there no pair underflows
-        while its rows are representable.  A pair whose
-        ``sqrt(|g_ii|) sqrt(|g_jj|)`` is zero in float64 (a zero
-        normalization) cannot be checked and counts as ``inf``.
-        """
-        import numpy as np
-
-        g = self.entries if self.unit is None else self.unit
-        i, j = np.triu_indices(g.shape[0], 1)
-        root = np.sqrt(np.abs(np.diag(g)))
-        denom = root[i] * root[j]
-        ratio = np.full(denom.shape, np.inf)
-        np.divide(np.abs(g[i, j]), denom, out=ratio, where=denom > 0)
-        return float(ratio.max(initial=0.0))
+        """:func:`_max_relative_off_diagonal`, read in the unit frame, where no pair underflows."""
+        return _max_relative_off_diagonal(self.entries if self.unit is None else self.unit)
 
     def to_csv(self) -> str:
         lines = [",".join(f"g{j}" for j in range(self.entries.shape[1]))]
         for row in self.entries:
             lines.append(",".join(repr(float(v)) for v in row))
         return "\n".join(lines) + "\n"
+
+
+def _max_relative_off_diagonal(g: np.ndarray) -> float:
+    """Largest ``|g_ij| / sqrt(|g_ii g_jj|)`` over ``i < j``; a zero bound in float64 is ``inf``."""
+    import numpy as np
+
+    i, j = np.triu_indices(g.shape[0], 1)
+    root = np.sqrt(np.abs(np.diag(g)))
+    denom = root[i] * root[j]
+    ratio = np.full(denom.shape, np.inf)
+    np.divide(np.abs(g[i, j]), denom, out=ratio, where=denom > 0)
+    return float(ratio.max(initial=0.0))
 
 
 def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatrix:
@@ -450,13 +452,14 @@ def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatri
     Cauchy-Schwarz bounds ``sum_k w_k |r_i r_j|`` by ``sqrt(g_ii g_jj)``,
     so each entry's summation error relative to ``sqrt(g_ii g_jj)`` stays
     below about ``n_nodes * eps`` (~1e-14 at order 31, 62 nodes) without
-    compensated summation.
+    compensated summation.  The order is :func:`_gauss_order`'s at x-degree
+    twice the largest degree.
     """
     import numpy as np
 
     polys = tuple(polys)
     max_deg = max((p.degree or 0) for p in polys) if polys else 0
-    rule = quadrature_rule(w, order if order is not None else _default_order(2 * max_deg))
+    rule = quadrature_rule(w, _gauss_order(2 * max_deg, order))
     table, scales = _node_table(rule, polys)
     g = (table * np.asarray(rule.weights)) @ table.T
     unit = (g + g.T) / 2.0
@@ -489,11 +492,8 @@ def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) ->
     The block ``entries[:top + 1, top + 1:]`` of the Gram matrix of
     ``x^0..x^top`` and their images ``L x^k``, read off ``op``'s band; each
     is one connection row or an integer combination of at most four, scaled
-    into the unit frame by the ``s_j``.  Its integrands have
-    x-degree at most ``2 top``, so y-degree at most ``top``, and an
-    order-``n`` rule is exact to y-degree ``2n - 1``: the default order
-    ``top // 2 + 11`` integrates them to rounding, and so does any order
-    above ``top / 2``.  :func:`certify` reads the same block off its one
+    into the unit frame by the ``s_j``.  The order is :func:`_gauss_order`'s
+    at x-degree ``2 top``.  :func:`certify` reads the same block off its one
     Gram matrix, whose rows include these.
     """
     if top < 0:
@@ -514,16 +514,13 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     """The five checks of ``family`` at degrees ``0..N``, as :class:`Check` records.
 
     ``eigen-residual``, ``orthogonality``, ``positivity``, ``symmetry`` and
-    ``pearson``.  Both float checks read one Gram matrix, on one Gauss rule
-    of ``order`` (default ``N // 2 + 11``): that of ``P_0..P_N``,
-    ``x^0..x^top`` and ``L x^0..L x^top``, ``top = min(N, 10)``.  Its
-    integrands have x-degree at most ``2N``, so y-degree at most ``N``, and
-    an order-``n`` rule is exact to y-degree ``2n - 1``: ``N // 2 + 1``
-    nodes are exact, and the default adds ten.  A smaller ``order`` raises
-    :class:`~.errors.ParameterRange`: its figures would fail a positive
-    family.  The orthogonality figure
-    is read off the ``P`` block in the node table's unit frame
-    (``GramMatrix.unit``), where no normalization underflows at any ``N``.
+    ``pearson``.  Both float checks read one Gram matrix, on one Gauss rule:
+    that of ``P_0..P_N``, ``x^0..x^top`` and ``L x^0..L x^top``,
+    ``top = min(N, 10)``.  Its order is :func:`_gauss_order`'s at x-degree
+    ``2N``, decided before any work: ``N // 2 + 11`` by default, and
+    ``N // 2 + 1`` at least.  The orthogonality figure is read off the ``P``
+    block in the node table's unit frame (``GramMatrix.unit``), where no
+    normalization underflows at any ``N``.
     The ``P_n`` are built once; exact residuals on their integer forms
     (``eigen_defects``, one band built to degree ``N``), all zero, prove
     them the monic eigenpolynomials, with no solve and no ``Fraction``
@@ -541,9 +538,7 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     ``tau0 = 0``, ``tau1 = 2`` and ``eta = -(alpha + beta + 1) < 1``, so no
     odd eigenvalue vanishes (``check_nondegenerate``).
     """
-    if order is not None and order < N // 2 + 1:
-        raise ParameterRange(f"order {order} is below N // 2 + 1 = {N // 2 + 1}, "
-                             f"the least order exact at degree N = {N}")
+    order = _gauss_order(2 * N, order)
     w = big_weight(family)
     op = build(big_operator(family))
     recurrence = recurrence_coefficients(w, N)
@@ -552,8 +547,7 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
 
     top, end = min(N, 10), N + 1
     g = gram_matrix(w, polys + _symmetry_rows(op, top), order=order)
-    off = GramMatrix(g.entries[:end, :end], g.basis[:end], g.order,
-                     g.unit[:end, :end]).max_relative_off_diagonal()
+    off = _max_relative_off_diagonal(g.unit[:end, :end])
     h0 = g.normalization(0)
     positivity = f"h0={h0:.3e}"
     if N >= 1:
@@ -580,12 +574,11 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
 
 def symmetry_residual(w: WeightFunction, op, V: Polynomial, W: Polynomial,
                       order: int | None = None) -> float:
-    """``<L V, W> - <V, L W>``; vanishes (numerically) for symmetrizable pairs."""
+    """``<L V, W> - <V, L W>``, both at :func:`_gauss_order`'s order for the larger x-degree."""
     lv = op.apply(V)
     lw = op.apply(W)
     deg = max((lv.degree or 0) + (W.degree or 0), (V.degree or 0) + (lw.degree or 0))
-    if order is None:
-        order = _default_order(deg)
+    order = _gauss_order(deg, order)
     return inner_product(w, lv, W, order) - inner_product(w, V, lw, order)
 
 

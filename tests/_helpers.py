@@ -18,6 +18,16 @@ RECURRENCE_FAMILIES = [
     for c in (0, Fraction(99999, 100000))
 ]
 
+#: The golden ``certify`` families: three near the boundary, then two away
+#: from it, the golden N = 200 one and a one-interval one.
+GOLDEN_FAMILIES = [
+    (Fraction(-99, 100), Fraction(0), Fraction(1, 2)),
+    (Fraction(1), Fraction(1), Fraction(99999, 100000)),
+    (Fraction(-99, 100), Fraction(-99, 100), Fraction(99999, 100000)),
+    (Fraction(1), Fraction(1), Fraction(1, 2)),
+    (Fraction(1, 2), Fraction(2), Fraction(0)),
+]
+
 #: the two provably positive families ``certify`` rejects at N = 20
 NEAR_BOUNDARY_FAMILIES = [(Fraction(-99, 100), 0, Fraction(1, 2)),
                           (1, 1, Fraction(99999, 100000))]

@@ -321,18 +321,53 @@ class TestCertify:
         assert code == 0 and out.count("PASS") == 5
         assert calls == [order or N // 2 + 11]
 
-    @pytest.mark.parametrize("N, order", [(4, 2), (40, 20)])
-    def test_order_below_the_exact_order_is_refused(self, N, order, capsys):
-        # N // 2 + 1 nodes are the fewest exact at degree 2N; one fewer fails
-        # orthogonality on this positive family, so it is a parameter error
-        argv = ["certify", "--alpha", "1", "--beta", "1", "--c", "1/2", "--N", str(N)]
-        code, out, err = run(argv + ["--order", str(order)], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("parameter error: order ") and f"N // 2 + 1 = {order + 1}" in err
-        with pytest.raises(ParameterRange):
-            quad_mod.certify(BigJacobiParams(1, 1, Fraction(1, 2)), N, order)
-        code, out, _ = run(argv + ["--order", str(order + 1)], capsys)
-        assert code == 0 and out.count("PASS") == 5
+    @pytest.mark.parametrize("entry, least", [
+        ("cli certify --N 4", 3), ("cli certify --N 40", 21), ("cli gram --N 4", 3),
+        ("certify", 3), ("gram_matrix", 3), ("symmetry_block", 6), ("inner_product", 3),
+        ("moment", 2), ("symmetry_residual", 3),
+    ])
+    def test_order_below_the_exact_order_is_refused(self, entry, least, capsys):
+        # (ceil(d / 2) + 2) // 2 nodes are the fewest exact at x-degree d; one
+        # fewer is wrong on this positive family (gram --N 4 --order 2 printed
+        # g03 = -0.035, not 0), so every float entry point refuses it
+        if entry.startswith("cli "):
+            command, *rest = entry.split()[1:]
+            argv = [command, "--alpha", "1", "--beta", "1", "--c", "1/2", *rest]
+            code, out, err = run(argv + ["--order", str(least - 1)], capsys)
+            assert code == 2 and out == ""
+            assert err.startswith(f"parameter error: order {least - 1} is below {least}, ")
+            code, out, _ = run(argv + ["--order", str(least)], capsys)
+            assert code == 0
+            if command == "certify":
+                assert out.count("PASS") == 5
+            else:
+                g = [[float(v) for v in row.split(",")] for row in out.splitlines()[1:]]
+                assert max(abs(g[i][j]) / math.sqrt(g[i][i] * g[j][j])
+                           for i in range(len(g)) for j in range(i)) <= 1e-14
+            return
+        family = BigJacobiParams(1, 1, Fraction(1, 2))
+        w, op = dunkl_jacobi.big_weight(family), build(big_operator(family))
+        x = Polynomial.monomial
+        call = {  # x-degrees 8, 8, 20, 7, 5 and 7
+            "certify": lambda o: [c.passed for c in quad_mod.certify(family, 4, o)],
+            "gram_matrix": lambda o: quad_mod.gram_matrix(
+                w, quad_mod.orthogonal_polynomials(w, 4), o).entries,
+            "symmetry_block": lambda o: quad_mod.symmetry_block(w, op, 10, o),
+            "inner_product": lambda o: quad_mod.inner_product(w, x(3), x(4), o),
+            "moment": lambda o: quad_mod.moment(w, 5, o),
+            "symmetry_residual": lambda o: quad_mod.symmetry_residual(w, op, x(3), x(4), o),
+        }[entry]
+        with pytest.raises(ParameterRange, match=f"^order {least - 1} is below {least}, "):
+            call(least - 1)
+        # the least exact order gives the default order's values to rounding
+        assert call(least) == pytest.approx(call(None), rel=1e-12, abs=1e-15)
+
+    def test_constant_beyond_float_range_is_an_error(self, capsys):
+        # mu_0 = 2^1500.5 / 1500.5 of the rule at alpha = 3000, beta = 1
+        code, out, err = run(["certify", "--alpha=3000", "--beta=1", "--c=1/2", "--N", "20"],
+                             capsys)
+        assert code == 1 and out == ""
+        assert err == "error: the Gauss rule's constant mu_0 overflows float64\n"
 
     @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
     def test_one_exact_computation(self, family, capsys, monkeypatch):

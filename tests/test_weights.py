@@ -34,6 +34,7 @@ from dunkl_jacobi.quadrature import PEARSON_TOL
 from dunkl_jacobi.weights import AffineFactor, _sign_obstruction_check
 
 from _helpers import (
+    GOLDEN_FAMILIES,
     NEAR_BOUNDARY_FAMILIES,
     RECURRENCE_FAMILIES,
     random_generic_params,
@@ -466,16 +467,6 @@ def _family(alpha, beta, c):
 
 # RECURRENCE_FAMILIES starts with the criterion-05 grid
 SWEEP_FAMILIES = RECURRENCE_FAMILIES + NEAR_BOUNDARY_FAMILIES
-
-#: The three golden ``certify`` FAILs near the boundary, then two families
-#: away from it: the golden N = 200 one and a one-interval one.
-GOLDEN_FAMILIES = [
-    (Fraction(-99, 100), Fraction(0), HALF),
-    (Fraction(1), Fraction(1), Fraction(99999, 100000)),
-    (Fraction(-99, 100), Fraction(-99, 100), Fraction(99999, 100000)),
-    (Fraction(1), Fraction(1), HALF),
-    (HALF, Fraction(2), Fraction(0)),
-]
 
 
 class TestPearsonSweep:
