@@ -4,10 +4,12 @@ Usage::
 
     python .github/scripts/compare_golden.py /path/to/bin/dunkl-jacobi
 
-Each listed command must exit with its code and print its golden file.  As
+Each listed command must exit with its code, print its golden file and
+write nothing to stderr, so a warning or a traceback fails it.  As
 in ``tests/test_golden.py``, certify's float figures are pinned only where
 ``np.longdouble`` is wider than float64; elsewhere its check names and exit
-code must match.  Prints one line per command and exits 1 if any differs.
+code must match.  Prints one line per command, then what it wrote to
+stderr, and exits 1 if any differs.
 """
 
 import pathlib
@@ -39,8 +41,9 @@ def main(script):
             same = names(done.stdout) == names(expected)
         else:
             same = done.stdout == expected
-        good = done.returncode == int(code) and same
+        good = done.returncode == int(code) and same and not done.stderr
         print(name, "ok" if good else f"FAILED (exit {done.returncode})")
+        sys.stdout.write(done.stderr.decode())
         ok = ok and good
     return 0 if ok else 1
 

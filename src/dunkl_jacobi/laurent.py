@@ -2,8 +2,9 @@
 
 A Laurent polynomial is a finite sum ``sum c_k x**k`` with integer exponents
 ``k`` of either sign and coefficients stored as ``fractions.Fraction``.
-Everything in this module is exact; floating point enters only through
-:meth:`LaurentPoly.evaluate`, at one point.
+Everything in this module is exact.  One integer kernel evaluates at a
+rational ``P/Q``; :meth:`LaurentPoly.evaluate` rounds its value at the exact
+binary value of ``float(x)`` once, and floating point enters only there.
 
 A sum or product stores the first contribution to an exponent as it is and
 adds only where a coefficient is already there; coefficients that cancel to
@@ -22,6 +23,7 @@ the coefficient map itself, or the integer vector with its denominator.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -246,51 +248,25 @@ class LaurentPoly:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, x) -> float:
-        """Floating evaluation, each coefficient rounded to float64 where it is read.
+        """The value at the exact binary value of ``float(x)``, rounded once.
 
-        Horner on the nonnegative part, and on the negative part in
-        ``u = 1/x``, most negative exponent first.  Raises
-        :class:`PoleAtZero` when ``x == 0`` and negative powers are present.
+        Raises :class:`PoleAtZero` when ``x == 0`` and negative powers are
+        present, and ``ValueError`` when ``x`` is not finite.
         """
-        xf = float(x)
-        terms = self._terms
-        if not terms:
-            return 0.0
-        val = min(terms)
-        if val < 0 and xf == 0.0:
-            raise PoleAtZero("Laurent polynomial has a pole at x = 0")
-        pos = 0.0
-        for k in range(max(terms), -1, -1):
-            pos = pos * xf + float(terms.get(k, 0))
-        neg = 0.0
-        if val < 0:
-            u = 1.0 / xf
-            for k in range(val, 0):
-                neg = neg * u + float(terms.get(k, 0))
-            neg *= u
-        return pos + neg
+        return _rounded(*self._at(*_binary(x)))
 
     def evaluate_exact(self, x: RationalLike) -> Fraction:
         """Exact rational evaluation at rational ``x``."""
         xr = as_rational(x)
-        if not self._terms:
-            return Fraction(0)
-        if xr == 0 and min(self._terms) < 0:
+        return Fraction(*self._at(xr.numerator, xr.denominator))
+
+    def _at(self, P: int, Q: int) -> tuple:
+        """``(num, den)`` with ``self(P/Q) = num / den``, ``den > 0``, from :func:`_numerators`."""
+        form = _laurent_form(self)
+        if P == 0 and form[0]:
             raise PoleAtZero("Laurent polynomial has a pole at x = 0")
-        total = Fraction(0)
-        deg = max(self._terms)
-        if deg >= 0:
-            for k in range(deg, -1, -1):
-                total = total * xr + self._terms.get(k, Fraction(0))
-        val = min(self._terms)
-        if val < 0:
-            u = 1 / xr
-            acc = Fraction(0)
-            for k in range(val, 0):
-                # Horner in u = 1/x, most negative exponent first.
-                acc = acc * u + self._terms.get(k, Fraction(0))
-            total += acc * u
-        return total
+        [(num, _, den)] = _numerators([_homogeneous(form, Q)], P, P * P)
+        return num, den
 
     # -- serialization -------------------------------------------------------
 
@@ -353,6 +329,54 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return LaurentPoly.constant(value)
     return NotImplemented
+
+
+def _binary(x) -> tuple:
+    """``(P, Q)`` with ``float(x) = P/Q`` exactly; ``ValueError`` when it is not finite."""
+    xf = float(x)
+    if not math.isfinite(xf):
+        raise ValueError(f"x must be finite, got {xf}")
+    return xf.as_integer_ratio()
+
+
+def _rounded(num: int, den: int) -> float:
+    """``num / den`` rounded once; beyond float range, an infinity of its sign."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num > 0) == (den > 0) else -math.inf
+
+
+def _laurent_form(p: LaurentPoly) -> tuple:
+    """``(k, D, v)``: integers with ``p(x) = sum_j v[j] x^j / (D x^(2k))``, ``len(v) > 2k``."""
+    s, terms = p._scaled_terms()
+    terms = terms or {0: 0}
+    k = -(min(min(terms), 0) // 2)
+    coefficients = [terms.get(j, 0) for j in range(-2 * k, max(max(terms), 0) + 1)]
+    D = math.lcm(*(c.denominator for c in coefficients))
+    return k, s * D, [c.numerator * (D // c.denominator) for c in coefficients]
+
+
+def _homogeneous(form: tuple, Q: int) -> tuple:
+    """``(even, odd, D Q^(n - 2k), k)``, ``v[j] Q^(n - j)`` for even and odd ``j`` highest first."""
+    k, D, v = form
+    n = len(v) - 1
+    h = [c * Q ** (n - j) for j, c in enumerate(v)]
+    return h[::2][::-1], h[1::2][::-1], D * Q ** (n - 2 * k), k
+
+
+def _numerators(forms: list, P: int, P2: int) -> list:
+    """``(N(P), N(-P), den)``, ``p(+-P/Q) = N(+-P) / den``, for each :func:`_homogeneous` form."""
+    out = []
+    for even, odd, den, k in forms:
+        e = o = 0
+        for c in even:
+            e = e * P2 + c
+        for c in odd:
+            o = o * P2 + c
+        o *= P
+        out.append((e + o, e - o, den * P2**k))
+    return out
 
 
 class Polynomial(LaurentPoly):

@@ -133,6 +133,11 @@ def _gauss_jacobi_refined(order: int, a: Fraction, b: Fraction):
     """
     import numpy as np
 
+    # before any numpy step; a, b > -1, so a + b + 1 bounds every exponent
+    _in_float_range("a + b + 1", float, a + b + 1)
+    mu0 = _in_float_range("mu_0", lambda: math.exp(
+        float(a + b + 1) * math.log(2.0) + math.lgamma(float(a) + 1)
+        + math.lgamma(float(b) + 1) - math.lgamma(float(a + b) + 2)))
     s, A, B = _longdouble(a + b), _longdouble(a), _longdouble(b)
     n = np.arange(order, dtype=np.longdouble)
     m = 2 * n + s
@@ -161,9 +166,7 @@ def _gauss_jacobi_refined(order: int, a: Fraction, b: Fraction):
     for dk, rk, rk1 in zip(diag, root, root[1:]):
         q_prev, q = q, ((t - dk) * q - rk * q_prev) / rk1
         squares += q * q
-    log_mu0 = (float(a + b + 1) * math.log(2.0) + math.lgamma(float(a) + 1)
-               + math.lgamma(float(b) + 1) - math.lgamma(float(a + b) + 2))
-    return t, np.longdouble(_in_float_range("mu_0", math.exp, log_mu0)) / squares
+    return t, np.longdouble(mu0) / squares
 
 
 def _in_float_range(name: str, f, *args):

@@ -16,9 +16,9 @@ as sign-indefinite on symmetric supports.  ``pearson_defect`` is the float
 check of the pair that ``certify`` reports, over the sample
 ``pearson_points``.
 
-``w(x)``, ``w.log_derivative`` and ``pearson_residual`` evaluate one
-Python float; ``pearson_defect`` forms the pair exactly at exact sample
-points and takes no power of the weight.  Nothing here loads numpy.
+``w(x)`` evaluates one Python float.  Everything else reads the integer
+kernel of :mod:`.laurent` at a point's exact value and rounds once; the
+Pearson sweep takes no power of the weight.  Nothing here loads numpy.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from .errors import (
     UnsupportedPoint,
     UnsupportedWeight,
 )
-from .laurent import LaurentPoly, Rational, as_rational
+from .laurent import (Rational, _binary, _homogeneous, _laurent_form, _numerators, _rounded,
+                      as_rational)
 
 
 class CaseTag(str, enum.Enum):
@@ -150,8 +151,15 @@ class WeightFunction:
         return self.float_form().value(float(x))
 
     def log_derivative(self, x) -> float:
-        """Analytic logarithmic derivative ``w'(x)/w(x)`` away from zeros."""
-        return self.float_form().log_derivative(float(x))
+        """``w'(x)/w(x)`` at the exact binary value of ``float(x)``, rounded once.
+
+        Formed in ints from :func:`_weight_forms`; ``ZeroDivisionError`` at a
+        zero or pole of a factor, ``ValueError`` at a non-finite ``x``.
+        """
+        P, Q = _binary(x)
+        (t, _, _), (b, _, _) = _numerators(
+            [_homogeneous(form, Q) for form in _weight_forms(self)[1:]], P, P * P)
+        return _rounded(t, b)
 
     # -- support ------------------------------------------------------------
 
@@ -267,24 +275,6 @@ class _FloatWeight:
             except OverflowError:  # beyond float range, as at a pole
                 return math.inf if value >= 0 else -math.inf
         return value
-
-    def log_derivative(self, x: float) -> float:
-        """``w'(x)/w(x)`` at one point."""
-        total = 0.0
-        for root, multiplicity in self.affine:
-            total += multiplicity / (x - root)
-        if self.abs_power:
-            total += self.abs_power / x
-        for a0, a2, ef, _ in self.algebraic:
-            total += ef * 2.0 * a2 * x / (a0 + a2 * x * x)
-        if self.exponential is not None:
-            gauss, coefficient, shift = self.exponential
-            if gauss:
-                total += 2.0 * coefficient * x
-            else:
-                denom = x * x - shift
-                total += -2.0 * coefficient * x / (denom * denom)
-        return total
 
 
 @dataclass(frozen=True)
@@ -612,18 +602,19 @@ def pearson_residual(w: WeightFunction, op: DunklOperator, x) -> tuple:
     Returns ``(w(x)G1(x) - w(-x)G1(-x),
     w(-x)F(-x) - w(x)F(x) - d/dx[w(x)G1(x)])`` with the derivative taken
     analytically from the weight descriptor.  Both vanish identically when
-    ``w`` solves the Pearson pair for ``op``.
+    ``w`` solves the Pearson pair for ``op``.  All but ``w(+-x)`` are
+    :func:`_pair_at`'s.
     """
     xf = float(x)
     if xf == 0.0:
         raise UnsupportedPoint("x must be nonzero")
     if not (w.contains_interior(xf) and w.contains_interior(-xf)):
         raise UnsupportedPoint(f"x={xf} and -x must both be interior to the support")
+    P, Q = xf.as_integer_ratio()
+    _, _, g1x, g1mx, fx, fmx, dg1x, log_derivative = _pair_at(w, _pair_forms(w, op, Q), P)[0]
     wx, wmx = w(xf), w(-xf)
-    g1x = op.G1.evaluate(xf)
-    d_wg1 = wx * w.log_derivative(xf) * g1x + wx * op.G1.differentiate().evaluate(xf)
-    return (wx * g1x - wmx * op.G1.evaluate(-xf),
-            wmx * op.F.evaluate(-xf) - wx * op.F.evaluate(xf) - d_wg1)
+    d_wg1 = wx * log_derivative * g1x + wx * dg1x
+    return (wx * g1x - wmx * g1mx, wmx * fmx - wx * fx - d_wg1)
 
 
 def _sample(w: WeightFunction) -> tuple:
@@ -670,31 +661,22 @@ def _times(a, b) -> list:
     return out
 
 
-def _laurent_form(p: LaurentPoly) -> tuple:
-    """``(k, D, v)``: integers with ``p(x) = sum_j v[j] x^j / (D x^(2k))``, ``len(v) > 2k``."""
-    terms = p.terms or {0: 0}
-    k = -(min(min(terms), 0) // 2)
-    coefficients = [terms.get(j, 0) for j in range(-2 * k, max(max(terms), 0) + 1)]
-    D = math.lcm(*(c.denominator for c in coefficients))
-    return k, D, [c.numerator * (D // c.denominator) for c in coefficients]
-
-
 def _weight_forms(w: WeightFunction) -> list:
-    """``A`` without its sign factor, ``A'``, and ``E'/E`` as a numerator and a denominator.
+    """``A`` without its sign factor, and ``w'/w`` as a numerator and a denominator.
 
-    Forms of :func:`_laurent_form` with ``k = 0``; ``A'`` shares ``A``'s
-    ``D``, and the two of ``E'/E`` share one length, so their ratio is that
-    of their numerators.  Its terms are the non-affine ones of
-    :meth:`_FloatWeight.log_derivative`, over the product of their
-    denominators.
+    Forms of :func:`~.laurent._laurent_form` with ``k = 0``; the two of
+    ``w'/w`` share one length, so their ratio is that of their numerators,
+    which sum the terms of the factors over the product of their denominators.
     """
     v, D = [w.constant.numerator], w.constant.denominator
-    for f in w.affine_factors:
-        for _ in range(f.multiplicity):
-            v = _times(v, [-f.root.numerator, f.root.denominator])
-            D *= f.root.denominator
     p = w.abs_power
     terms = [([0, p.numerator], [0, 0, p.denominator])] if p else []  # p x / x^2
+    for f in w.affine_factors:  # m / (x - r)
+        r, rd = f.root.numerator, f.root.denominator
+        terms.append(([f.multiplicity * rd], [-r, rd]))
+        for _ in range(f.multiplicity):
+            v = _times(v, [-r, rd])
+            D *= rd
     for f in w.algebraic_factors:  # 2 e a2 x / (a0 + a2 x^2)
         (e, ed), (a0, a0d), (a2, a2d) = ((q.numerator, q.denominator)
                                          for q in (f.exponent, f.a0, f.a2))
@@ -712,30 +694,28 @@ def _weight_forms(w: WeightFunction) -> list:
     for t, b in terms:
         top = [x + y for x, y in zip_longest(_times(top, b), _times(t, bottom), fillvalue=0)]
         bottom = _times(bottom, b)
-    forms = [(0, D, v), (0, D, [j * c for j, c in enumerate(v)][1:] or [0])]
-    return forms + [(0, 1, list(u)) for u in zip(*zip_longest(top, bottom, fillvalue=0))]
+    return [(0, D, v)] + [(0, 1, list(u)) for u in zip(*zip_longest(top, bottom, fillvalue=0))]
 
 
-def _homogeneous(form: tuple, Q: int) -> tuple:
-    """``(even, odd, D Q^(n - 2k), k)``, ``v[j] Q^(n - j)`` for even and odd ``j`` highest first."""
-    k, D, v = form
-    n = len(v) - 1
-    h = [c * Q ** (n - j) for j, c in enumerate(v)]
-    return h[::2][::-1], h[1::2][::-1], D * Q ** (n - 2 * k), k
+def _pair_forms(w: WeightFunction, op: DunklOperator, Q: int) -> list:
+    """``G1``, ``F``, ``G1'`` and :func:`_weight_forms` as :func:`_homogeneous` forms over ``Q``."""
+    forms = [_laurent_form(p) for p in (op.G1, op.F, op.G1.differentiate())] + _weight_forms(w)
+    return [_homogeneous(form, Q) for form in forms]
 
 
-def _numerators(forms: list, P: int, P2: int) -> list:
-    """``(N(P), N(-P), den)``, ``p(+-P/Q) = N(+-P) / den``, for each :func:`_homogeneous` form."""
-    out = []
-    for even, odd, den, k in forms:
-        e = o = 0
-        for c in even:
-            e = e * P2 + c
-        for c in odd:
-            o = o * P2 + c
-        o *= P
-        out.append((e + o, e - o, den * P2**k))
-    return out
+def _pair_at(w: WeightFunction, scaled: list, P: int) -> tuple:
+    """``(A(x), A(-x), G1(x), G1(-x), F(x), F(-x), G1'(x), w'/w(x))`` at ``P/Q``, then at ``-P/Q``.
+
+    ``scaled`` is :func:`_pair_forms` over ``Q``; each value is rounded once.
+    """
+    (g, g_, dg), (f, f_, df), (d, d_, dd), (a, a_, da), (t, t_, _), (b, b_, _) = (
+        _numerators(scaled, P, P * P))
+    ax, amx = a / da, a_ / da
+    if w.sign_factor:
+        ax, amx = (ax, -amx) if P > 0 else (-ax, amx)
+    g1x, g1mx, fx, fmx = g / dg, g_ / dg, f / df, f_ / df
+    return ((ax, amx, g1x, g1mx, fx, fmx, d / dd, t / b),
+            (amx, ax, g1mx, g1x, fmx, fx, d_ / dd, t_ / b_))
 
 
 def pearson_defect(w: WeightFunction, op: DunklOperator) -> float:
@@ -746,36 +726,25 @@ def pearson_defect(w: WeightFunction, op: DunklOperator) -> float:
     rest.  Divided by ``E``, :func:`pearson_residual`'s residuals and the
     sizes of their terms are ``r1 = A(x)G1(x) - A(-x)G1(-x)``,
     ``s1 = |A(x)G1(x)| + |A(-x)G1(-x)|``,
-    ``r2 = A(-x)F(-x) - A(x)F(x) - A(x)[(A'/A + E'/E) G1(x) + G1'(x)]`` and
-    ``s2 = |A(-x)F(-x)| + |A(x)F(x)|``; the figures ``|r| / s`` are theirs.
-    Each quantity in these is formed from ints at the exact point and
-    rounded once by one ``int / int``, with no ``pow`` and no ``exp``, so
-    nothing underflows.  A size of 0.0 measures nothing; with nothing
-    measured the figure is ``inf``.
+    ``r2 = A(-x)F(-x) - A(x)F(x) - A(x)[(w'/w) G1(x) + G1'(x)]`` and
+    ``s2 = |A(-x)F(-x)| + |A(x)F(x)| + |A(x)(w'/w)G1(x)| + |A(x)G1'(x)|``;
+    the figures ``|r| / s`` are theirs.  Each quantity is :func:`_pair_at`'s,
+    rounded once from ints, with no ``pow`` and no ``exp``, so nothing
+    underflows.  A size of 0.0 measures nothing; with nothing measured the
+    figure is ``inf``.
     """
-    forms = [_laurent_form(p) for p in (op.G1, op.F, op.G1.differentiate())] + _weight_forms(w)
     Q, points = _sample(w)
-    scaled = [_homogeneous(form, Q) for form in forms]
+    scaled = _pair_forms(w, op, Q)
     members = set(points)
     figures = []
     for P in points:
         if P < 0 and -P in members:
             continue  # evaluated with its mirror
-        P2 = P * P
-        (g, g_, dg), (f, f_, df), (d, d_, dd), (a, a_, da), (s, s_, _), (t, t_, _), (b, b_, _) = (
-            _numerators(scaled, P, P2))
-        ax, amx = a / da, a_ / da
-        if w.sign_factor:
-            ax, amx = (ax, -amx) if P > 0 else (-ax, amx)
-        g1x, g1mx, fx, fmx = g / dg, g_ / dg, f / df, f_ / df
-        # at x and at -x; A'/A + E'/E is s Q / a + t / b, from the numerators of A' and E'/E
-        sides = [(ax, amx, g1x, g1mx, fx, fmx, d / dd, (s * Q * b + a * t) / (a * b))]
-        if -P in members:
-            sides.append((amx, ax, g1mx, g1x, fmx, fx, d_ / dd,
-                          (s_ * Q * b_ + a_ * t_) / (a_ * b_)))
+        sides = _pair_at(w, scaled, P)[:1 + (-P in members)]
         for ax, amx, g1x, g1mx, fx, fmx, dg1x, log_derivative in sides:
             even, odd, reflected, direct = ax * g1x, amx * g1mx, amx * fmx, ax * fx
-            s1, s2 = abs(even) + abs(odd), abs(reflected) + abs(direct)
+            s1 = abs(even) + abs(odd)
+            s2 = abs(reflected) + abs(direct) + abs(ax * log_derivative * g1x) + abs(ax * dg1x)
             if s1:
                 figures.append(abs(even - odd) / s1)
             if s2:

@@ -28,9 +28,21 @@ GOLDEN_FAMILIES = [
     (Fraction(1, 2), Fraction(2), Fraction(0)),
 ]
 
-#: the two provably positive families ``certify`` rejects at N = 20
+#: two provably positive families next to the boundary, alpha near -1 and
+#: c near 1; both certify at N = 20, where the float Pearson figure once
+#: rejected them
 NEAR_BOUNDARY_FAMILIES = [(Fraction(-99, 100), 0, Fraction(1, 2)),
                           (1, 1, Fraction(99999, 100000))]
+
+
+#: 448 valid families next to every parameter boundary: alpha and beta at
+#: 1e-2, 1e-4 and 1e-6 above -1, at 0 and 1, and large; c at and next to 0,
+#: at 1/2, and next to 1
+_GRID_EXPONENTS = [Fraction(-99, 100), Fraction(-9999, 10000), Fraction(-999999, 1000000),
+                   Fraction(0), Fraction(1), Fraction(50), Fraction(300), Fraction(3000)]
+_GRID_C = [Fraction(0), Fraction(1, 10**6), Fraction(1, 100), Fraction(1, 2),
+           1 - Fraction(1, 100), 1 - Fraction(1, 10**5), 1 - Fraction(1, 10**8)]
+BOUNDARY_GRID = [(a, b, c) for a in _GRID_EXPONENTS for b in _GRID_EXPONENTS for c in _GRID_C]
 
 
 def random_rational(rng, lo=-6, hi=6, max_den=4, nonzero=False) -> Fraction:

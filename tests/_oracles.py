@@ -25,8 +25,10 @@ Bareiss, Math. Comp. 22, 1968), with one full-size ``Fraction`` gcd per
 coefficient, not from the lowest-terms sweep.  A polynomial's expansion in the
 ``P_k`` peels off leading terms by ``Polynomial`` subtraction, not by the
 connection rows of the three-term recurrence.  The Pearson pair at a point
-evaluates the weight, ``G1`` and ``F`` straight off their exact coefficients,
-converting each one at every use.  The Pearson figure is ``Fraction``
+evaluates the weight factor by factor off its exact descriptor, and forms
+``G1``, ``F``, ``G1'`` and ``w'/w`` at the exact binary value of the point in
+``Fraction`` arithmetic, term by term, not by Horner's rule in integers; each
+is rounded once.  The Pearson figure is ``Fraction``
 arithmetic at the exact sample points, factor by factor and term by term, not
 integer numerators over one denominator; each quantity is rounded once by
 ``float(Fraction)``, and the floats combine in the order the figure is pinned
@@ -47,7 +49,6 @@ from dunkl_jacobi import (
     InternalConsistencyError,
     OperatorBand,
     OperatorParams,
-    PoleAtZero,
     Polynomial,
     UnsupportedPoint,
     eigenvalue,
@@ -243,29 +244,6 @@ def p_basis_expansion(p, basis) -> list:
 
 # -- the Pearson figure, point by point -------------------------------------
 
-def laurent_value(p, x) -> float:
-    """Float Horner on ``p``'s exact coefficients, in ``u = 1/x`` below ``x^0``."""
-    xf = float(x)
-    terms = p.terms
-    if not terms:
-        return 0.0
-    if xf == 0.0 and min(terms) < 0:
-        raise PoleAtZero("Laurent polynomial has a pole at x = 0")
-    pos = 0.0
-    deg = max(terms)
-    if deg >= 0:
-        for k in range(deg, -1, -1):
-            pos = pos * xf + float(terms.get(k, 0))
-    neg = 0.0
-    val = min(terms)
-    if val < 0:
-        u = 1.0 / xf
-        for k in range(val, 0):
-            neg = neg * u + float(terms.get(k, 0))
-        neg *= u
-    return pos + neg
-
-
 def _float_power(base: float, exponent) -> float:
     """``base ** exponent``; beyond float range, an infinity with the power's sign."""
     try:
@@ -323,66 +301,8 @@ def weight_value(w, x) -> float:
     return value
 
 
-def weight_log_derivative(w, x) -> float:
-    """``w'(x)/w(x)`` term by term off the exact descriptor."""
-    xf = float(x)
-    total = 0.0
-    for fac in w.affine_factors:
-        total += fac.multiplicity / (xf - float(fac.root))
-    if w.abs_power:
-        total += float(w.abs_power) / xf
-    for fac in w.algebraic_factors:
-        a2 = float(fac.a2)
-        base = float(fac.a0) + a2 * xf * xf
-        total += float(fac.exponent) * 2.0 * a2 * xf / base
-    fac = w.exponential_factor
-    if fac is not None:
-        if fac.kind == "gauss":
-            total += 2.0 * float(fac.coefficient) * xf
-        else:
-            denom = xf * xf - float(fac.shift)
-            total += -2.0 * float(fac.coefficient) * xf / (denom * denom)
-    return total
-
-
-def pearson_pair(w, op, x) -> tuple:
-    """``(r1, r2)`` of the Pearson pair at ``x``, every value computed afresh."""
-    xf = float(x)
-    wx, wmx = weight_value(w, xf), weight_value(w, -xf)
-    g1x, g1mx = laurent_value(op.G1, xf), laurent_value(op.G1, -xf)
-    fx, fmx = laurent_value(op.F, xf), laurent_value(op.F, -xf)
-    r1 = wx * g1x - wmx * g1mx
-    d_wg1 = (wx * weight_log_derivative(w, xf) * g1x
-             + wx * laurent_value(op.G1.differentiate(), xf))
-    r2 = wmx * fmx - wx * fx - d_wg1
-    return r1, r2
-
-
-def pearson_points_reference(w) -> list:
-    """:func:`pearson_points` in ``Fraction`` arithmetic, each point tested on the support."""
-    points = []
-    for lo, hi in w.support:
-        eps = min(Fraction(1, 1000), (hi - lo) / 4)
-        a, b = lo + eps, hi - eps
-        points.extend(a + i * (b - a) / 24 for i in range(25))
-
-    def interior(x):
-        return any(lo < x < hi for lo, hi in w.support)
-
-    return [x for x in points
-            if abs(x) >= Fraction(1, 10**9) and interior(x) and interior(-x)]
-
-
 def _laurent_exact(p, x: Fraction) -> Fraction:
     return sum((c * x**k for k, c in p.terms.items()), Fraction(0))
-
-
-def _affine_part(w, x: Fraction) -> Fraction:
-    """``A(x)``: the constant, the sign factor and the affine factors."""
-    value = w.constant * ((x > 0) - (x < 0) if w.sign_factor else 1)
-    for fac in w.affine_factors:
-        value *= (x - fac.root) ** fac.multiplicity
-    return value
 
 
 def _log_derivative_exact(w, x: Fraction) -> Fraction:
@@ -402,6 +322,47 @@ def _log_derivative_exact(w, x: Fraction) -> Fraction:
     return total
 
 
+def pearson_pair(w, op, x) -> tuple:
+    """``(r1, r2)`` of the Pearson pair at ``x``, every value computed afresh.
+
+    ``G1(+-x)``, ``F(+-x)``, ``G1'(x)`` and ``w'/w`` are exact at the binary
+    value of ``x`` and rounded once; ``w(+-x)`` is :func:`weight_value`.
+    """
+    xf = float(x)
+    xr = Fraction(xf)
+    wx, wmx = weight_value(w, xf), weight_value(w, -xf)
+    g1x, g1mx = float(_laurent_exact(op.G1, xr)), float(_laurent_exact(op.G1, -xr))
+    fx, fmx = float(_laurent_exact(op.F, xr)), float(_laurent_exact(op.F, -xr))
+    r1 = wx * g1x - wmx * g1mx
+    d_wg1 = (wx * float(_log_derivative_exact(w, xr)) * g1x
+             + wx * float(_laurent_exact(op.G1.differentiate(), xr)))
+    r2 = wmx * fmx - wx * fx - d_wg1
+    return r1, r2
+
+
+def pearson_points_reference(w) -> list:
+    """:func:`pearson_points` in ``Fraction`` arithmetic, each point tested on the support."""
+    points = []
+    for lo, hi in w.support:
+        eps = min(Fraction(1, 1000), (hi - lo) / 4)
+        a, b = lo + eps, hi - eps
+        points.extend(a + i * (b - a) / 24 for i in range(25))
+
+    def interior(x):
+        return any(lo < x < hi for lo, hi in w.support)
+
+    return [x for x in points
+            if abs(x) >= Fraction(1, 10**9) and interior(x) and interior(-x)]
+
+
+def _affine_part(w, x: Fraction) -> Fraction:
+    """``A(x)``: the constant, the sign factor and the affine factors."""
+    value = w.constant * ((x > 0) - (x < 0) if w.sign_factor else 1)
+    for fac in w.affine_factors:
+        value *= (x - fac.root) ** fac.multiplicity
+    return value
+
+
 def pearson_figure(w, op, points) -> float:
     """Worst ``|r| / (sum of term sizes)`` of the pair over ``E``, ``inf`` if none is measured.
 
@@ -410,7 +371,8 @@ def pearson_figure(w, op, points) -> float:
     formed in ``Fraction`` arithmetic and rounded once; then
     ``r1 = A(x)G1(x) - A(-x)G1(-x)`` over ``|A(x)G1(x)| + |A(-x)G1(-x)|``,
     and ``r2 = A(-x)F(-x) - A(x)F(x) - A(x)[(w'/w) G1(x) + G1'(x)]`` over
-    ``|A(-x)F(-x)| + |A(x)F(x)|``.  A size of 0.0 measures nothing.
+    ``|A(-x)F(-x)| + |A(x)F(x)| + |A(x)(w'/w)G1(x)| + |A(x)G1'(x)|``.  A size
+    of 0.0 measures nothing.
     """
     dg1 = op.G1.differentiate()
     worst = None
@@ -424,7 +386,8 @@ def pearson_figure(w, op, points) -> float:
         reflected, direct = amx * fmx, ax * fx
         r1 = even - odd
         r2 = reflected - direct - ax * (ld * g1x + dg1x)
-        for r, size in ((r1, abs(even) + abs(odd)), (r2, abs(reflected) + abs(direct))):
+        s2 = abs(reflected) + abs(direct) + abs(ax * ld * g1x) + abs(ax * dg1x)
+        for r, size in ((r1, abs(even) + abs(odd)), (r2, s2)):
             if size != 0.0:
                 worst = max(abs(r) / size, 0.0 if worst is None else worst)
     return math.inf if worst is None else worst

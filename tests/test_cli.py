@@ -362,12 +362,15 @@ class TestCertify:
         # the least exact order gives the default order's values to rounding
         assert call(least) == pytest.approx(call(None), rel=1e-12, abs=1e-15)
 
-    def test_constant_beyond_float_range_is_an_error(self, capsys):
-        # mu_0 = 2^1500.5 / 1500.5 of the rule at alpha = 3000, beta = 1
-        code, out, err = run(["certify", "--alpha=3000", "--beta=1", "--c=1/2", "--N", "20"],
-                             capsys)
-        assert code == 1 and out == ""
-        assert err == "error: the Gauss rule's constant mu_0 overflows float64\n"
+    def test_constant_beyond_float_range_is_an_error(self, capsys, recwarn):
+        # mu_0 = 2^1500.5 / 1500.5 of the rule at alpha = 3000, beta = 1; at
+        # alpha = 1e400 the exponent itself is beyond float64
+        for alpha, name in (("3000", "mu_0"), ("1e300", "mu_0"), ("1e400", "a + b + 1")):
+            code, out, err = run(["certify", f"--alpha={alpha}", "--beta=1", "--c=1/2",
+                                  "--N", "20"], capsys)
+            assert code == 1 and out == ""
+            assert err == f"error: the Gauss rule's constant {name} overflows float64\n"
+        assert [str(warning.message) for warning in recwarn] == []
 
     @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
     def test_one_exact_computation(self, family, capsys, monkeypatch):

@@ -2,7 +2,8 @@
 
 ``golden/commands.txt`` lists each command with its exit code and the file
 holding its expected stdout; CI runs the same list through the installed
-console script.  The certify figures are float quadrature results, pinned
+console script.  Every command writes nothing to stderr and raises no
+warning.  The certify figures are float quadrature results, pinned
 only where ``np.longdouble`` is wider than float64 (the Newton polish of
 the Gauss rule runs in it); elsewhere the exit code and the check names
 must match.
@@ -27,9 +28,10 @@ def golden_commands():
 
 
 @pytest.mark.parametrize("name,code,argv", golden_commands())
-def test_output_matches_golden(name, code, argv, capsys):
+def test_output_matches_golden(name, code, argv, capsys, recwarn):
     assert main(argv) == code
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == "" and [str(warning.message) for warning in recwarn] == []
     expected = (GOLDEN / name).read_bytes()
     if argv[0] == "certify" and not WIDE_LONGDOUBLE:
         def names(text):

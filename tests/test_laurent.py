@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from dunkl_jacobi import LaurentPoly, PoleAtZero, Polynomial
-from dunkl_jacobi.laurent import _coprime_fraction
+from dunkl_jacobi.laurent import _coprime_fraction, _IntegerPolynomial
 
 from _helpers import random_rational
 
@@ -152,6 +153,33 @@ class TestEvaluation:
             approx = p.evaluate(float(x))
             scale = max(1e-30, abs(float(exact)))
             assert abs(approx - float(exact)) <= 1e-14 * max(1.0, scale)
+
+    def test_float_is_the_exact_value_rounded_once(self):
+        # against a term-by-term Fraction sum at the exact binary value
+        rng = random.Random(17)
+        for _ in range(200):
+            p = lp({rng.randint(-6, 8): random_rational(rng, max_den=9) for _ in range(6)})
+            x = rng.uniform(-3.0, 3.0) or 1.0
+            exact = sum((c * Fraction(x) ** k for k, c in p.terms.items()), Fraction(0))
+            assert p.evaluate_exact(Fraction(x)) == exact
+            assert p.evaluate(x) == float(exact)
+
+    def test_integer_form_reads_as_its_map(self):
+        p = _IntegerPolynomial(6, (3, -4, 0, 5))
+        for x in (Fraction(-7, 3), Fraction(1, 2), 0):
+            assert p.evaluate_exact(x) == lp(p.terms).evaluate_exact(x)
+        assert p.evaluate(0.1) == lp(p.terms).evaluate(0.1)
+
+    def test_beyond_float_range_is_an_infinity(self):
+        assert lp({2: 1}).evaluate(1e200) == math.inf
+        assert lp({3: -1}).evaluate(1e200) == -math.inf
+        assert lp({-1: 1}).evaluate(-5e-324) == -math.inf
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_point_is_an_error(self, x):
+        # the value is taken at the exact rational of x, and these have none
+        with pytest.raises(ValueError, match="must be finite"):
+            lp({1: 1}).evaluate(x)
 
     def test_scale_argument(self):
         p = lp({2: 1, -1: 3})

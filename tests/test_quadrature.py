@@ -172,11 +172,14 @@ class TestRule:
     @pytest.mark.parametrize("normal_form, name", [
         ((3000, 1, HALF, 1), "mu_0"),  # 2^1500.5 / 1500.5
         ((3000, 3000, 1, 2), "half ** (a + b + 1)"),  # 1.5^3000 on [1, 2]
+        (("1e300", 1, HALF, 1), "mu_0"),
+        (("1e400", 1, HALF, 1), "a + b + 1"),  # the exponent itself is beyond float64
     ])
-    def test_constant_beyond_float_range_is_an_error(self, normal_form, name):
+    def test_constant_beyond_float_range_is_an_error(self, normal_form, name, recwarn):
         w = _positive_family_weight(*map(Fraction, normal_form))
         with pytest.raises(OutOfFloatRange, match=f"constant {re.escape(name)} overflows"):
             quadrature_rule(w, 21)
+        assert [str(warning.message) for warning in recwarn] == []
 
     def test_each_request_builds_its_rule(self, monkeypatch):
         # the weight keeps no rules: every request builds one, and a rebuilt

@@ -34,6 +34,7 @@ from dunkl_jacobi.quadrature import PEARSON_TOL
 from dunkl_jacobi.weights import AffineFactor, _sign_obstruction_check
 
 from _helpers import (
+    BOUNDARY_GRID,
     GOLDEN_FAMILIES,
     NEAR_BOUNDARY_FAMILIES,
     RECURRENCE_FAMILIES,
@@ -41,11 +42,11 @@ from _helpers import (
     random_rational,
 )
 from _oracles import (
-    laurent_value,
+    _laurent_exact,
+    _log_derivative_exact,
     pearson_figure,
     pearson_pair,
     pearson_points_reference,
-    weight_log_derivative,
     weight_value,
 )
 
@@ -338,7 +339,9 @@ class TestCanonicalize:
 
 class TestPearson:
     def test_big_and_little_residuals(self):
-        for params in (BigJacobiParams(1, 1, HALF), BigJacobiParams(HALF, 2, Fraction(1, 4))):
+        near = Fraction(-99, 100)
+        for params in (BigJacobiParams(1, 1, HALF), BigJacobiParams(HALF, 2, Fraction(1, 4)),
+                       BigJacobiParams(near, 0, HALF), BigJacobiParams(near, near, HALF)):
             op = build(big_operator(params))
             assert relative_pearson_defect(big_weight(params), op) <= 1e-12
         op = build(big_operator(BigJacobiParams(1, 0, 0)))
@@ -360,8 +363,6 @@ class TestPearson:
         assert relative_pearson_defect(wrong, op) > 1e-3
 
     def test_all_six_cases(self):
-        # Degenerate-case windows touch zeros of G1, where float Laurent
-        # evaluation cancels; sample a little away from those corners.
         operators = [
             build(big_operator(BigJacobiParams(1, 1, HALF))),
             build(big_operator(BigJacobiParams(2, HALF, 0))),
@@ -372,7 +373,7 @@ class TestPearson:
         ]
         for op in operators:
             w = solve_pearson(op)
-            assert relative_pearson_defect(w, op, eps=5e-2) <= 1e-12
+            assert relative_pearson_defect(w, op) <= 1e-12
 
     def test_scaled_generic_operator(self):
         rng = random.Random(89)
@@ -398,6 +399,12 @@ class TestPearson:
             pearson_residual(w, op, 0.25)  # inside the gap
         with pytest.raises(UnsupportedPoint):
             pearson_residual(w, op, 1.5)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_log_derivative_at_a_non_finite_point_is_an_error(self, x):
+        # w'/w is taken at the exact rational of x, and these have none
+        with pytest.raises(ValueError, match="must be finite"):
+            big_weight(BigJacobiParams(1, 1, HALF)).log_derivative(x)
 
     def test_leftover_family_unsupported(self):
         with pytest.raises(UnsupportedWeight):
@@ -447,13 +454,8 @@ class TestPearson:
                 x = float(lo) + (float(hi) - float(lo)) * (1e-3 + 0.998 * rng.random())
                 if abs(x) < 1e-9 or not w.contains_interior(-x):
                     continue
-                # G1 evaluated exactly at the sample point: the identity is
-                # about the function w*G1, not about float Horner near the
-                # zeros of G1.
-                g1x = float(op.G1.evaluate_exact(Fraction(x)))
-                g1mx = float(op.G1.evaluate_exact(Fraction(-x)))
-                lhs = w(x) * g1x
-                rhs = w(-x) * g1mx
+                lhs = w(x) * op.G1.evaluate(x)
+                rhs = w(-x) * op.G1.evaluate(-x)
                 assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs) + 1e-300)
                 checked += 1
         assert checked >= 100
@@ -477,14 +479,19 @@ class TestPearsonSweep:
         assert points == pearson_points_reference(w)
         assert pearson_defect(w, op) == pearson_figure(w, op, points)
         # the scalar path at every point: a max over the sample can hide a
-        # one-ulp change at one point
-        for x in map(float, points):
+        # one-ulp change at one point.  Each value is the exact one rounded
+        # once, at the exact sample point and at its float.
+        polys = (op.F, op.G1, op.G1.differentiate())
+        for x in points:
+            assert all(p.evaluate_exact(x) == _laurent_exact(p, x) for p in polys)
+            x = float(x)
             assert pearson_residual(w, op, x) == pearson_pair(w, op, x)
             for probe in (x, -x):
+                exact = Fraction(probe)
                 assert w(probe) == weight_value(w, probe)
-                assert w.log_derivative(probe) == weight_log_derivative(w, probe)
-                for p in (op.F, op.G1, op.G1.differentiate()):
-                    assert p.evaluate(probe) == laurent_value(p, probe)
+                assert w.log_derivative(probe) == float(_log_derivative_exact(w, exact))
+                for p in polys:
+                    assert p.evaluate(probe) == float(_laurent_exact(p, exact))
 
     @pytest.mark.parametrize("alpha, beta, c",
                              GOLDEN_FAMILIES + [(Fraction(1000), Fraction(1000), HALF)])
@@ -499,10 +506,12 @@ class TestPearsonSweep:
                 assert pearson_defect(w, op) > PEARSON_TOL, (i, step)
 
     @pytest.mark.parametrize("alpha, beta, c",
-                             GOLDEN_FAMILIES + [(Fraction(1000), Fraction(1000), HALF)])
+                             GOLDEN_FAMILIES + [(Fraction(1000), Fraction(1000), HALF)]
+                             + BOUNDARY_GRID)
     def test_figure_stays_at_the_rounding_floor(self, alpha, beta, c):
-        # near the boundary, factors of the pair vanish at +-c and +-d; at
-        # alpha = beta = 1000 the weight's even factor is below float range
+        # near the boundary, factors of the pair vanish at +-c and +-d, and
+        # with exponents near -1 the (w G1)' term dominates r2; at large
+        # exponents the weight's even factor is below float range
         assert pearson_defect(*_family(alpha, beta, c)) <= 1e-13
 
     def test_weight_keeps_the_single_point_results(self):
