@@ -11,25 +11,24 @@ A Gauss-Jacobi rule is one Newton step from float64 eigenvalues, with
 Christoffel-number weights that stay accurate next to a singular endpoint
 (:func:`_gauss_jacobi_refined`), mapped to ``x`` without cancellation
 between rounded endpoints (:func:`quadrature_rule`).  A rule is node, weight
-and gap (``z``) tuples, built afresh on each request: no call reads one
+and gap (``z``) tuples, built afresh on each request: no call builds one
 twice.  Every float entry point takes its order from :func:`_gauss_order`.
 
 Each polynomial is written exactly in the monic orthogonal basis ``P_k``,
 whose recurrence is known in closed form (the big -1 Jacobi polynomials of
-Vinet and Zhedanov).  At the nodes the table holds the orthonormal
-``q_k = P_k / sqrt(u_1 ... u_k)`` instead, from their float recurrence
-with every second step folded into the next, so that ``x^2 - c^2`` enters
-only as ``z (2|c| + z)`` with the rule's own ``z = |x| - |c|``: nothing
-cancels next to ``|c| = 1`` and nothing underflows at large degree.  A
-``P_k`` handed out for the weight's normal form is the row ``q_k`` with
-scale ``sqrt(u_1 ... u_k)``; any other input is an integer combination of
-its terms' connection rows (below), the same row when that combination is
-``e_k``, and otherwise scaled into the same frame.  Single inner products
-sum with ``math.fsum``; a Gram matrix is one float64 matmul, and its
-orthogonality figure is read in the unit frame.
+Vinet and Zhedanov).  The node table holds the orthonormal
+``q_k = P_k / s_k``, ``s_k = sqrt(u_1 ... u_k)``, from their float
+recurrence with every second step folded into the next, so ``x^2 - c^2``
+enters only as ``z (2|c| + z)`` with the rule's own ``z = |x| - |c|``:
+nothing cancels next to ``|c| = 1`` and nothing underflows at large
+degree.  A ``P_k`` of the weight's normal form is the row ``q_k`` with scale
+``s_k``; any other input is an integer combination of its terms' connection
+rows (below), scaled into the same frame.  Inner products sum with
+``math.fsum``, a Gram matrix is one float64 matmul read in that frame, and
+the symmetry block is reduced by numpy sums, not BLAS.
 
 A weight keeps only its closed-form ``(b_n, u_n)``, grown on demand: one
-:func:`certify` call reads it four times.  The monic ``P_0..P_n`` and the
+:func:`certify` call reads it six times.  The monic ``P_0..P_n`` and the
 connection rows ``x^m = sum_j C[m][j] P_j`` are built afresh by the call
 that reads them, in one representation, an integer form ``(D, v)``: an
 integer vector over one positive denominator, with content 1.  The ``P_k``
@@ -209,7 +208,7 @@ def quadrature_rule(w: WeightFunction, order: int) -> QuadratureRule:
     once from the exact rationals, so neither cancels next to an endpoint,
     whatever the signs of ``c`` and ``d``.  ``gaps`` holds ``z`` for each
     node (mirrored nodes share it), which the node table reads.  Nothing
-    is kept on ``w``: every caller reads its rule once.
+    is kept on ``w``: every caller builds its rule once.
     """
     import numpy as np
 
@@ -425,8 +424,16 @@ class GramMatrix:
         return float(self.entries[n, n])
 
     def max_relative_off_diagonal(self) -> float:
-        """:func:`_max_relative_off_diagonal`, read in the unit frame, where no pair underflows."""
-        return _max_relative_off_diagonal(self.entries if self.unit is None else self.unit)
+        """Largest ``|g_ij| / sqrt(|g_ii g_jj|)``, ``i < j``, in the unit frame; bound 0 is inf."""
+        import numpy as np
+
+        g = self.entries if self.unit is None else self.unit
+        i, j = np.triu_indices(g.shape[0], 1)
+        root = np.sqrt(np.abs(np.diag(g)))
+        denom = root[i] * root[j]
+        ratio = np.full(denom.shape, np.inf)
+        np.divide(np.abs(g[i, j]), denom, out=ratio, where=denom > 0)
+        return float(ratio.max(initial=0.0))
 
     def to_csv(self) -> str:
         lines = [",".join(f"g{j}" for j in range(self.entries.shape[1]))]
@@ -435,34 +442,25 @@ class GramMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _max_relative_off_diagonal(g: np.ndarray) -> float:
-    """Largest ``|g_ij| / sqrt(|g_ii g_jj|)`` over ``i < j``; a zero bound in float64 is ``inf``."""
-    import numpy as np
-
-    i, j = np.triu_indices(g.shape[0], 1)
-    root = np.sqrt(np.abs(np.diag(g)))
-    denom = root[i] * root[j]
-    ratio = np.full(denom.shape, np.inf)
-    np.divide(np.abs(g[i, j]), denom, out=ratio, where=denom > 0)
-    return float(ratio.max(initial=0.0))
-
-
 def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatrix:
     """All pairwise inner products of ``polys`` under ``w``.
 
-    One float64 matmul of the unit-frame node table against the rule
-    weights, then ``entries = s_i s_j unit``.  With positive weights,
-    Cauchy-Schwarz bounds ``sum_k w_k |r_i r_j|`` by ``sqrt(g_ii g_jj)``,
-    so each entry's summation error relative to ``sqrt(g_ii g_jj)`` stays
-    below about ``n_nodes * eps`` (~1e-14 at order 31, 62 nodes) without
-    compensated summation.  The order is :func:`_gauss_order`'s at x-degree
-    twice the largest degree.
+    One float64 matmul of the unit-frame node table against the rule weights
+    (its last bits may follow the BLAS thread count), then
+    ``entries = s_i s_j unit``.  With positive weights, Cauchy-Schwarz bounds
+    ``sum_k w_k |r_i r_j|`` by ``sqrt(g_ii g_jj)``, so each entry's summation
+    error relative to it stays below about ``n_nodes * eps`` (~1e-14 at order
+    31, 62 nodes) without compensated summation.  The order is
+    :func:`_gauss_order`'s at x-degree twice the largest degree.
     """
-    import numpy as np
-
     polys = tuple(polys)
     max_deg = max((p.degree or 0) for p in polys) if polys else 0
-    rule = quadrature_rule(w, _gauss_order(2 * max_deg, order))
+    return _gram(quadrature_rule(w, _gauss_order(2 * max_deg, order)), polys)
+
+
+def _gram(rule: QuadratureRule, polys: tuple) -> GramMatrix:
+    import numpy as np
+
     table, scales = _node_table(rule, polys)
     g = (table * np.asarray(rule.weights)) @ table.T
     unit = (g + g.T) / 2.0
@@ -490,18 +488,30 @@ def _symmetry_rows(op, top: int) -> list:
 
 
 def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) -> np.ndarray:
-    """``B[i, j] = <x^i, L x^j>`` for ``i, j <= top``: :func:`certify`'s symmetry block.
-
-    The block ``entries[:top + 1, top + 1:]`` of the Gram matrix of
-    ``x^0..x^top`` and their images ``L x^k``, read off ``op``'s band; each
-    is one connection row or an integer combination of at most four, scaled
-    into the unit frame by the ``s_j``.  The order is :func:`_gauss_order`'s
-    at x-degree ``2 top``.  :func:`certify` reads the same block off its one
-    Gram matrix, whose rows include these.
-    """
+    """``certify``'s block ``<x^i, L x^j>``, ``i, j <= top``, on the rule for x-degree 2 top."""
     if top < 0:
         raise ValueError("top must be >= 0")
-    return gram_matrix(w, _symmetry_rows(op, top), order=order).entries[:top + 1, top + 1:]
+    return _symmetry(quadrature_rule(w, _gauss_order(2 * top, order)), op, top)[0]
+
+
+def _symmetry(rule: QuadratureRule, op, top: int) -> tuple:
+    """``(B, figure)``: ``B[i, j] = <x^i, L x^j>``, ``i, j <= top``, on ``rule``, and its figure.
+
+    Numpy sums, not BLAS, over :func:`_symmetry_rows`' scaled node table.  The
+    figure is the largest ``|B_ij - B_ji| / (|x^i| |L x^j| + |x^j| |L x^i|)``
+    over ``i < j`` with a nonzero bound: ``inf`` with none, 0 at ``top = 0``.
+    """
+    import numpy as np
+
+    table, scales = _node_table(rule, _symmetry_rows(op, top))
+    table *= scales[:, None]
+    w = np.asarray(rule.weights)
+    block = (table[:top + 1, None, :] * (table[top + 1:] * w)[None, :, :]).sum(-1)
+    norm = np.sqrt((table * table * w).sum(1))
+    bound = np.outer(norm[:top + 1], norm[top + 1:])
+    bound = np.triu(bound + bound.T, 1)  # i < j
+    defect = np.abs(block - block.T)[bound > 0] / bound[bound > 0]
+    return block, float(defect.max()) if defect.size else math.inf if top else 0.0
 
 
 @dataclass(frozen=True)
@@ -517,29 +527,23 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     """The five checks of ``family`` at degrees ``0..N``, as :class:`Check` records.
 
     ``eigen-residual``, ``orthogonality``, ``positivity``, ``symmetry`` and
-    ``pearson``.  Both float checks read one Gram matrix, on one Gauss rule:
-    that of ``P_0..P_N``, ``x^0..x^top`` and ``L x^0..L x^top``,
-    ``top = min(N, 10)``.  Its order is :func:`_gauss_order`'s at x-degree
-    ``2N``, decided before any work: ``N // 2 + 11`` by default, and
-    ``N // 2 + 1`` at least.  The orthogonality figure is read off the ``P``
-    block in the node table's unit frame (``GramMatrix.unit``), where no
-    normalization underflows at any ``N``.
-    The ``P_n`` are built once; exact residuals on their integer forms
-    (``eigen_defects``, one band built to degree ``N``), all zero, prove
+    ``pearson``.  The ``P_n`` are built once; exact residuals on their integer
+    forms (``eigen_defects``, one band built to degree ``N``), all zero, prove
     them the monic eigenpolynomials, with no solve and no ``Fraction``
-    formed.
-    Positivity is Favard's theorem: ``h_0 > 0`` and every exact
+    formed.  Positivity is Favard's theorem: ``h_0 > 0`` and every exact
     ``u_n > 0`` make the functional positive definite, with those residuals
-    zero.  The symmetry figure reads the block ``<x^i, L x^j>``, ``i, j <=
-    top``, the block that :func:`symmetry_block` computes on its own (to
-    rounding: the matmul sums in another order).
-    The Pearson figure is :func:`.weights.pearson_defect`, which takes no
-    power of the weight.  A float figure with nothing to measure, every
-    rule weight or term 0.0, is ``inf`` and fails.
-
-    ``big_weight`` rejects parameters outside the family.  Inside it,
-    ``tau0 = 0``, ``tau1 = 2`` and ``eta = -(alpha + beta + 1) < 1``, so no
-    odd eigenvalue vanishes (``check_nondegenerate``).
+    zero.  The float checks share one Gauss rule, of :func:`_gauss_order`'s
+    order at x-degree ``2N`` (``N // 2 + 11`` by default, ``N // 2 + 1`` at
+    least), decided before any work.  The orthogonality figure is that of the
+    Gram matrix of ``P_0..P_N``, in its unit frame, where no normalization
+    underflows at any ``N``; the symmetry figure is :func:`_symmetry`'s at
+    ``top = min(N, 10)``, on :func:`symmetry_block`'s block, bit for bit; the
+    Pearson figure, :func:`.weights.pearson_defect`, takes no power of the
+    weight.  A float figure with nothing to measure, every rule weight or term
+    0.0, is ``inf`` and fails.  ``big_weight`` rejects parameters outside the
+    family; inside it, ``tau0 = 0``, ``tau1 = 2`` and
+    ``eta = -(alpha + beta + 1) < 1``, so no odd eigenvalue vanishes
+    (``check_nondegenerate``).
     """
     order = _gauss_order(2 * N, order)
     w = big_weight(family)
@@ -548,20 +552,16 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     polys = orthogonal_polynomials(w, N)
     bad = eigen_defects(op, polys)
 
-    top, end = min(N, 10), N + 1
-    g = gram_matrix(w, polys + _symmetry_rows(op, top), order=order)
-    off = _max_relative_off_diagonal(g.unit[:end, :end])
+    rule = quadrature_rule(w, order)
+    g = _gram(rule, tuple(polys))
+    off = g.max_relative_off_diagonal()
     h0 = g.normalization(0)
     positivity = f"h0={h0:.3e}"
     if N >= 1:
         umin, nmin = min((u, n) for n, (_, u) in enumerate(recurrence) if n >= 1)
         positivity += f" min_u={float(umin):.3e} at n={nmin}"
 
-    b = g.entries[end:end + top + 1, end + top + 1:]
-    # at top = 0 the block is <1, L 1> = 0 by construction; above, a block
-    # with no nonzero entry (every rule weight underflowed) measures nothing
-    sym = (float((abs(b - b.T) / (abs(b) + abs(b.T) + 1.0)).max())
-           if top == 0 or b.any() else math.inf)
+    sym = _symmetry(rule, op, min(N, 10))[1]
     pearson = pearson_defect(w, op)
     return (
         Check("eigen-residual", not bad, f"nonzero at degrees {bad}" if bad else "all exact"),

@@ -1,13 +1,16 @@
 import gc
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import warnings
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,16 +507,13 @@ class TestSymmetry:
                 v_lw = inner_product(w, v, op.apply(u))
                 assert abs(r) <= 1e-10 * (abs(lv_w) + abs(v_lw) + 1.0)
 
-    @pytest.mark.parametrize("alpha, beta, c", [
-        pytest.param(*family, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 3: the figure's + 1 is absolute, and h_0 = 2.0e-10 "
-                                "here, so each perturbation reads 4.0e-13 or 8.0e-12"))
-        if family == (1, 1, Fraction(99999, 100000)) else family
-        for family in GOLDEN_FAMILIES])
+    @pytest.mark.parametrize("alpha, beta, c", GOLDEN_FAMILIES)
     def test_figure_rejects_a_perturbed_operator(self, alpha, beta, c, monkeypatch):
         # The weight stays; alpha, beta or c moves by 1/1000 in the operator
         # that certify builds, so the check reads certify's own figure.  The
-        # smallest figure is 5.6e-4, at (1, 1, 1/2).
+        # figure is relative to the Cauchy-Schwarz bound, so h_0 = 2.0e-10 at
+        # (1, 1, 99999/100000) hides no perturbation; the smallest figure is
+        # 9.9e-5, at (-99/100, 0, 1/2).
         family, real = BigJacobiParams(alpha, beta, c), quad_mod.big_operator
         for i in range(3):
             for step in (Fraction(1, 1000), Fraction(-1, 1000)):
@@ -523,6 +523,66 @@ class TestSymmetry:
                                     lambda _: real(BigJacobiParams(*moved)))
                 symmetry = quad_mod.certify(family, 20)[3]
                 assert symmetry.name == "symmetry" and not symmetry.passed, (i, step)
+
+    @pytest.mark.parametrize("alpha, beta, c", GOLDEN_FAMILIES)
+    @pytest.mark.parametrize("N, order", [(0, None), (4, None), (20, None), (24, 40)])
+    def test_certify_scores_the_block_symmetry_block_returns(self, alpha, beta, c, N, order,
+                                                             monkeypatch):
+        family = BigJacobiParams(alpha, beta, c)
+        w, op = big_weight(family), build(big_operator(family))
+        seen, real = [], quad_mod._symmetry
+        monkeypatch.setattr(quad_mod, "_symmetry",
+                            lambda *args: seen.append(real(*args)) or seen[-1])
+        check = quad_mod.certify(family, N, order)[3]
+        (block, figure), = seen
+        assert check.detail == f"max_residual={figure:.3e} tol=1e-10"
+        top, order = min(N, 10), order or N // 2 + 11
+        b = symmetry_block(w, op, top, order)
+        assert b.tobytes() == block.tobytes()
+        # the figure, with the norms taken off an independent Gram diagonal
+        monos = [Polynomial.monomial(k) for k in range(top + 1)]
+        g = gram_matrix(w, monos + [op.apply(x) for x in monos], order=order).entries
+        norm = np.sqrt(np.diag(g))
+        bound = np.outer(norm[:top + 1], norm[top + 1:])
+        i, j = np.triu_indices(top + 1, 1)
+        bound = bound[i, j] + bound[j, i]
+        assert np.all(bound > 0)
+        ref = (np.abs(b - b.T)[i, j] / bound).max(initial=0.0)
+        assert figure == pytest.approx(ref, rel=1e-12) and figure <= 1e-12
+
+    def test_figure_at_top_zero_is_zero(self):
+        # at N = 0 the block is <1, L 1> = 0 alone: there is no pair to measure
+        for c in (HALF, Fraction(99999, 100000)):
+            symmetry = quad_mod.certify(BigJacobiParams(1, 1, c), 0)[3]
+            assert symmetry.passed and symmetry.detail == "max_residual=0.000e+00 tol=1e-10"
+
+    def test_figure_and_block_bits_do_not_follow_blas_threads(self):
+        # numpy sums, not a matmul, reduce the block and its norms, so the
+        # bits are the same whatever the number of OpenBLAS threads
+        code = (
+            "import hashlib\n"
+            "from fractions import Fraction\n"
+            "from dunkl_jacobi import BigJacobiParams, big_operator, big_weight, build\n"
+            "from dunkl_jacobi import quadrature as q\n"
+            "for c in (Fraction(1, 2), Fraction(99999, 100000)):\n"
+            "    family = BigJacobiParams(1, 1, c)\n"
+            "    w, op = big_weight(family), build(big_operator(family))\n"
+            "    for N in (200, 500):\n"
+            "        order = N // 2 + 11  # certify's rule at N\n"
+            "        figure = q._symmetry(q.quadrature_rule(w, order), op, 10)[1]\n"
+            "        block = q.symmetry_block(w, op, 10, order).tobytes()\n"
+            "        print(c, N, figure.hex(), hashlib.sha1(block).hexdigest())\n"
+        )
+        src = str(Path(quad_mod.__file__).resolve().parents[1])
+        outputs = set()
+        for threads in ("1", "2", "4"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            assert len(done.stdout.splitlines()) == 4
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
 
     @pytest.mark.parametrize("params", [BigJacobiParams(1, 1, HALF), BigJacobiParams(HALF, 2),
                                         BigJacobiParams(Fraction(-99, 100), 0, HALF)])
@@ -738,15 +798,20 @@ class TestThreeTermTable:
                 assert read[other](grown, n) == read[other](big_weight(params), n)
 
     @pytest.mark.parametrize("alpha, beta, c", RECURRENCE_FAMILIES + NEAR_BOUNDARY_FAMILIES)
-    def test_symmetry_block_is_the_gram_block(self, alpha, beta, c):
+    def test_symmetry_block_matches_the_gram_block(self, alpha, beta, c):
+        # the block sums in another order than the Gram matmul, so the two
+        # agree within gram_matrix's Cauchy-Schwarz bound, n_nodes * eps
         w = _family_weight(alpha, beta, c)
         op = build(big_operator(BigJacobiParams(alpha, beta, c)))
         for top, order in ((10, None), (0, None), (4, None), (7, 30)):
             monos = [Polynomial.monomial(k) for k in range(top + 1)]
             images = [op.apply(x) for x in monos]  # the Laurent path, not the band
-            g = gram_matrix(w, monos + images, order=order).entries
-            assert np.array_equal(symmetry_block(w, op, top, order=order),
-                                  g[:top + 1, top + 1:])
+            g = gram_matrix(w, monos + images, order=order)
+            norm = np.sqrt(np.diag(g.entries))
+            bound = 2 * g.order * np.finfo(float).eps * np.outer(norm[:top + 1], norm[top + 1:])
+            b = symmetry_block(w, op, top, order=order)
+            assert b.shape == (top + 1, top + 1)
+            assert np.all(np.abs(b - g.entries[:top + 1, top + 1:]) <= bound)
 
     @pytest.mark.parametrize("weight", [
         *[lambda f=f: _family_weight(*f) for f in RECURRENCE_FAMILIES + NEAR_BOUNDARY_FAMILIES],
