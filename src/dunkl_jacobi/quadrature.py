@@ -23,25 +23,30 @@ enters only as ``z (2|c| + z)`` with the rule's own ``z = |x| - |c|``:
 nothing cancels next to ``|c| = 1`` and nothing underflows at large
 degree.  A ``P_k`` of the weight's normal form is the row ``q_k`` with scale
 ``s_k``; any other input is an integer combination of its terms' connection
-rows (below), scaled into the same frame.  Inner products sum with
-``math.fsum``, a Gram matrix is one float64 matmul read in that frame, and
-the symmetry block is reduced by numpy sums, not BLAS.
+rows (below), scaled into the same frame, and the symmetry block's images
+``L x^k`` combine those rows with the operator's integer band directly.
+Inner products sum with ``math.fsum``, a Gram matrix is one float64 matmul
+read in that frame, and the symmetry block is reduced by numpy sums, not
+BLAS.
 
-A weight keeps only its closed-form ``(b_n, u_n)``, grown on demand: one
-:func:`certify` call reads it six times.  The monic ``P_0..P_n`` and the
-connection rows ``x^m = sum_j C[m][j] P_j`` are built afresh by the call
-that reads them, in one representation, an integer form ``(D, v)``: an
-integer vector over one positive denominator, with content 1.  The ``P_k``
-come from a fraction-free integer recurrence (after Bareiss, Math. Comp.
-22, 1968), and are handed out as polynomials that carry that form and
-their weight's normal form, and build their ``Fraction`` maps only when
-read; the rows come the same way from
+A weight keeps only its closed-form ``(b_n, u_n)``, grown on demand.  The
+monic ``P_0..P_n`` and the connection rows ``x^m = sum_j C[m][j] P_j`` are
+built afresh by the call that reads them, in one representation, an
+integer form ``(D, v)``: an integer vector over one positive denominator,
+with content 1.  The ``P_k`` come from a fraction-free integer recurrence
+(after Bareiss, Math. Comp. 22, 1968), and are handed out as polynomials
+that carry that form and their weight's normal form, and build their
+``Fraction`` maps only when read; the rows come the same way from
 ``C[m+1][i] = C[m][i-1] + b_i C[m][i] + u_{i+1} C[m][i+1]``.  A float
 enters as one correctly rounded ``int / int`` division, the float that
 ``float(Fraction)`` gives, so no value changes on the way; the node
 recurrence's floats are rounded that way, once per node table.  The
 recurrence belongs to the weight object, never to a key hashed from it,
 so a freshly built weight starts cold and nothing outlives it.
+
+:func:`certify` builds no ``P_k``: :func:`_band_proof` proves the
+operator's eigenpolynomials the ``P_k`` from its integer band, and one
+node table of ``q_0..q_N`` serves its Gram matrix and its symmetry block.
 
 numpy is imported inside the functions that compute in floats, so
 importing the package, and every path that stays exact, never loads it.
@@ -56,7 +61,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .dunkl import build
-from .eigen import eigen_defects
+from .eigen import _band_diagonal, _spectrum
 from .errors import (DegenerateSpectrum, NonIntegrable, OutOfFloatRange, ParameterRange,
                      UnsupportedWeight)
 from .laurent import LaurentPoly, Polynomial, _IntegerPolynomial
@@ -135,8 +140,8 @@ def _gauss_jacobi_refined(order: int, a: Fraction, b: Fraction):
     # before any numpy step; a, b > -1, so a + b + 1 bounds every exponent
     _in_float_range("a + b + 1", float, a + b + 1)
     mu0 = _in_float_range("mu_0", lambda: math.exp(
-        float(a + b + 1) * math.log(2.0) + math.lgamma(float(a) + 1)
-        + math.lgamma(float(b) + 1) - math.lgamma(float(a + b) + 2)))
+        float(a + b + 1) * math.log(2.0) + math.lgamma(float(a + 1))
+        + math.lgamma(float(b + 1)) - math.lgamma(float(a + b + 2))))
     s, A, B = _longdouble(a + b), _longdouble(a), _longdouble(b)
     n = np.arange(order, dtype=np.longdouble)
     m = 2 * n + s
@@ -455,36 +460,48 @@ def gram_matrix(w: WeightFunction, polys, order: int | None = None) -> GramMatri
     """
     polys = tuple(polys)
     max_deg = max((p.degree or 0) for p in polys) if polys else 0
-    return _gram(quadrature_rule(w, _gauss_order(2 * max_deg, order)), polys)
+    rule = quadrature_rule(w, _gauss_order(2 * max_deg, order))
+    return _gram(rule, *_node_table(rule, polys), polys)
 
 
-def _gram(rule: QuadratureRule, polys: tuple) -> GramMatrix:
+def _gram(rule: QuadratureRule, table, scales, basis: tuple) -> GramMatrix:
+    """The Gram matrix of the node table ``table`` with row scales ``scales``, on ``rule``."""
     import numpy as np
 
-    table, scales = _node_table(rule, polys)
     g = (table * np.asarray(rule.weights)) @ table.T
     unit = (g + g.T) / 2.0
-    return GramMatrix(entries=np.outer(scales, scales) * unit, basis=polys,
+    return GramMatrix(entries=np.outer(scales, scales) * unit, basis=basis,
                       order=rule.order, unit=unit)
 
 
-def _symmetry_rows(op, top: int) -> list:
-    """``x^0..x^top`` and their images ``L x^0..L x^top``, read off ``op``'s band.
+def _symmetry_rows(w: WeightFunction, band, top: int) -> np.ndarray:
+    """``x^0..x^top`` then ``L x^0..L x^top`` in ``P_j`` coordinates, each exact value rounded once.
 
-    Each nonzero image is an :class:`_IntegerPolynomial` over ``band.scale``
-    with the content divided out, so no ``Fraction`` is formed.
+    Row ``m`` is the connection row ``C[m] = v / D``.  ``L x^k`` is
+    ``sum_i t_i x^(k-i) / M`` for the band's ``rows[k] = (t_0..t_3)`` over
+    its scale ``M``, so its row combines the connection rows of its
+    nonzero terms (three at most on the family operators) over their lcm
+    ``L``: integer sums rounded once as ``int / (M L)``.
     """
-    band = op.band(top)
-    images = []
-    for k in range(top + 1):
-        row = band.rows[k][:k + 1]  # x^k down to x^(k-3), above x^0
-        v = [0] * (k + 1 - len(row)) + list(row[::-1])
-        while v and not v[-1]:
-            v.pop()
-        g = math.gcd(band.scale, *v)
-        images.append(_IntegerPolynomial(band.scale // g, tuple(t // g for t in v))
-                      if v else Polynomial())
-    return [Polynomial.monomial(k) for k in range(top + 1)] + images
+    import numpy as np
+
+    connection = _connection(w, top)
+    rows = np.zeros((2 * (top + 1), top + 1))
+    for m, (D, v) in enumerate(connection):
+        rows[m, :m + 1] = [t / D for t in v]
+    for k, band_row in enumerate(band.rows[:top + 1]):
+        terms = [(t, connection[k - i]) for i, t in enumerate(band_row) if t]
+        if not terms:
+            continue
+        L = math.lcm(*(D for _, (D, _) in terms))
+        exact = [0] * (k + 1)
+        for t, (D, v) in terms:
+            t *= L // D
+            for j, c in enumerate(v):
+                exact[j] += t * c
+        den = band.scale * L
+        rows[top + 1 + k, :k + 1] = [t / den for t in exact]
+    return rows
 
 
 def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) -> np.ndarray:
@@ -494,17 +511,22 @@ def symmetry_block(w: WeightFunction, op, top: int, order: int | None = None) ->
     return _symmetry(quadrature_rule(w, _gauss_order(2 * top, order)), op, top)[0]
 
 
-def _symmetry(rule: QuadratureRule, op, top: int) -> tuple:
+def _symmetry(rule: QuadratureRule, op, top: int, frame: tuple | None = None) -> tuple:
     """``(B, figure)``: ``B[i, j] = <x^i, L x^j>``, ``i, j <= top``, on ``rule``, and its figure.
 
-    Numpy sums, not BLAS, over :func:`_symmetry_rows`' scaled node table.  The
-    figure is the largest ``|B_ij - B_ji| / (|x^i| |L x^j| + |x^j| |L x^i|)``
-    over ``i < j`` with a nonzero bound: ``inf`` with none, 0 at ``top = 0``.
+    The node table is :func:`_symmetry_rows` times ``s_j``, against
+    ``q_0..q_top``: the first ``top + 1`` rows of ``frame``, the
+    :func:`_unit_values` of ``rule`` to ``top`` or beyond (built here when
+    ``None``).  Those rows are the same elementwise arithmetic at any
+    height, so a taller frame gives the same bits.  Numpy sums, not BLAS,
+    reduce the table.  The figure is the largest
+    ``|B_ij - B_ji| / (|x^i| |L x^j| + |x^j| |L x^i|)`` over ``i < j`` with
+    a nonzero bound: ``inf`` with none, 0 at ``top = 0``.
     """
     import numpy as np
 
-    table, scales = _node_table(rule, _symmetry_rows(op, top))
-    table *= scales[:, None]
+    q, s = frame or _unit_values(rule, top)
+    table = (_symmetry_rows(rule.target, op.band(top), top) * s[:top + 1]) @ q[:top + 1]
     w = np.asarray(rule.weights)
     block = (table[:top + 1, None, :] * (table[top + 1:] * w)[None, :, :]).sum(-1)
     norm = np.sqrt((table * table * w).sum(1))
@@ -523,37 +545,153 @@ class Check:
     detail: str
 
 
+def _band_proof(op, w: WeightFunction, N: int) -> list:
+    """Degrees at which ``op``'s band fails to prove its eigenpolynomials those of ``w``.
+
+    Everything runs on ``op.band(K + 1)``, ``K = max(N, 1)``, built once, in
+    integers over its scale ``M``, with no ``Fraction`` formed.  An empty
+    list proves that the monic eigenpolynomials ``E_n`` of ``L`` are the
+    ``P_n`` of ``w``'s closed-form recurrence (:func:`_recurrence`) for
+    ``n <= N + 1``, so that every closed-form ``(b_n, u_n)``, ``n <= N``, is
+    the recurrence of the ``E_n``.
+
+    *Spectrum.*  ``lambda_0..lambda_(K+1)`` are distinct and are the band's
+    diagonal (:func:`.eigen._spectrum` and :func:`.eigen._band_diagonal`,
+    which raise otherwise), so ``L`` has one monic eigenpolynomial ``E_n``
+    in each degree ``n <= K + 1``.
+
+    *Identity.*  The band satisfies, on ``x^0..x^K``, the q = -1
+    Askey-Wilson (Bannai-Ito) relation
+    ``{L, {L, X}} - gamma {L, X} - rho X = omega L + eta``, X the
+    multiplication by x (Zhedanov, Theor. Math. Phys. 89, 1991; Tsujimoto,
+    Vinet and Zhedanov, Adv. Math. 229, 2012).  ``gamma = sigma1 + sigma2``
+    and ``rho = -sigma1 sigma2`` come off the operator's own spectrum,
+    ``sigma1 = lambda_0 + lambda_1`` and ``sigma2 = lambda_1 + lambda_2``;
+    ``eta`` and ``omega`` are solved at ``x^0`` and ``x^1``.  On ``x^k``
+    the left side is read at ``x^(k+1)..x^(k-5)`` and the right at
+    ``x^k..x^(k-3)``.  With ``x E_j = sum_(i <= j+1) Y_ij E_i``, the
+    relation on ``E_j``, ``j <= K``, reads
+    ``Y_ij f(lambda_i + lambda_j) = delta_ij (omega lambda_i + eta)``,
+    ``f(s) = (s - sigma1)(s - sigma2)``.  On the family,
+    ``lambda_(2k) = 4k`` and ``lambda_(2k+1) = -4k - 2 (alpha + beta + 2)``,
+    so ``sigma1 = -2 (alpha + beta + 2)`` and ``sigma2 = sigma1 + 4``.  For
+    ``i != j`` and ``alpha + beta > -2``, with ``s = lambda_i + lambda_j``:
+
+    - ``i``, ``j`` even: ``s = 2 (i + j) >= 4 > sigma2 > sigma1``;
+    - ``i``, ``j`` odd: ``s - sigma1 = -2 (alpha + beta + i + j) < 0``, as
+      ``i + j >= 4``, so ``s < sigma1 < sigma2``;
+    - ``i`` even, ``j`` odd: ``s - sigma1 = 2 (i - j + 1)`` and
+      ``s - sigma2 = 2 (i - j - 1)``, zero only at ``j = i + 1`` and
+      ``i = j + 1``.
+
+    So ``f(lambda_i + lambda_j) = 0`` only when ``|i - j| = 1``, every other
+    ``Y_ij`` with ``i != j`` is 0, and
+    ``x E_n = E_(n+1) + b_n E_n + u_n E_(n-1)`` for ``n <= K``.
+
+    *Recurrence.*  Write ``E_n = x^n + s_n x^(n-1) + t_n x^(n-2) + ...`` and
+    ``beta_n``, ``delta_n`` for the coefficients of ``x^(n-1)`` and
+    ``x^(n-2)`` in ``L x^n``.  ``L E_n = lambda_n E_n`` gives
+    ``s_n = beta_n / (lambda_n - lambda_(n-1))`` and
+    ``t_n = (delta_n + s_n beta_(n-1)) / (lambda_n - lambda_(n-2))``, and
+    the recurrence at ``x^n`` and ``x^(n-1)`` gives ``b_n = s_n - s_(n+1)``
+    and ``u_n = t_n - t_(n+1) - b_n s_n``, for ``n = 0..N``: integer pairs,
+    cross-multiplied with the closed form's ``Fraction``s.  Where all of
+    them agree, ``E_(n+1) = (x - b_n) E_n - u_n E_(n-1)`` is ``P_(n+1)``
+    from ``E_0 = P_0 = 1`` up.
+
+    The degree bounds: the spectrum and the band on ``0..K+1``, the relation
+    on ``x^0..x^K`` and the pairs for ``n = 0..N``; ``K >= 1`` because
+    ``sigma2`` reads ``lambda_2``.  The list holds every ``k <= K`` whose
+    relation fails on ``x^k`` and every ``n <= N`` whose ``(b_n, u_n)``
+    differ, ascending; neither raises.
+    """
+    K = max(N, 1)
+    lams = _spectrum(op, K + 1)
+    band = op.band(K + 1)
+    d = _band_diagonal(band, lams)  # M lambda_k
+    rows = band.rows
+    sigma1, sigma2 = d[0] + d[1], d[1] + d[2]
+    gamma, rho = sigma1 + sigma2, -sigma1 * sigma2  # M gamma and M^2 rho
+
+    def left(k):  # M^2 times the left side on x^k, at x^(k+1), x^k, ..., x^(k-5)
+        now, up = rows[k], rows[k + 1]
+        out = [-rho, 0, 0, 0, 0, 0, 0]
+        for i in range(4):
+            # L X + 2 X L takes x^k to the sum of v x^(k+1-i), and L that to
+            # L L X + 2 L X L; X L L is x times L of now[i] x^(k-i).  A
+            # nonzero entry lies above x^0, so no row index is negative.
+            v = up[i] + 2 * now[i]
+            if v:
+                for m, t in enumerate(rows[k + 1 - i]):
+                    out[i + m] += v * t
+            if now[i]:
+                for m, t in enumerate(rows[k - i]):
+                    out[i + m] += now[i] * t
+            out[i] -= gamma * (up[i] + now[i])
+        return out
+
+    lefts = [left(k) for k in range(K + 1)]
+    eta = lefts[0][1]  # M^2 eta, as L 1 = 0
+    omega = lefts[1][1] - eta  # d_1 M omega
+    bad = set()
+    for k, lhs in enumerate(lefts):
+        right = [0, d[1] * eta, 0, 0, 0, 0, 0]
+        for i, t in enumerate(rows[k]):
+            right[i + 1] += omega * t
+        if any(d[1] * a != b for a, b in zip(lhs, right)):
+            bad.add(k)
+
+    # s_n and t_n as (numerator, denominator) pairs; s_0 = t_0 = t_1 = 0
+    s = [(0, 1)] + [(rows[n][1], d[n] - d[n - 1]) for n in range(1, N + 2)]
+    t = [(0, 1), (0, 1)] + [(rows[n][2] * sd + sn * rows[n - 1][1], sd * (d[n] - d[n - 2]))
+                            for n, (sn, sd) in enumerate(s[2:], 2)]
+    for n, (b, u) in enumerate(_coefficients(w, N + 1)[:N + 1]):
+        (sn, sd), (sn1, sd1) = s[n], s[n + 1]
+        bn, bd = sn * sd1 - sn1 * sd, sd * sd1
+        same = bn * b.denominator == b.numerator * bd
+        if n:
+            (tn, td), (tn1, td1) = t[n], t[n + 1]
+            un = (tn * td1 - tn1 * td) * bd * sd - bn * sn * td * td1
+            same = same and un * u.denominator == u.numerator * td * td1 * bd * sd
+        if not same:
+            bad.add(n)
+    return sorted(bad)
+
+
 def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
     """The five checks of ``family`` at degrees ``0..N``, as :class:`Check` records.
 
     ``eigen-residual``, ``orthogonality``, ``positivity``, ``symmetry`` and
-    ``pearson``.  The ``P_n`` are built once; exact residuals on their integer
-    forms (``eigen_defects``, one band built to degree ``N``), all zero, prove
-    them the monic eigenpolynomials, with no solve and no ``Fraction``
-    formed.  Positivity is Favard's theorem: ``h_0 > 0`` and every exact
-    ``u_n > 0`` make the functional positive definite, with those residuals
-    zero.  The float checks share one Gauss rule, of :func:`_gauss_order`'s
-    order at x-degree ``2N`` (``N // 2 + 11`` by default, ``N // 2 + 1`` at
-    least), decided before any work.  The orthogonality figure is that of the
-    Gram matrix of ``P_0..P_N``, in its unit frame, where no normalization
-    underflows at any ``N``; the symmetry figure is :func:`_symmetry`'s at
-    ``top = min(N, 10)``, on :func:`symmetry_block`'s block, bit for bit; the
-    Pearson figure, :func:`.weights.pearson_defect`, takes no power of the
-    weight.  A float figure with nothing to measure, every rule weight or term
-    0.0, is ``inf`` and fails.  ``big_weight`` rejects parameters outside the
-    family; inside it, ``tau0 = 0``, ``tau1 = 2`` and
+    ``pearson``.  :func:`_band_proof` proves the operator's monic
+    eigenpolynomials the ``P_n`` of the closed-form recurrence, and its
+    ``(b_n, u_n)``, ``n <= N``, theirs, on one integer band to degree
+    ``max(N, 1) + 1``, with no ``P_n`` built and no solve; a degree where
+    it fails is named, and fails ``eigen-residual`` and ``positivity``.
+    Positivity is Favard's theorem: ``h_0 > 0`` and every exact ``u_n > 0``
+    make the functional positive definite, with that proof complete.  The
+    float checks share one Gauss rule, of :func:`_gauss_order`'s order at
+    x-degree ``2N`` (``N // 2 + 11`` by default, ``N // 2 + 1`` at least),
+    decided before any work, and one node table, the :func:`_unit_values`
+    ``q_0..q_N`` of ``P_0..P_N``.  The orthogonality figure is that of
+    their Gram matrix, in its unit frame, where no normalization underflows
+    at any ``N``; the symmetry figure is :func:`_symmetry`'s at
+    ``top = min(N, 10)``, on :func:`symmetry_block`'s block, bit for bit;
+    the Pearson figure, :func:`.weights.pearson_defect`, takes no power of
+    the weight.  A float figure with nothing to measure, every rule weight
+    or term 0.0, is ``inf`` and fails.  ``big_weight`` rejects parameters
+    outside the family; inside it, ``tau0 = 0``, ``tau1 = 2`` and
     ``eta = -(alpha + beta + 1) < 1``, so no odd eigenvalue vanishes
-    (``check_nondegenerate``).
+    (``check_nondegenerate``), and ``alpha + beta > -2``, as the proof needs.
     """
     order = _gauss_order(2 * N, order)
     w = big_weight(family)
     op = build(big_operator(family))
     recurrence = recurrence_coefficients(w, N)
-    polys = orthogonal_polynomials(w, N)
-    bad = eigen_defects(op, polys)
+    bad = _band_proof(op, w, N)
 
     rule = quadrature_rule(w, order)
-    g = _gram(rule, tuple(polys))
+    frame = _unit_values(rule, N)
+    g = _gram(rule, *frame, ())
     off = g.max_relative_off_diagonal()
     h0 = g.normalization(0)
     positivity = f"h0={h0:.3e}"
@@ -561,10 +699,10 @@ def certify(family: BigJacobiParams, N: int, order: int | None = None) -> tuple:
         umin, nmin = min((u, n) for n, (_, u) in enumerate(recurrence) if n >= 1)
         positivity += f" min_u={float(umin):.3e} at n={nmin}"
 
-    sym = _symmetry(rule, op, min(N, 10))[1]
+    sym = _symmetry(rule, op, min(N, 10), frame)[1]
     pearson = pearson_defect(w, op)
     return (
-        Check("eigen-residual", not bad, f"nonzero at degrees {bad}" if bad else "all exact"),
+        Check("eigen-residual", not bad, f"fails at degrees {bad}" if bad else "all exact"),
         Check("orthogonality", off <= ORTHOGONALITY_TOL,
               f"max_offdiag={off:.3e} tol={ORTHOGONALITY_TOL:.0e}"),
         Check("positivity", not bad and h0 > 0.0 and all(u > 0 for _, u in recurrence[1:]),
@@ -661,16 +799,23 @@ def _connection(w: WeightFunction, m: int) -> list:
     every monomial.  Each row is ``(D, v)``, ``C[k][j] = v[j] / D`` with
     content 1 and ``v[k] = D``: the next row is the integer combination over
     the lcm ``L`` of the denominators of ``b_0..b_k`` and ``u_1..u_k``,
-    with denominator ``D L``, divided by its content.  ``m = -1`` gives none.
+    with denominator ``D L``, divided by its content.  ``L`` and the scaled
+    ``L b_i`` and ``L u_i`` are carried from row to row, rescaled only when
+    a new denominator grows ``L``.  ``m = -1`` gives none.
     """
     coefficients = _coefficients(w, m)
     rows = [(1, (1,))] if m >= 0 else []
+    L, sb, su = 1, [], []  # L b_i and L u_i, i <= k
     for k in range(m):
         D, row = rows[k]
-        L = math.lcm(*(b.denominator for b, _ in coefficients[:k + 1]),
-                     *(u.denominator for _, u in coefficients[1:k + 1]))
-        sb = [L // b.denominator * b.numerator for b, _ in coefficients[:k + 1]]
-        su = [L // u.denominator * u.numerator for _, u in coefficients[1:k + 1]]
+        b, u = coefficients[k]
+        grown = math.lcm(L, b.denominator, u.denominator if k else 1)
+        if grown != L:
+            f, L = grown // L, grown
+            sb, su = [f * t for t in sb], [f * t for t in su]
+        sb.append(L // b.denominator * b.numerator)
+        if k:
+            su.append(L // u.denominator * u.numerator)
         nxt = [sb[0] * row[0] + (su[0] * row[1] if k else 0)]
         for i in range(1, k + 1):
             t = L * row[i - 1] + sb[i] * row[i]

@@ -283,17 +283,41 @@ class TestCertify:
             code, out, _ = run(["certify", *family, "--N", "10"], capsys)
             assert code == 0 and out.count("PASS") == 5
 
-    def test_positivity_needs_the_recurrence_polynomials(self, capsys, monkeypatch):
-        # The eigenpolynomials must equal the closed-form P_n exactly.  A wrong
-        # top P_n leaves h_0 and the exact u_n as they are, so only that link
-        # can fail positivity here (the Gram checks fail with it).
-        real = quad_mod.orthogonal_polynomials
-        monkeypatch.setattr(quad_mod, "orthogonal_polynomials",
-                            lambda w, n: real(w, n)[:-1] + [Polynomial.monomial(n)])
-        code, out, _ = run(["certify", "--alpha", "1", "--beta", "1", "--c", "1/2",
-                            "--N", "6"], capsys)
-        assert code == 1
+    def test_positivity_needs_the_link_to_the_operator(self, capsys, monkeypatch):
+        # The eigenpolynomials must be the closed-form P_n exactly.  A wrong
+        # top band row leaves h_0 and the exact u_n as they are, so only the
+        # link between the operator and the closed form can fail positivity
+        # here, and eigen-residual fails with it.
+        real = DunklOperator.band
+
+        def band(op, n):
+            out = real(op, n)
+            rows = [list(row) for row in out.rows]
+            rows[7][1] += 1  # beta_7 of L x^7, read only by the proof at N = 6
+            return dataclasses.replace(out, rows=tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(DunklOperator, "band", band)
+        code, out, err = run(["certify", "--alpha", "1", "--beta", "1", "--c", "1/2",
+                              "--N", "6"], capsys)
+        assert code == 1 and err == ""
+        assert "FAIL eigen-residual fails at degrees [6]" in out
         assert "FAIL positivity h0=" in out
+        assert out.count("PASS") == 3
+
+    @pytest.mark.parametrize("moved", [(Fraction(1, 1000), 0, 0), (0, 0, Fraction(-1, 1000))])
+    def test_perturbed_operator_fails_the_eigen_residual(self, moved, capsys, monkeypatch):
+        # the weight stays and the operator moves: the band's recurrence is
+        # not the weight's, reported as a failure at every degree, not raised
+        real = quad_mod.big_operator
+        family = (Fraction(1), Fraction(1), Fraction(1, 2))
+        monkeypatch.setattr(quad_mod, "big_operator", lambda _: real(
+            BigJacobiParams(*(a + m for a, m in zip(family, moved)))))
+        code, out, err = run(["certify", "--alpha", "1", "--beta", "1", "--c", "1/2",
+                              "--N", "10"], capsys)
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == f"FAIL eigen-residual fails at degrees {list(range(11))}"
+        assert lines[2].startswith("FAIL positivity h0=")
 
     @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
     def test_recurrence_evaluated_once(self, family, capsys, monkeypatch):
@@ -373,14 +397,19 @@ class TestCertify:
         assert [str(warning.message) for warning in recwarn] == []
 
     @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
-    def test_one_exact_computation(self, family, capsys, monkeypatch):
-        # the residuals run on the built P_n: no eigen solve, and the band
-        # grows once, to degree N, before the residual loop
-        def no_solve(op, N):
-            raise AssertionError("certify solved for the eigenpolynomials")
+    @pytest.mark.parametrize("N", [0, 12])
+    def test_one_exact_computation(self, family, N, capsys, monkeypatch):
+        # the proof reads the band alone: no eigen solve, no P_n, no exact
+        # residual; the band grows once, to degree max(N, 1) + 1, and the
+        # Gram matrix and the symmetry block share one unit frame
+        def refuse(*args):
+            raise AssertionError("certify built or checked an exact P_n")
 
-        monkeypatch.setattr(eigen_mod, "eigen_sequence", no_solve)
-        growths = []
+        for module, name in ((eigen_mod, "eigen_sequence"), (eigen_mod, "eigen_defects"),
+                             (eigen_mod, "residual"), (quad_mod, "orthogonal_polynomials"),
+                             (quad_mod, "_basis")):
+            monkeypatch.setattr(module, name, refuse)
+        growths, frames = [], []
         real = DunklOperator.band
 
         def band(op, n):
@@ -390,29 +419,31 @@ class TestCertify:
                 growths.append(n)
             return grown
 
+        real_frame = quad_mod._unit_values
         monkeypatch.setattr(DunklOperator, "band", band)
+        monkeypatch.setattr(quad_mod, "_unit_values",
+                            lambda rule, top: frames.append(top) or real_frame(rule, top))
         code, out, _ = run(["certify", "--alpha", "1", "--beta", "1", *family,
-                            "--N", "12"], capsys)
+                            "--N", str(N)], capsys)
         assert code == 0 and out.count("PASS") == 5
-        assert growths == [12]
+        assert growths == [max(N, 1) + 1] and frames == [N]
 
     @pytest.mark.parametrize("family", [("--c", "1/2"), ("--c", "0")])
-    def test_basis_builds_no_fractions(self, family, capsys, monkeypatch):
-        # certify reads its P_k only through their integer forms
-        bases = []
-        real = quad_mod.orthogonal_polynomials
+    def test_proof_builds_no_fractions(self, family, capsys, monkeypatch):
+        # certify builds no polynomial in integer form, and its proof forms
+        # no Fraction of its own: the closed form's b_0..b_24 and u_1..u_24
+        # are the only ones made in the quadrature module
+        def refuse(*args):
+            raise AssertionError("certify built a polynomial in integer form")
 
-        def basis(w, n):
-            bases.append(real(w, n))
-            return bases[-1]
-
-        monkeypatch.setattr(quad_mod, "orthogonal_polynomials", basis)
+        made = []
+        real = quad_mod.Fraction
+        monkeypatch.setattr(quad_mod._IntegerPolynomial, "__init__", refuse)
+        monkeypatch.setattr(quad_mod, "Fraction", lambda *args: made.append(args) or real(*args))
         code, out, _ = run(["certify", "--alpha", "1", "--beta", "1", *family,
                             "--N", "24"], capsys)
         assert code == 0 and out.count("PASS") == 5
-        (polys,) = bases
-        assert len(polys) == 25
-        assert all(p._map is None for p in polys)
+        assert len(made) == 2 * 24 + 1
 
     @pytest.mark.parametrize("argv, family, N, order", [
         (["--c", "1/2", "--N", "6"], BigJacobiParams(1, 1, Fraction(1, 2)), 6, None),

@@ -27,6 +27,7 @@ from dunkl_jacobi import (
     build,
     classify,
     connection_coefficients,
+    eigen_defects,
     eigen_sequence,
     gram_matrix,
     inner_product,
@@ -43,6 +44,7 @@ from dunkl_jacobi import (
 
 from dunkl_jacobi import DegenerateSpectrum
 from dunkl_jacobi import quadrature as quad_mod
+from dunkl_jacobi.dunkl import OperatorBand
 from dunkl_jacobi.laurent import LaurentPoly, _IntegerPolynomial
 from dunkl_jacobi.weights import _positive_family_weight
 
@@ -171,6 +173,23 @@ class TestRule:
         mu0 = 2.0 ** float(a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
         assert float(weights[0]) == pytest.approx(mu0, rel=1e-14)
         assert float(t[0]) == pytest.approx(float((b - a) / (a + b + 2)), rel=1e-15, abs=1e-18)
+
+    @pytest.mark.parametrize("a, b", [(Fraction(0), Fraction(-1) + Fraction(1, 2_000_000)),
+                                      (Fraction(-1) + Fraction(1, 1_000_000), Fraction(3, 2))])
+    def test_mu0_matches_mpmath_next_to_minus_one(self, a, b):
+        # mu_0 = 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2); a + 1, b + 1
+        # and a + b + 2 are formed exactly, then rounded: lgamma(float(b) + 1)
+        # was off by 8.2e-11 and 2.9e-11 here, from the rounding of b alone
+        mpmath = pytest.importorskip("mpmath")
+        weights = quad_mod._gauss_jacobi_refined(1, a, b)[1]  # order 1: mu_0 itself
+        with mpmath.workdps(40):
+            def mp(q):
+                return mpmath.mpf(q.numerator) / q.denominator
+
+            ref = (mpmath.mpf(2) ** mp(a + b + 1) * mpmath.gamma(mp(a + 1))
+                   * mpmath.gamma(mp(b + 1)) / mpmath.gamma(mp(a + b + 2)))
+            err = abs(mpmath.mpf(float(weights[0])) / ref - 1)
+        assert err <= 1e-14
 
     @pytest.mark.parametrize("normal_form, name", [
         ((3000, 1, HALF, 1), "mu_0"),  # 2^1500.5 / 1500.5
@@ -586,17 +605,69 @@ class TestSymmetry:
 
     @pytest.mark.parametrize("params", [BigJacobiParams(1, 1, HALF), BigJacobiParams(HALF, 2),
                                         BigJacobiParams(Fraction(-99, 100), 0, HALF)])
-    def test_rows_are_the_images_in_integer_form(self, params):
-        op = build(big_operator(params))
-        rows = quad_mod._symmetry_rows(op, 10)
-        assert rows[:11] == [Polynomial.monomial(k) for k in range(11)]
-        for k, image in enumerate(rows[11:]):
-            assert image == op.apply(Polynomial.monomial(k))
-            if image.is_zero:
-                assert k == 0 and type(image) is Polynomial
-            else:
-                D, v = image._form
-                assert type(image) is _IntegerPolynomial and v[-1] and math.gcd(D, *v) == 1
+    def test_rows_are_the_exact_coefficients_rounded_once(self, params):
+        # row m is x^m = sum_j C[m][j] P_j and row 11 + k is L x^k, from the
+        # Laurent path, in the same basis: each exact value rounded once
+        w, op = big_weight(params), build(big_operator(params))
+        C = connection_coefficients(w, 10)
+        rows = quad_mod._symmetry_rows(w, op.band(10), 10)
+        assert rows.shape == (22, 11)
+        for k in range(11):
+            image = op.apply(Polynomial.monomial(k)).terms
+            exact = [sum((a * C[m][j] for m, a in image.items() if m >= j), Fraction(0))
+                     for j in range(11)]
+            assert rows[k].tolist() == [float(C[k][j]) if j <= k else 0.0 for j in range(11)]
+            assert rows[11 + k].tolist() == [float(v) for v in exact]
+
+
+class TestBandProof:
+    """The band's Bannai-Ito identity and recurrence against the exact residual pass."""
+
+    @pytest.mark.parametrize("alpha, beta, c", GOLDEN_FAMILIES)
+    def test_agrees_with_the_exact_residuals(self, alpha, beta, c):
+        # the proof at N reads (b_N, u_N), which fix P_(N+1): it is empty
+        # exactly when the exact residuals of the built P_0..P_(N+1) are, on
+        # the family's operator and on a moved one
+        family = BigJacobiParams(alpha, beta, c)
+        moved = BigJacobiParams(alpha, beta + Fraction(1, 1000), c)
+        for N in (0, 1, 2, 5, 17, 39):
+            w = big_weight(family)
+            polys = orthogonal_polynomials(w, N + 1)
+            for params in (family, moved):
+                op = build(big_operator(params))
+                proved = quad_mod._band_proof(op, w, N) == []
+                assert proved == (eigen_defects(op, polys) == []) == (params is family)
+
+    @pytest.mark.parametrize("alpha, beta, c", [(1, 1, HALF), (HALF, 2, 0),
+                                                (Fraction(-99, 100), 0, HALF)])
+    @pytest.mark.parametrize("k", [3, 6, 12, 13])
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_a_moved_band_entry_is_named_at_its_degree(self, alpha, beta, c, k, i):
+        # the entry of x^(k-i) in L x^k moves by 1/M.  L x^k enters the
+        # relation first on x^(k-1), as L X x^(k-1), then on the degrees
+        # above, to x^(k+2) at most (x^(k+1) on the c = 0 bands, whose
+        # x^(k-2) entries are 0), and s_k or t_k: degree k is named, from
+        # k - 1 on, with no gap
+        N = 12
+        w, op = big_weight(BigJacobiParams(alpha, beta, c)), build(
+            big_operator(BigJacobiParams(alpha, beta, c)))
+        band = op.band(N + 1)
+        rows = [list(row) for row in band.rows]
+        rows[k][i] += 1
+        object.__setattr__(op, "_band", OperatorBand(band.scale, tuple(map(tuple, rows))))
+        bad = quad_mod._band_proof(op, w, N)
+        assert bad == list(range(k - 1, bad[-1] + 1)) and min(k, N) <= bad[-1] <= k + 2
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_moved_closed_form_coefficient_is_named_at_n(self, n, which):
+        family = BigJacobiParams(Fraction(-99, 100), Fraction(5, 2), Fraction(99999, 100000))
+        w, op = big_weight(family), build(big_operator(family))
+        assert quad_mod._band_proof(op, w, 12) == []
+        coefficients = [list(pair) for pair in quad_mod._coefficients(w, 13)]
+        coefficients[n][which] *= 1 + Fraction(1, 10 ** 30)
+        object.__setattr__(w, "_coefficients", tuple(map(tuple, coefficients)))
+        assert quad_mod._band_proof(op, w, 12) == [n]
 
 
 class TestRecurrence:
