@@ -7,20 +7,20 @@ holds those entries as integers over one common denominator ``M``, read
 once per operator off the coefficient functions, a few integer operations
 per column.  The eigenvalues are formed as integers over one denominator
 and checked against the band's diagonal by integer cross-products.  The
-monic eigenpolynomial of degree ``n`` is one backward sweep over that
-band in lowest terms: each coefficient is a reduced
-integer pair, formed over the common denominator (an lcm where needed) of
-the at most three coefficients above it, then reduced by one gcd, which
-is small because its inputs are already reduced, and handed to
-``Fraction`` as a coprime pair with no second gcd.  The residual
-``L p - lam p`` is an integer band product, exact for any polynomial; it
-is identically zero for every returned pair.  Both hand their clean
-coefficient maps to :class:`Polynomial` without re-checking them term by
-term.
+monic eigenpolynomial of degree ``n`` is one fraction-free backward sweep
+over that band: coefficient ``j`` is an integer ``x_j`` over the running
+product ``f_j ... f_(n-1)`` of small factors, each step dividing by one
+gcd against a machine-size int, and the polynomial is handed out in that
+form (:class:`~.laurent._SweptPolynomial`), with no ``Fraction`` per
+coefficient.  The residual ``L p - lam p`` is an integer band product,
+exact for any polynomial, that reads an integer form as it is; it is
+identically zero for every returned pair.
 
-The CSV and JSON tables read each polynomial's coefficient map once and
-write ``0`` for absent exponents.  No cell of the CSV table needs quoting,
-so each row is one plain comma join.
+The CSV and JSON tables reduce each nonzero coefficient once, against its
+own running denominator, format the pair as ``str`` of a ``Fraction``
+would and write ``0`` for absent exponents; a swept polynomial's
+``Fraction`` map is built only if someone reads it.  No cell of the CSV
+table needs quoting, so each row is one plain comma join.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from fractions import Fraction
 
 from .dunkl import DunklOperator, OperatorBand
 from .errors import DegenerateSpectrum, InternalConsistencyError
-from .laurent import LaurentPoly, Polynomial, Rational, _coprime_fraction, as_rational
+from .laurent import (LaurentPoly, Polynomial, Rational, _coprime_fraction, _SweptPolynomial,
+                      as_rational)
 
 
 @dataclass(frozen=True)
@@ -91,59 +92,45 @@ def _band_diagonal(band: OperatorBand, lams: list) -> list:
 
 
 def _solve_degree(band: OperatorBand, diag: list, n: int, lam: Fraction) -> EigenPolynomial:
-    """Backward sweep in lowest terms for the monic degree-``n`` eigenpolynomial.
+    """Fraction-free backward sweep for the monic degree-``n`` eigenpolynomial.
 
     With ``d_j = M(lambda_n - lambda_j)`` and ``t_i = M [L x^(j+i)]`` at
     ``x^j``, the coefficient of ``x^j`` is
-    ``c_j = (t1 c_{j+1} + t2 c_{j+2} + t3 c_{j+3}) / d_j``, ``c_n = 1``.
-    Each ``c`` is carried as a reduced pair ``(num, den)``, ``den > 0``.  The
-    window's common denominator starts at ``den_{j+1}``; one ``divmod``
-    shows whether ``den_{j+2}`` and then ``den_{j+3}`` divide it, and when
-    one does not it becomes their lcm.  One gcd then reduces ``c_j``: it is
-    small, since the window is already reduced, and the ``Fraction`` is
-    built from the coprime pair with no second gcd.
+    ``c_j = (t1 c_{j+1} + t2 c_{j+2} + t3 c_{j+3}) / d_j``, ``c_n = 1``.  It
+    is carried as ``c_j = x_j / (f_j ... f_(n-1))``: the step forms
+    ``x_j = t1 x_(j+1) + t2 x_(j+2) f_(j+1) + t3 x_(j+3) f_(j+1) f_(j+2)``
+    and divides it and ``d_j`` by their gcd, which is small because ``d_j``
+    is a machine-size int; the reduced ``d_j``, made positive, is ``f_j``
+    (1 where ``x_j = 0``).  No other gcd, lcm or ``Fraction`` is formed:
+    the polynomial is handed out in this form (:class:`~.laurent._SweptPolynomial`).
     """
     rows = band.rows
     dn = diag[n]
-    coeffs = {n: Fraction(1)}
-    n1, n2, n3 = 1, 0, 0  # numerators of c_{j+1}, c_{j+2}, c_{j+3}
-    e1, e2, e3 = 1, 1, 1  # their denominators
+    x, f = [0] * n + [1], [1] * n
+    x1, x2, x3 = 1, 0, 0  # x_{j+1}, x_{j+2}, x_{j+3}
+    f1, f2 = 1, 1  # f_{j+1}, f_{j+2}
     for j in range(n - 1, -1, -1):
-        num = rows[j + 1][1] * n1
-        den = e1 if num else 1
-        if n2:
+        y = rows[j + 1][1] * x1
+        if x2:
             t = rows[j + 2][2]
             if t:
-                q, r = divmod(den, e2)
-                if r:
-                    g = math.gcd(den, e2)
-                    num *= e2 // g
-                    q = den // g
-                    den *= e2 // g
-                num += t * n2 * q
-        if n3:
+                y += t * f1 * x2
+        if x3:
             t = rows[j + 3][3]
             if t:
-                q, r = divmod(den, e3)
-                if r:
-                    g = math.gcd(den, e3)
-                    num *= e3 // g
-                    q = den // g
-                    den *= e3 // g
-                num += t * n3 * q
-        if num:
-            den *= dn - diag[j]
-            g = math.gcd(num, den)
-            if den < 0:
+                y += t * f1 * f2 * x3
+        d = 1
+        if y:
+            d = dn - diag[j]
+            g = math.gcd(y, d)
+            if d < 0:
                 g = -g
             if g != 1:
-                num //= g
-                den //= g
-            coeffs[j] = _coprime_fraction(num, den)
-        else:
-            den = 1
-        n1, n2, n3, e1, e2, e3 = num, n1, n2, den, e1, e2
-    return EigenPolynomial(n=n, poly=Polynomial._from_clean(coeffs), eigenvalue=lam)
+                y //= g
+                d //= g
+            x[j], f[j] = y, d
+        x1, x2, x3, f1, f2 = y, x1, x2, d, f1
+    return EigenPolynomial(n=n, poly=_SweptPolynomial(tuple(f), tuple(x)), eigenvalue=lam)
 
 
 def monic_eigenpolynomial(op: DunklOperator, n: int) -> EigenPolynomial:
@@ -232,11 +219,15 @@ def eigen_defects(op: DunklOperator, polys) -> list:
 
 
 def _coefficient_cells(poly: Polynomial, n: int) -> list:
-    """``str`` of the coefficients of ``x^0..x^n``, ``"0"`` for absent exponents."""
-    # The stored map itself, not the copy ``terms`` hands out: a copy per
-    # row raised the peak RSS of a run of large tables by about 0.5 MB.
-    terms = poly._terms
-    return [str(terms[k]) if k in terms else "0" for k in range(n + 1)]
+    """The coefficients of ``x^0..x^n`` as ``str`` of a ``Fraction`` prints them, ``"0"`` if absent.
+
+    Each nonzero coefficient is reduced once, by :meth:`~.laurent.LaurentPoly._lowest_terms`,
+    and formatted from the pair; no ``Fraction`` is formed.
+    """
+    cells = ["0"] * (n + 1)
+    for k, p, q in poly._lowest_terms():
+        cells[k] = f"{p}/{q}" if q != 1 else str(p)
+    return cells
 
 
 def coefficient_table_csv(eigs) -> str:
@@ -246,9 +237,10 @@ def coefficient_table_csv(eigs) -> str:
     of which needs CSV quoting, so each row is one comma join.  Rows go to
     the buffer one at a time, the newline as a second write: of the ways of
     assembling the text that were measured (``csv.writer``, one join of all
-    rows, ``row + "\\n"``), this one gave the lowest peak RSS.
+    rows, ``row + "\\n"``), this one gave the lowest peak RSS.  No rows give
+    the header ``degree,lambda`` alone.
     """
-    n_max = max(e.n for e in eigs)
+    n_max = max((e.n for e in eigs), default=-1)
     buf = io.StringIO()
     buf.write(",".join(["degree", "lambda"] + [f"c{k}" for k in range(n_max + 1)]))
     buf.write("\n")

@@ -12,12 +12,17 @@ zero are dropped once, when the result is formed.  An absent exponent reads
 as one shared ``Fraction(0)``.  The exact kernels, whose coefficient maps
 are clean by construction, hand them to :class:`Polynomial` unchecked.
 
-The monic basis of :mod:`.quadrature` is built as integer vectors over
-one denominator and handed out as :class:`_IntegerPolynomial`, which forms
-its ``Fraction`` map only when someone reads it; comparing it with ``==``
-reads the map, as for any polynomial.  The exact kernels that clear
-denominators read either kind through :meth:`LaurentPoly._scaled_terms`:
-the coefficient map itself, or the integer vector with its denominator.
+Exact kernels that build polynomials fraction-free hand them out in that
+integer form, which builds its ``Fraction`` map only when someone reads it;
+comparing with ``==`` or hashing reads the map, as for any polynomial.
+:class:`_IntegerPolynomial`, the monic basis of :mod:`.quadrature`, is an
+integer vector over one denominator; :class:`_SweptPolynomial`, an
+eigenpolynomial of :mod:`.eigen`, is an integer vector whose entry ``j``
+sits over the running product ``f_j ... f_(n-1)`` of small factors.  The
+kernels that clear denominators read every kind through
+:meth:`LaurentPoly._scaled_terms`: the coefficient map itself, or one
+integer vector with its denominator.  The tables read every kind through
+:meth:`LaurentPoly._lowest_terms`, one reduced pair per nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -163,6 +168,14 @@ class LaurentPoly:
         integer ``terms`` over its denominator, and builds no ``Fraction``.
         """
         return 1, self._terms
+
+    def _lowest_terms(self):
+        """``(k, p, q)`` with coefficient ``p/q`` in lowest terms, ``q > 0``, per nonzero term.
+
+        Here read off the stored map, not a copy; :class:`_IntegerPolynomial`
+        reduces its integer form, and builds no ``Fraction``.
+        """
+        return ((k, v.numerator, v.denominator) for k, v in self._terms.items())
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -421,8 +434,8 @@ class _IntegerPolynomial(Polynomial):
     ``D > 0`` and the integers ``v`` (``v[-1] != 0``) have no common factor
     with ``D``, so each form stands for one polynomial.  Degree, monicity
     and :meth:`_scaled_terms` read the form; the ``Fraction`` map is built
-    the first time it is read, and kept.  Equality and hashing are
-    :class:`LaurentPoly`'s, and read the map.
+    from :meth:`_lowest_terms` the first time it is read, and kept.
+    Equality and hashing are :class:`LaurentPoly`'s, and read the map.
     """
 
     __slots__ = ("_form", "_map")
@@ -435,10 +448,16 @@ class _IntegerPolynomial(Polynomial):
     def _terms(self) -> dict:
         terms = self._map
         if terms is None:
-            D, v = self._form
-            terms = {j: Fraction(t, D) for j, t in enumerate(v) if t}
+            terms = {j: _coprime_fraction(p, q) for j, p, q in self._lowest_terms()}
             object.__setattr__(self, "_map", terms)
         return terms
+
+    def _lowest_terms(self):
+        D, v = self._form
+        for j, t in enumerate(v):
+            if t:
+                g = math.gcd(t, D)
+                yield (j, t, D) if g == 1 else (j, t // g, D // g)
 
     def _scaled_terms(self) -> tuple:
         D, v = self._form
@@ -460,3 +479,47 @@ class _IntegerPolynomial(Polynomial):
     def is_monic(self) -> bool:
         D, v = self._form
         return v[-1] == D
+
+
+class _SweptPolynomial(_IntegerPolynomial):
+    """A monic polynomial held as ``(f, x)``, as a backward sweep leaves it.
+
+    With ``n = len(f)`` and ``R_j = f[j] ... f[n-1]`` (``R_n = 1``), the
+    coefficient of ``x^j`` is ``x[j] / R_j``, and ``x[n] = 1``.  The factors
+    ``f[j] > 0`` are small ints; ``x[j] / R_j`` need not be in lowest terms.
+    :meth:`_scaled_terms` hands out ``x[j] f[0] ... f[j-1]`` over ``R_0``,
+    and :meth:`_lowest_terms` reduces each ``x[j]`` once against its own
+    ``R_j``, not against the larger ``R_0``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, f: tuple, x: tuple):
+        object.__setattr__(self, "_form", (f, x))
+        object.__setattr__(self, "_map", None)
+
+    def _lowest_terms(self):
+        f, x = self._form
+        n = len(f)
+        yield n, 1, 1
+        R = 1
+        for j in range(n - 1, -1, -1):
+            R *= f[j]
+            t = x[j]
+            if t:
+                g = math.gcd(t, R)
+                yield (j, t, R) if g == 1 else (j, t // g, R // g)
+
+    def _scaled_terms(self) -> tuple:
+        f, x = self._form
+        terms, F = {}, 1
+        for j, (t, fj) in enumerate(zip(x, f)):
+            if t:
+                terms[j] = t * F
+            F *= fj
+        terms[len(f)] = F
+        return F, terms
+
+    @property
+    def is_monic(self) -> bool:
+        return self._form[1][-1] == 1

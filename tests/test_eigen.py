@@ -26,6 +26,7 @@ from dunkl_jacobi import (
     parse_coefficient_table_csv,
     residual,
 )
+from dunkl_jacobi import dunkl as dunkl_mod, eigen as eigen_mod, laurent as laurent_mod
 from dunkl_jacobi.eigen import _spectrum
 from dunkl_jacobi.laurent import _IntegerPolynomial
 
@@ -166,6 +167,59 @@ class TestResidual:
                 assert not got.is_zero  # lam is off the spectrum
                 assert lazy._map is None
                 assert lazy == q
+
+    @pytest.mark.parametrize("N", [0, 1, 40])
+    def test_swept_form_residual_matches_the_fraction_path(self, N):
+        # The ladder's P_n hands residual its swept form; the same
+        # polynomial rebuilt as a Fraction map, read off the form here,
+        # goes through its Fractions.  Both give the same residual, zero at
+        # lambda_n and not at a wrong eigenvalue.  Neither residual nor the
+        # tables build the swept form's map; degree and monicity read the
+        # form, and every reading of the map agrees with the rebuilt one.
+        rng = random.Random(131 + N)
+        for op in raw_and_family_operators(rng, 2, N):
+            eigs = eigen_sequence(op, N)
+            plains = []
+            for e in eigs:
+                f, x = e.poly._form
+                R, plain = 1, {e.n: Fraction(1)}
+                for j in range(e.n - 1, -1, -1):
+                    R *= f[j]
+                    if x[j]:
+                        plain[j] = Fraction(x[j], R)
+                plains.append(Polynomial(plain))
+                for lam in (e.eigenvalue, e.eigenvalue + Fraction(2, 9)):
+                    got, want = residual(op, e.poly, lam), residual(op, plains[-1], lam)
+                    assert got.terms == want.terms
+                    assert got.is_zero == (lam == e.eigenvalue)
+            coefficient_table_csv(eigs)
+            coefficient_table_json(eigs)
+            for e, plain in zip(eigs, plains):
+                assert e.poly.degree == plain.degree == e.n
+                assert e.poly.is_monic and plain.is_monic
+                assert e.poly._map is None
+                assert e.poly == plain and hash(e.poly) == hash(plain)
+                assert e.poly.terms == plain.terms
+                assert ([e.poly.coefficient(k) for k in range(e.n + 2)]
+                        == [plain.coefficient(k) for k in range(e.n + 2)])
+
+    def test_ladder_builds_no_coefficient_fractions(self, monkeypatch):
+        # eigen_sequence, residual on every pair and both tables form the
+        # N + 1 eigenvalues and no Fraction of their own besides.  laurent's
+        # own Fraction stays: as_rational tests isinstance against it.
+        made = []
+        for mod, name in [(dunkl_mod, "Fraction"), (eigen_mod, "Fraction"),
+                          (eigen_mod, "_coprime_fraction"), (laurent_mod, "_coprime_fraction")]:
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *args, real=real: made.append(args) or real(*args))
+        N = 40
+        for op in raw_and_family_operators(random.Random(171), 2, N):
+            made.clear()
+            eigs = eigen_sequence(op, N)
+            assert all(residual(op, e.poly, e.eigenvalue).is_zero for e in eigs)
+            coefficient_table_csv(eigs)
+            coefficient_table_json(eigs)
+            assert len(made) == N + 1
 
     def test_defects_empty_exactly_on_the_monic_eigenpolynomials(self):
         rng = random.Random(73)
@@ -508,6 +562,16 @@ class TestExport:
         assert all(len(e.poly.terms) == e.n // 2 + 1 for e in eigs)
         assert coefficient_table_csv(eigs) == coefficient_table_csv_reference(eigs)
         assert coefficient_table_json(eigs) == coefficient_table_json_reference(eigs)
+
+    def test_tables_of_no_rows(self):
+        # the CSV is its header alone and the JSON an empty list; both read back as []
+        import json
+
+        text = coefficient_table_csv([])
+        assert text == "degree,lambda\n"
+        assert parse_coefficient_table_csv(text) == []
+        assert coefficient_table_json([]) == "[]"
+        assert json.loads(coefficient_table_json([])) == []
 
     def test_json_structure(self):
         import json
