@@ -11,14 +11,14 @@ monic eigenpolynomial of degree ``n`` is one fraction-free backward sweep
 over that band: coefficient ``j`` is an integer ``x_j`` over the running
 product ``f_j ... f_(n-1)`` of small factors, each step dividing by one
 gcd against a machine-size int, and the polynomial is handed out in that
-form (:class:`~.laurent._SweptPolynomial`), with no ``Fraction`` per
-coefficient.  The residual ``L p - lam p`` is an integer band product,
-exact for any polynomial, that reads an integer form as it is; it is
-identically zero for every returned pair.
+form, the package's one integer form (:class:`~.laurent._IntegerPolynomial`),
+with no ``Fraction`` per coefficient.  The residual ``L p - lam p`` is an
+integer band product, exact for any polynomial, that reads the integers
+every polynomial hands out; it is identically zero for every returned pair.
 
 The CSV and JSON tables reduce each nonzero coefficient once, against its
 own running denominator, format the pair as ``str`` of a ``Fraction``
-would and write ``0`` for absent exponents; a swept polynomial's
+would and write ``0`` for absent exponents; an eigenpolynomial's
 ``Fraction`` map is built only if someone reads it.  No cell of the CSV
 table needs quoting, so each row is one plain comma join.
 """
@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .dunkl import DunklOperator, OperatorBand
 from .errors import DegenerateSpectrum, InternalConsistencyError
-from .laurent import (LaurentPoly, Polynomial, Rational, _coprime_fraction, _SweptPolynomial,
+from .laurent import (LaurentPoly, Polynomial, Rational, _coprime_fraction, _IntegerPolynomial,
                       as_rational)
 
 
@@ -102,11 +102,12 @@ def _solve_degree(band: OperatorBand, diag: list, n: int, lam: Fraction) -> Eige
     and divides it and ``d_j`` by their gcd, which is small because ``d_j``
     is a machine-size int; the reduced ``d_j``, made positive, is ``f_j``
     (1 where ``x_j = 0``).  No other gcd, lcm or ``Fraction`` is formed:
-    the polynomial is handed out in this form (:class:`~.laurent._SweptPolynomial`).
+    the polynomial is handed out in this form, with ``f_n = 1``
+    (:class:`~.laurent._IntegerPolynomial`).
     """
     rows = band.rows
     dn = diag[n]
-    x, f = [0] * n + [1], [1] * n
+    x, f = [0] * n + [1], [1] * (n + 1)
     x1, x2, x3 = 1, 0, 0  # x_{j+1}, x_{j+2}, x_{j+3}
     f1, f2 = 1, 1  # f_{j+1}, f_{j+2}
     for j in range(n - 1, -1, -1):
@@ -130,7 +131,7 @@ def _solve_degree(band: OperatorBand, diag: list, n: int, lam: Fraction) -> Eige
                 d //= g
             x[j], f[j] = y, d
         x1, x2, x3, f1, f2 = y, x1, x2, d, f1
-    return EigenPolynomial(n=n, poly=_SweptPolynomial(tuple(f), tuple(x)), eigenvalue=lam)
+    return EigenPolynomial(n=n, poly=_IntegerPolynomial(tuple(f), tuple(x)), eigenvalue=lam)
 
 
 def monic_eigenpolynomial(op: DunklOperator, n: int) -> EigenPolynomial:
@@ -159,14 +160,10 @@ def eigen_sequence(op: DunklOperator, N: int) -> list:
 def residual(op: DunklOperator, p: LaurentPoly, lam: Rational) -> Polynomial:
     """Exact residual ``L p - lam p``; the zero polynomial certifies an eigenpair.
 
-    ``p = sum_j c_j x^j / s`` comes from
-    :meth:`~.laurent.LaurentPoly._scaled_terms`: a basis polynomial of
-    :mod:`.quadrature` hands over the integer vector it was built as, over
-    its denominator ``s``, and any other polynomial its own ``Fraction``
-    map with ``s = 1``.  With ``q = D c`` integral, ``D`` the lcm of the
-    ``c_j``'s denominators (1 for a basis polynomial), ``lam = l / e`` and
+    ``p = sum_j q_j x^j / s``, integers ``q_j`` over ``s``, comes from
+    :meth:`~.laurent.LaurentPoly._scaled_terms`.  With ``lam = l / e`` and
     ``t_i = M [L x^(j+i)]`` at ``x^j`` off the band, entry ``j`` is
-    ``(e sum_i t_i q_(j+i) - M l q_j) / (M D s e)``: integer products, with
+    ``(e sum_i t_i q_(j+i) - M l q_j) / (M s e)``: integer products, with
     a ``Fraction`` formed only for nonzero entries.  The diagonal term is
     the one product ``(t_0 e - M l) q_j``, and zero band entries are
     skipped.
@@ -180,11 +177,9 @@ def residual(op: DunklOperator, p: LaurentPoly, lam: Rational) -> Polynomial:
     n = max(terms)
     band = op.band(n)
     rows = band.rows
-    D = math.lcm(*(v.denominator for v in terms.values()))
     e, ml = lam.denominator, band.scale * lam.numerator
     acc = [0] * (n + 1)
-    for k, v in terms.items():
-        q = v.numerator * (D // v.denominator)
+    for k, q in terms.items():
         # Entries below x^0 are 0, so a nonzero t_i has k - i >= 0.
         t0, t1, t2, t3 = rows[k]
         acc[k] += (t0 * e - ml) * q
@@ -196,7 +191,7 @@ def residual(op: DunklOperator, p: LaurentPoly, lam: Rational) -> Polynomial:
             acc[k - 2] += t2 * q
         if t3:
             acc[k - 3] += t3 * q
-    den = band.scale * D * s * e
+    den = band.scale * s * e
     return Polynomial._from_clean({j: Fraction(t, den) for j, t in enumerate(acc) if t})
 
 
@@ -210,8 +205,10 @@ def eigen_defects(op: DunklOperator, polys) -> list:
     :func:`residual` at ``lambda_n`` is zero.  With distinct eigenvalues the
     operator's eigenvectors in degree ``<= N`` are one line per degree, so
     an empty list proves that ``polys`` are the monic eigenpolynomials,
-    with no solve.
+    with no solve.  No polynomials give no defects.
     """
+    if not polys:
+        return []
     lams = _spectrum(op, len(polys) - 1)
     _band_diagonal(op.band(len(polys) - 1), lams)
     return [n for n, (p, lam) in enumerate(zip(polys, lams))

@@ -12,17 +12,18 @@ zero are dropped once, when the result is formed.  An absent exponent reads
 as one shared ``Fraction(0)``.  The exact kernels, whose coefficient maps
 are clean by construction, hand them to :class:`Polynomial` unchecked.
 
-Exact kernels that build polynomials fraction-free hand them out in that
-integer form, which builds its ``Fraction`` map only when someone reads it;
-comparing with ``==`` or hashing reads the map, as for any polynomial.
-:class:`_IntegerPolynomial`, the monic basis of :mod:`.quadrature`, is an
-integer vector over one denominator; :class:`_SweptPolynomial`, an
-eigenpolynomial of :mod:`.eigen`, is an integer vector whose entry ``j``
-sits over the running product ``f_j ... f_(n-1)`` of small factors.  The
-kernels that clear denominators read every kind through
-:meth:`LaurentPoly._scaled_terms`: the coefficient map itself, or one
-integer vector with its denominator.  The tables read every kind through
-:meth:`LaurentPoly._lowest_terms`, one reduced pair per nonzero coefficient.
+Exact kernels that build polynomials fraction-free hand them out in one
+integer form, :class:`_IntegerPolynomial` ``(f, x)``: coefficient ``j`` is
+the integer ``x[j]`` over the running product ``f[j] ... f[n]``.  The
+monic basis of :mod:`.quadrature` puts one denominator in ``f[n]``; an
+eigenpolynomial of :mod:`.eigen` carries its sweep's small factors.  The
+form builds its ``Fraction`` map only when someone reads it; comparing with
+``==`` or hashing reads the map, as for any polynomial.  Every polynomial
+hands out integers through :meth:`LaurentPoly._scaled_terms`, one integer
+per nonzero coefficient over one denominator, so the kernels that need
+integers clear no denominator themselves.  The tables read every
+polynomial through :meth:`LaurentPoly._lowest_terms`, one reduced pair per
+nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -162,12 +163,15 @@ class LaurentPoly:
         return self._terms.get(exponent, _ZERO)
 
     def _scaled_terms(self) -> tuple:
-        """``(s, terms)`` with ``self = sum terms[k] x^k / s``: here ``(1, the stored map)``.
+        """``(s, terms)``: ``self = sum terms[k] x^k / s``, with nonzero ints over an int ``s > 0``.
 
-        The map is not a copy.  :class:`_IntegerPolynomial` answers with
-        integer ``terms`` over its denominator, and builds no ``Fraction``.
+        Here ``s`` is the lcm of the coefficients' denominators, and the
+        zero polynomial is ``(1, {})``.  :class:`_IntegerPolynomial` answers
+        from its form, and builds no ``Fraction``.
         """
-        return 1, self._terms
+        terms = self._terms
+        s = math.lcm(*(v.denominator for v in terms.values()))
+        return s, {k: v.numerator * (s // v.denominator) for k, v in terms.items()}
 
     def _lowest_terms(self):
         """``(k, p, q)`` with coefficient ``p/q`` in lowest terms, ``q > 0``, per nonzero term.
@@ -365,9 +369,7 @@ def _laurent_form(p: LaurentPoly) -> tuple:
     s, terms = p._scaled_terms()
     terms = terms or {0: 0}
     k = -(min(min(terms), 0) // 2)
-    coefficients = [terms.get(j, 0) for j in range(-2 * k, max(max(terms), 0) + 1)]
-    D = math.lcm(*(c.denominator for c in coefficients))
-    return k, s * D, [c.numerator * (D // c.denominator) for c in coefficients]
+    return k, s, [terms.get(j, 0) for j in range(-2 * k, max(max(terms), 0) + 1)]
 
 
 def _homogeneous(form: tuple, Q: int) -> tuple:
@@ -429,19 +431,25 @@ class Polynomial(LaurentPoly):
 
 
 class _IntegerPolynomial(Polynomial):
-    """A nonzero polynomial held as ``(D, v)``: ``sum_j v[j] x^j / D``.
+    """A nonzero polynomial of degree ``n`` held as ``(f, x)``, two int tuples of length ``n + 1``.
 
-    ``D > 0`` and the integers ``v`` (``v[-1] != 0``) have no common factor
-    with ``D``, so each form stands for one polynomial.  Degree, monicity
-    and :meth:`_scaled_terms` read the form; the ``Fraction`` map is built
-    from :meth:`_lowest_terms` the first time it is read, and kept.
-    Equality and hashing are :class:`LaurentPoly`'s, and read the map.
+    With ``R_j = f[j] ... f[n]``, the coefficient of ``x^j`` is
+    ``x[j] / R_j``, and ``x[n] != 0``.  The factors ``f[j] > 0`` are ints,
+    and ``x[j] / R_j`` need not be in lowest terms.  A basis ``P_k`` of
+    :mod:`.quadrature` is ``f = (1, ..., 1, D)``, an integer vector over one
+    denominator; an eigenpolynomial of :mod:`.eigen` is its backward
+    sweep's small factors with a trailing 1.  :meth:`_scaled_terms` hands
+    out ``x[j] f[0] ... f[j-1]`` over ``R_0``, and :meth:`_lowest_terms`
+    reduces each ``x[j]`` once against its own ``R_j``.  Degree and
+    monicity read the form; the ``Fraction`` map is built from
+    :meth:`_lowest_terms` the first time it is read, and kept.  Equality
+    and hashing are :class:`LaurentPoly`'s, and read the map.
     """
 
     __slots__ = ("_form", "_map")
 
-    def __init__(self, D: int, v: tuple):
-        object.__setattr__(self, "_form", (D, v))
+    def __init__(self, f: tuple, x: tuple):
+        object.__setattr__(self, "_form", (f, x))
         object.__setattr__(self, "_map", None)
 
     @property
@@ -453,57 +461,9 @@ class _IntegerPolynomial(Polynomial):
         return terms
 
     def _lowest_terms(self):
-        D, v = self._form
-        for j, t in enumerate(v):
-            if t:
-                g = math.gcd(t, D)
-                yield (j, t, D) if g == 1 else (j, t // g, D // g)
-
-    def _scaled_terms(self) -> tuple:
-        D, v = self._form
-        return D, {j: t for j, t in enumerate(v) if t}
-
-    @property
-    def is_zero(self) -> bool:
-        return False
-
-    @property
-    def degree(self) -> int:
-        return len(self._form[1]) - 1
-
-    @property
-    def is_polynomial(self) -> bool:
-        return True
-
-    @property
-    def is_monic(self) -> bool:
-        D, v = self._form
-        return v[-1] == D
-
-
-class _SweptPolynomial(_IntegerPolynomial):
-    """A monic polynomial held as ``(f, x)``, as a backward sweep leaves it.
-
-    With ``n = len(f)`` and ``R_j = f[j] ... f[n-1]`` (``R_n = 1``), the
-    coefficient of ``x^j`` is ``x[j] / R_j``, and ``x[n] = 1``.  The factors
-    ``f[j] > 0`` are small ints; ``x[j] / R_j`` need not be in lowest terms.
-    :meth:`_scaled_terms` hands out ``x[j] f[0] ... f[j-1]`` over ``R_0``,
-    and :meth:`_lowest_terms` reduces each ``x[j]`` once against its own
-    ``R_j``, not against the larger ``R_0``.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, f: tuple, x: tuple):
-        object.__setattr__(self, "_form", (f, x))
-        object.__setattr__(self, "_map", None)
-
-    def _lowest_terms(self):
         f, x = self._form
-        n = len(f)
-        yield n, 1, 1
         R = 1
-        for j in range(n - 1, -1, -1):
+        for j in range(len(f) - 1, -1, -1):
             R *= f[j]
             t = x[j]
             if t:
@@ -517,9 +477,21 @@ class _SweptPolynomial(_IntegerPolynomial):
             if t:
                 terms[j] = t * F
             F *= fj
-        terms[len(f)] = F
         return F, terms
 
     @property
+    def is_zero(self) -> bool:
+        return False
+
+    @property
+    def degree(self) -> int:
+        return len(self._form[0]) - 1
+
+    @property
+    def is_polynomial(self) -> bool:
+        return True
+
+    @property
     def is_monic(self) -> bool:
-        return self._form[1][-1] == 1
+        f, x = self._form
+        return x[-1] == f[-1]

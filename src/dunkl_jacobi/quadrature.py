@@ -22,21 +22,23 @@ recurrence with every second step folded into the next, so ``x^2 - c^2``
 enters only as ``z (2|c| + z)`` with the rule's own ``z = |x| - |c|``:
 nothing cancels next to ``|c| = 1`` and nothing underflows at large
 degree.  A ``P_k`` of the weight's normal form is the row ``q_k`` with scale
-``s_k``; any other input is an integer combination of its terms' connection
-rows (below), scaled into the same frame, and the symmetry block's images
-``L x^k`` combine those rows with the operator's integer band directly.
+``s_k``; any other input hands out its integers over one denominator,
+and those combine its terms' connection rows (below), scaled into the same
+frame.  The symmetry block's images ``L x^k`` combine those rows with the
+operator's integer band, in the same one function.
 Inner products sum with ``math.fsum``, a Gram matrix is one float64 matmul
 read in that frame, and the symmetry block is reduced by numpy sums, not
 BLAS.
 
 A weight keeps only its closed-form ``(b_n, u_n)``, grown on demand.  The
 monic ``P_0..P_n`` and the connection rows ``x^m = sum_j C[m][j] P_j`` are
-built afresh by the call that reads them, in one representation, an
-integer form ``(D, v)``: an integer vector over one positive denominator,
-with content 1.  The ``P_k`` come from a fraction-free integer recurrence
-(after Bareiss, Math. Comp. 22, 1968), and are handed out as polynomials
-that carry that form and their weight's normal form, and build their
-``Fraction`` maps only when read; the rows come the same way from
+built afresh by the call that reads them, each as an integer vector
+``v`` over one positive denominator ``D``, with content 1.  The ``P_k``
+come from a fraction-free integer recurrence (after Bareiss, Math. Comp.
+22, 1968), and are handed out in :mod:`.laurent`'s one integer form, with
+``f = (1, ..., 1, D)`` and ``x = v``, tagged with their weight's normal
+form; they build their ``Fraction`` maps only when read.  The rows come
+the same way from
 ``C[m+1][i] = C[m][i-1] + b_i C[m][i] + u_{i+1} C[m][i+1]``.  A float
 enters as one correctly rounded ``int / int`` division, the float that
 ``float(Fraction)`` gives, so no value changes on the way; the node
@@ -251,11 +253,12 @@ def _expansion(w: WeightFunction, polys) -> tuple:
     """``(rows, units)``: each input's exact ``P_j`` coefficients, rounded once.
 
     A :class:`_BasisPolynomial` of ``w``'s normal form is ``P_k`` as it
-    stands.  Any other input ``sum_m a_m x^m`` is ``sum_m a_m C[m]`` over
-    the integer connection rows ``(D_m, v_m)``, built once to the highest
-    degree among those inputs: integer sums ``t_j`` over one denominator
-    ``den``, each rounded once as ``t_j / den``, the float that the reduced
-    ``Fraction`` gives.  A ``P_k``, or an input whose sums are ``e_k``
+    stands.  Any other input ``sum_m a_m x^m / s``, the integers of
+    :meth:`~.laurent.LaurentPoly._scaled_terms`, is :func:`_combination`'s
+    ``sum_m a_m C[m] / s`` over the connection rows, built once to the
+    highest degree among those inputs: integer sums ``t_j`` over one
+    denominator ``den``, each rounded once as ``t_j / den``, the float that
+    the reduced ``Fraction`` gives.  A ``P_k``, or an input whose sums are ``e_k``
     (``x^0`` is one), is the unit row ``e_k``; ``units`` lists its ``(row, k)``.
     """
     import numpy as np
@@ -274,14 +277,7 @@ def _expansion(w: WeightFunction, polys) -> tuple:
         k = p.degree
         if not unit:
             s, terms = p._scaled_terms()
-            L = math.lcm(*(a.denominator * connection[m][0] for m, a in terms.items()))
-            exact = [0] * (k + 1)
-            for m, a in terms.items():
-                Dm, v = connection[m]
-                a = a.numerator * (L // (a.denominator * Dm))
-                for j, t in enumerate(v):
-                    exact[j] += a * t
-            den = s * L
+            exact, den = _combination(connection, s, terms.items(), k)
             unit = exact[k] == den and not any(exact[:k])
             if not unit:
                 row[:k + 1] = [t / den for t in exact]
@@ -433,12 +429,11 @@ class GramMatrix:
         import numpy as np
 
         g = self.entries if self.unit is None else self.unit
-        i, j = np.triu_indices(g.shape[0], 1)
         root = np.sqrt(np.abs(np.diag(g)))
-        denom = root[i] * root[j]
+        denom = np.outer(root, root)
         ratio = np.full(denom.shape, np.inf)
-        np.divide(np.abs(g[i, j]), denom, out=ratio, where=denom > 0)
-        return float(ratio.max(initial=0.0))
+        np.divide(np.abs(g), denom, out=ratio, where=np.triu(denom > 0, 1))
+        return float(np.triu(ratio, 1).max(initial=0.0))
 
     def to_csv(self) -> str:
         lines = [",".join(f"g{j}" for j in range(self.entries.shape[1]))]
@@ -474,14 +469,32 @@ def _gram(rule: QuadratureRule, table, scales, basis: tuple) -> GramMatrix:
                       order=rule.order, unit=unit)
 
 
+def _combination(connection: list, s: int, terms, n: int) -> tuple:
+    """``(exact, den)``: ``sum_m a_m C[m] / s`` as ints ``exact[0..n]`` over ``den``.
+
+    ``terms`` holds the pairs ``(m, a_m)``, nonzero ints ``a_m`` at
+    degrees ``m <= n``, and ``s > 0``.  Over the lcm ``L`` of the
+    connection rows' denominators ``D_m`` (``C[m] = v_m / D_m``),
+    ``exact[j] = sum_m a_m (L / D_m) v_m[j]`` and ``den = s L``.
+    """
+    L = math.lcm(*[connection[m][0] for m, _ in terms])
+    exact = [0] * (n + 1)
+    for m, a in terms:
+        D, v = connection[m]
+        a *= L // D
+        for j, t in enumerate(v):
+            exact[j] += a * t
+    return exact, s * L
+
+
 def _symmetry_rows(w: WeightFunction, band, top: int) -> np.ndarray:
     """``x^0..x^top`` then ``L x^0..L x^top`` in ``P_j`` coordinates, each exact value rounded once.
 
     Row ``m`` is the connection row ``C[m] = v / D``.  ``L x^k`` is
     ``sum_i t_i x^(k-i) / M`` for the band's ``rows[k] = (t_0..t_3)`` over
-    its scale ``M``, so its row combines the connection rows of its
-    nonzero terms (three at most on the family operators) over their lcm
-    ``L``: integer sums rounded once as ``int / (M L)``.
+    its scale ``M``, so its row is the :func:`_combination` of its nonzero
+    terms (three at most on the family operators): integer sums rounded
+    once as ``int / (M L)``.
     """
     import numpy as np
 
@@ -490,17 +503,10 @@ def _symmetry_rows(w: WeightFunction, band, top: int) -> np.ndarray:
     for m, (D, v) in enumerate(connection):
         rows[m, :m + 1] = [t / D for t in v]
     for k, band_row in enumerate(band.rows[:top + 1]):
-        terms = [(t, connection[k - i]) for i, t in enumerate(band_row) if t]
-        if not terms:
-            continue
-        L = math.lcm(*(D for _, (D, _) in terms))
-        exact = [0] * (k + 1)
-        for t, (D, v) in terms:
-            t *= L // D
-            for j, c in enumerate(v):
-                exact[j] += t * c
-        den = band.scale * L
-        rows[top + 1 + k, :k + 1] = [t / den for t in exact]
+        terms = [(k - i, t) for i, t in enumerate(band_row) if t]
+        if terms:
+            exact, den = _combination(connection, band.scale, terms, k)
+            rows[top + 1 + k, :k + 1] = [t / den for t in exact]
     return rows
 
 
@@ -532,7 +538,8 @@ def _symmetry(rule: QuadratureRule, op, top: int, frame: tuple | None = None) ->
     norm = np.sqrt((table * table * w).sum(1))
     bound = np.outer(norm[:top + 1], norm[top + 1:])
     bound = np.triu(bound + bound.T, 1)  # i < j
-    defect = np.abs(block - block.T)[bound > 0] / bound[bound > 0]
+    pos = bound > 0
+    defect = np.abs(block - block.T)[pos] / bound[pos]
     return block, float(defect.max()) if defect.size else math.inf if top else 0.0
 
 
@@ -770,13 +777,15 @@ def _recurrence(normal_form, N: int) -> list:
 class _BasisPolynomial(_IntegerPolynomial):
     """``P_k`` of the positive weights of normal form ``_normal_form``, which fixes every ``P_k``.
 
-    The node table of such a weight takes it as ``P_k`` without expanding it.
+    Its form is ``f = (1, ..., 1, D)``, ``x = v``: the integer vector ``v``
+    over one denominator ``D``.  The node table of such a weight takes it
+    as ``P_k`` without expanding it.
     """
 
     __slots__ = ("_normal_form",)
 
-    def __init__(self, D: int, v: tuple, normal_form: tuple):
-        super().__init__(D, v)
+    def __init__(self, f: tuple, x: tuple, normal_form: tuple):
+        super().__init__(f, x)
         object.__setattr__(self, "_normal_form", normal_form)
 
 
@@ -834,19 +843,18 @@ def _basis(w: WeightFunction, n: int) -> list:
     ``P_{k+1} = (x - b_k) P_k - u_k P_{k-1}`` runs fraction-free (after
     Bareiss, Math. Comp. 22, 1968): integer vectors over one common
     denominator, divided by their content each step.  Each ``P_k`` is
-    handed out as that form; its ``Fraction`` map is built only if it is
-    read.
+    handed out as that form, ``(1, ..., 1, D)`` and ``v``; its ``Fraction``
+    map is built only if it is read.
     """
     coefficients = _coefficients(w, n)
     nf = w.normal_form
-    polys = [_BasisPolynomial(1, (1,), nf)]
+    polys = [_BasisPolynomial((1,), (1,), nf)]
+    d1, v1 = 1, (1,)  # (D, v) of P_k; (d0, v0) is P_{k-1}'s from k = 1 on
     for k in range(n):
         b, u = coefficients[k]
-        d1, v1 = polys[k]._form
         # den P_{k+1} = (den/d1) x v1 - (den b/d1) v1 - (den u/d0) v0, all integral
         den = b.denominator * d1
         if k:
-            d0, v0 = polys[k - 1]._form
             den = math.lcm(den, u.denominator * d0)
         sx, sb = den // d1, den // (b.denominator * d1) * b.numerator
         v = [0] + [sx * t for t in v1]
@@ -857,7 +865,8 @@ def _basis(w: WeightFunction, n: int) -> list:
             for j, t in enumerate(v0):
                 v[j] -= su * t
         g = math.gcd(*v)  # v[k + 1] = den, so g divides den
-        polys.append(_BasisPolynomial(den // g, tuple(t // g for t in v), nf))
+        d0, v0, d1, v1 = d1, v1, den // g, tuple(t // g for t in v)
+        polys.append(_BasisPolynomial((1,) * (k + 1) + (d1,), v1, nf))
     return polys
 
 

@@ -145,7 +145,7 @@ class TestResidual:
             v = [0] * (p.degree + 1)
             for k, c in terms.items():
                 v[k] = c.numerator * (D // c.denominator)
-            return _IntegerPolynomial(D, tuple(v))
+            return _IntegerPolynomial((1,) * p.degree + (D,), tuple(v))
 
         params = BigJacobiParams(*family)
         op = build(big_operator(params))
@@ -230,6 +230,9 @@ class TestResidual:
             for wrong in (polys[n] * 2, polys[n - 1], Polynomial(),
                           Polynomial.from_laurent(polys[n] + Polynomial({n - 1: 1}))):
                 assert eigen_defects(op, polys[:n] + [wrong] + polys[n + 1:]) == [n]
+
+    def test_no_polynomials_have_no_defects(self):
+        assert eigen_defects(build(OperatorParams(tau1=2, eta=-1)), []) == []
 
     def test_defects_check_the_spectrum_and_the_diagonal_law(self):
         with pytest.raises(DegenerateSpectrum, match="vanishes at degree 1"):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from dunkl_jacobi import LaurentPoly, PoleAtZero, Polynomial
+from dunkl_jacobi import (BigJacobiParams, LaurentPoly, OperatorParams, PoleAtZero, Polynomial,
+                          big_weight, build, monic_eigenpolynomial, orthogonal_polynomials)
 from dunkl_jacobi.laurent import _coprime_fraction, _IntegerPolynomial
 
 from _helpers import random_rational
@@ -165,7 +166,7 @@ class TestEvaluation:
             assert p.evaluate(x) == float(exact)
 
     def test_integer_form_reads_as_its_map(self):
-        p = _IntegerPolynomial(6, (3, -4, 0, 5))
+        p = _IntegerPolynomial((1, 1, 1, 6), (3, -4, 0, 5))
         for x in (Fraction(-7, 3), Fraction(1, 2), 0):
             assert p.evaluate_exact(x) == lp(p.terms).evaluate_exact(x)
         assert p.evaluate(0.1) == lp(p.terms).evaluate(0.1)
@@ -213,6 +214,56 @@ class TestStructure:
         p = lp({1: 1, 0: 1})
         assert p**2 == lp({2: 1, 1: 2, 0: 1})
         assert p**0 == LaurentPoly.one()
+
+
+class TestIntegerForm:
+    # (f, x): coefficient j is x[j] / (f[j] ... f[n]), not necessarily reduced
+    LAYOUTS = {
+        "basis": ((1, 1, 1, 12), (-3, 8, 0, 12)),
+        "swept": ((5, 3, 2, 1), (7, -4, 9, 1)),
+        "non-monic": ((1, 1, 1, 6), (3, -4, 0, 5)),
+        "zero interior": ((2, 7, 3, 4, 1), (9, 0, 0, 6, 1)),
+        "constant": ((3,), (6,)),
+    }
+
+    @staticmethod
+    def fraction_map(f, x):
+        return {j: Fraction(t, math.prod(f[j:])) for j, t in enumerate(x) if t}
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_form_reads_as_its_fraction_map(self, layout):
+        f, x = self.LAYOUTS[layout]
+        want = self.fraction_map(f, x)
+        plain = Polynomial(want)
+        p = _IntegerPolynomial(f, x)
+        assert sorted(p._lowest_terms()) == sorted(
+            (j, c.numerator, c.denominator) for j, c in want.items())
+        s, terms = p._scaled_terms()
+        assert type(s) is int and s > 0 and all(type(t) is int for t in terms.values())
+        assert {j: Fraction(t, s) for j, t in terms.items()} == want
+        assert p.degree == plain.degree == len(f) - 1
+        assert p.is_monic == plain.is_monic == (want[len(f) - 1] == 1)
+        assert p._map is None  # none of the above reads the map
+        for point in (Fraction(-7, 3), Fraction(1, 2), 0, 5):
+            assert p.evaluate_exact(point) == plain.evaluate_exact(point)
+        assert p.terms == want
+        assert p == plain and hash(p) == hash(plain)
+
+    @pytest.mark.parametrize("kind", ["fraction map", "zero", "basis P_k", "eigenpolynomial"])
+    def test_every_polynomial_hands_out_integers(self, kind):
+        p = {
+            "fraction map": lambda: Polynomial({0: Fraction(-3, 4), 2: Fraction(5, 6), 3: 2}),
+            "zero": Polynomial,
+            "basis P_k": lambda: orthogonal_polynomials(
+                big_weight(BigJacobiParams(Fraction(1, 2), 2, Fraction(1, 3))), 6)[6],
+            "eigenpolynomial": lambda: monic_eigenpolynomial(build(OperatorParams(
+                nu0=Fraction(1, 3), mu=Fraction(2, 5), tau1=Fraction(-5, 3),
+                eta=Fraction(7, 4))), 6).poly,
+        }[kind]()
+        s, terms = p._scaled_terms()
+        assert type(s) is int and s > 0
+        assert all(type(t) is int and t for t in terms.values())
+        assert {j: Fraction(t, s) for j, t in terms.items()} == p.terms
 
 
 class TestSerialization:

@@ -444,6 +444,38 @@ class TestGram:
         assert GramMatrix(entries=g, basis=()).max_relative_off_diagonal() == math.inf
         assert GramMatrix(entries=g[:1, :1], basis=()).max_relative_off_diagonal() == 0.0
 
+    def test_off_diagonal_figure_matches_the_pairwise_formula(self):
+        # hand-built matrices of size 0-7 from infinities, NaN, -0.0,
+        # subnormals and zero diagonals: the figure equals the i < j index
+        # formula bit for bit, and raises no floating-point error where that
+        # formula raises none
+        def pairwise(g):
+            i, j = np.triu_indices(g.shape[0], 1)
+            root = np.sqrt(np.abs(np.diag(g)))
+            denom = root[i] * root[j]
+            ratio = np.full(denom.shape, np.inf)
+            np.divide(np.abs(g[i, j]), denom, out=ratio, where=denom > 0)
+            return float(ratio.max(initial=0.0))
+
+        pool = [0.0, -0.0, 1.0, -2.5, 3e-12, 5e-324, -1e-310, 1e300, -1e308,
+                math.inf, -math.inf, math.nan]
+        rng = random.Random(353)
+        for trial in range(3000):
+            n = trial % 8
+            g = np.array([[rng.choice(pool) if rng.random() < 0.4 else rng.uniform(-2, 2)
+                           for _ in range(n)] for _ in range(n)]).reshape(n, n)
+            strict = dict(divide="raise", over="raise", invalid="raise")
+            try:
+                with np.errstate(**strict):
+                    want = pairwise(g)
+            except FloatingPointError:
+                with np.errstate(all="ignore"):
+                    want = pairwise(g)
+                strict = dict(all="ignore")
+            with np.errstate(**strict):
+                got = GramMatrix(entries=g, basis=()).max_relative_off_diagonal()
+            assert got == want or (math.isnan(got) and math.isnan(want)), (g, got, want)
+
     @pytest.mark.parametrize("N", [40, 60])
     def test_underflowing_normalizations_are_checked_in_the_unit_frame(self, N):
         # the monic h_n fall to about 1e-222 at N = 40 and to 0.0 by N = 60
