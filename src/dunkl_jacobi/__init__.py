@@ -68,6 +68,7 @@ from .quadrature import (
     Check,
     GramMatrix,
     QuadratureRule,
+    basis_gram,
     certify,
     connection_coefficients,
     gram_matrix,

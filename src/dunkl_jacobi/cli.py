@@ -176,7 +176,7 @@ def cmd_weight_sample(args, parser) -> int:
 
 def cmd_gram(args, parser) -> int:
     w = big_weight(_family_from_args(args, parser))
-    g = quad_mod.gram_matrix(w, quad_mod.orthogonal_polynomials(w, args.N), order=args.order)
+    g = quad_mod.basis_gram(w, args.N, args.order)
     if args.format == "json":
         _emit(json.dumps({"entries": [[float(v) for v in row] for row in g.entries]},
                          indent=2) + "\n", args.out)

@@ -13,8 +13,12 @@ product ``f_j ... f_(n-1)`` of small factors, each step dividing by one
 gcd against a machine-size int, and the polynomial is handed out in that
 form, the package's one integer form (:class:`~.laurent._IntegerPolynomial`),
 with no ``Fraction`` per coefficient.  The residual ``L p - lam p`` is an
-integer band product, exact for any polynomial, that reads the integers
-every polynomial hands out; it is identically zero for every returned pair.
+integer band product, exact for any polynomial, on that same form: an
+eigenpolynomial or a basis ``P_k`` passes its own ``(f, x)``, any other
+polynomial its integers over one denominator.  Every product is a big
+integer by a small one, and a denominator and a ``Fraction`` are formed
+only for a nonzero entry, so an eigenpair's residual, identically zero
+for every returned pair, forms neither.
 
 The CSV and JSON tables reduce each nonzero coefficient once, against its
 own running denominator, format the pair as ``str`` of a ``Fraction``
@@ -160,39 +164,64 @@ def eigen_sequence(op: DunklOperator, N: int) -> list:
 def residual(op: DunklOperator, p: LaurentPoly, lam: Rational) -> Polynomial:
     """Exact residual ``L p - lam p``; the zero polynomial certifies an eigenpair.
 
-    ``p = sum_j q_j x^j / s``, integers ``q_j`` over ``s``, comes from
+    ``p`` is read in the one integer form ``(f, x)``: coefficient ``j`` is
+    ``x_j / R_j``, ``R_j = f_j ... f_n``.  An eigenpolynomial or a basis
+    ``P_k`` passes its own form; any other polynomial enters once as
+    ``f = (1, ..., 1, s)`` with ``x`` the integers of
     :meth:`~.laurent.LaurentPoly._scaled_terms`.  With ``lam = l / e`` and
-    ``t_i = M [L x^(j+i)]`` at ``x^j`` off the band, entry ``j`` is
-    ``(e sum_i t_i q_(j+i) - M l q_j) / (M s e)``: integer products, with
-    a ``Fraction`` formed only for nonzero entries.  The diagonal term is
-    the one product ``(t_0 e - M l) q_j``, and zero band entries are
-    skipped.
+    ``t_i = M [L x^(j+i)]`` at ``x^j`` off the band, entry ``j`` times
+    ``M R_j e`` is
+    ``(e t_0 - M l) x_j + e f_j (t_1 x_(j+1) + f_(j+1) (t_2 x_(j+2) + f_(j+2) t_3 x_(j+3)))``,
+    every product one big integer by a small one, and zero band entries
+    skipped.  ``R_j`` and a ``Fraction`` are formed only for nonzero
+    entries, so an eigenpair's residual forms neither.
     """
     if not p.is_polynomial:
         raise ValueError("residual expects a polynomial")
     lam = as_rational(lam)
-    s, terms = p._scaled_terms()
-    if not terms:
-        return Polynomial()
-    n = max(terms)
+    if isinstance(p, _IntegerPolynomial):
+        f, x = p._form
+    else:
+        s, terms = p._scaled_terms()
+        if not terms:
+            return Polynomial()
+        n = max(terms)
+        f, x = (1,) * n + (s,), [terms.get(j, 0) for j in range(n + 1)]
+    n = len(x) - 1
     band = op.band(n)
-    rows = band.rows
-    e, ml = lam.denominator, band.scale * lam.numerator
-    acc = [0] * (n + 1)
-    for k, q in terms.items():
-        # Entries below x^0 are 0, so a nonzero t_i has k - i >= 0.
-        t0, t1, t2, t3 = rows[k]
-        acc[k] += (t0 * e - ml) * q
-        if e != 1:
-            q *= e
-        if t1:
-            acc[k - 1] += t1 * q
-        if t2:
-            acc[k - 2] += t2 * q
-        if t3:
-            acc[k - 3] += t3 * q
-    den = band.scale * s * e
-    return Polynomial._from_clean({j: Fraction(t, den) for j, t in enumerate(acc) if t})
+    rows, M = band.rows, band.scale
+    e, ml = lam.denominator, M * lam.numerator
+    out = {}
+    R, top = 1, n + 1  # R = R_top
+    x1 = x2 = x3 = 0  # x_(j+1), x_(j+2), x_(j+3)
+    f1 = f2 = 1  # f_(j+1), f_(j+2)
+    for j in range(n, -1, -1):
+        y = 0
+        if x3:
+            t = rows[j + 3][3]
+            if t:
+                y = t * x3 * f2
+        if x2:
+            t = rows[j + 2][2]
+            if t:
+                y += t * x2
+        if y:
+            y *= f1
+        if x1:
+            t = rows[j + 1][1]
+            if t:
+                y += t * x1
+        xj, fj = x[j], f[j]
+        if y:
+            y *= e * fj
+        if xj:
+            y += (rows[j][0] * e - ml) * xj
+        if y:
+            R *= math.prod(f[j:top])
+            top = j
+            out[j] = Fraction(y, M * R * e)
+        x1, x2, x3, f1, f2 = xj, x1, x2, fj, f1
+    return Polynomial._from_clean(dict(reversed(out.items())))
 
 
 def eigen_defects(op: DunklOperator, polys) -> list:

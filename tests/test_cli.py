@@ -495,6 +495,31 @@ class TestEigenvaluesAndGram:
                            capsys)
         assert code == 0 and out == expected
 
+    @pytest.mark.parametrize("family", [("1", "1", "1/2"), ("-99/100", "5/2", "99999/100000")])
+    @pytest.mark.parametrize("N", [10, 40, 200])
+    def test_gram_is_that_of_the_exact_basis(self, family, N, capsys):
+        # gram prints the unit-frame Gram that certify scores; its CSV and
+        # JSON are byte for byte those of the exact P_0..P_N's gram_matrix
+        alpha, beta, c = family
+        w = dunkl_jacobi.big_weight(BigJacobiParams(*map(Fraction, family)))
+        g = quad_mod.gram_matrix(w, quad_mod.orthogonal_polynomials(w, N))
+        argv = ["gram", f"--alpha={alpha}", f"--beta={beta}", f"--c={c}", "--N", str(N)]
+        assert run(argv, capsys) == (0, g.to_csv(), "")
+        entries = [[float(v) for v in row] for row in g.entries]
+        text = json.dumps({"entries": entries}, indent=2) + "\n"
+        assert run(argv + ["--format", "json"], capsys) == (0, text, "")
+
+    def test_gram_builds_no_exact_basis(self, capsys, monkeypatch):
+        # no P_k and no node table of polynomials: the rows are the unit frame
+        def refuse(*args):
+            raise AssertionError("gram built an exact P_k or expanded one")
+
+        for name in ("_basis", "_node_table"):
+            monkeypatch.setattr(quad_mod, name, refuse)
+        code, out, err = run(["gram", "--alpha", "1", "--beta", "1", "--c", "1/2",
+                              "--N", "20"], capsys)
+        assert code == 0 and err == "" and len(out.splitlines()) == 22
+
     @pytest.mark.parametrize("value", ["-9/10", "-0.9", "-.9", "-9e-1", "-90E-2"])
     def test_negative_rational_as_separate_argument(self, value, capsys):
         code, out, _ = run(["certify", "--alpha", value, "--beta", "0", "--N", "3"],

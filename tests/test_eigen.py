@@ -203,6 +203,44 @@ class TestResidual:
                 assert ([e.poly.coefficient(k) for k in range(e.n + 2)]
                         == [plain.coefficient(k) for k in range(e.n + 2)])
 
+    @pytest.mark.parametrize("case", ["basis P_k", "non-monic form", "zero interior",
+                                      "fraction map", "zero", "raw mu != 0 ladder",
+                                      "two-interval ladder"])
+    def test_residual_is_the_laurent_path(self, case):
+        # residual reads each input's integer form, its own or (1, ..., 1, s)
+        # over its Fraction map, and gives op.apply(p) - lam p, at lambda_n
+        # and off the spectrum, with an integer form's map left unbuilt
+        raw = raw_and_family_operators(random.Random(191), 1, 12)[0]
+        assert any(row[3] for row in raw.band(12).rows)  # t3 != 0
+        family = BigJacobiParams(Fraction(1, 2), 2, Fraction(1, 4))
+        op, polys = raw, None
+        if case == "basis P_k":
+            op, polys = build(big_operator(family)), orthogonal_polynomials(big_weight(family), 12)
+        elif case == "non-monic form":
+            polys = [_IntegerPolynomial((1, 1, 1, 6), (3, -4, 0, 5))]
+        elif case == "zero interior":
+            polys = [_IntegerPolynomial((2, 3, 5, 1, 7, 4), (1, 0, 0, 0, 0, -9)),
+                     _IntegerPolynomial((3, 1, 1, 2), (0, 0, 0, 6))]
+        elif case == "fraction map":
+            polys = [Polynomial({0: Fraction(1, 3), 2: Fraction(-5, 7), 5: 2})]
+        elif case == "zero":
+            polys = [Polynomial()]
+        elif case == "raw mu != 0 ladder":
+            polys = [e.poly for e in eigen_sequence(raw, 12)]
+        else:
+            op = build(big_operator(BigJacobiParams(Fraction(1, 2), Fraction(-1, 3),
+                                                    Fraction(2, 5))))
+            polys = [e.poly for e in eigen_sequence(op, 40)]
+        for p in polys:
+            lam_n = eigenvalue(op.params, p.degree or 0)
+            lams = (lam_n, lam_n + Fraction(2, 9))
+            got = [residual(op, p, lam) for lam in lams]
+            if isinstance(p, _IntegerPolynomial):
+                assert p._map is None
+            for r, lam in zip(got, lams):
+                assert type(r) is Polynomial
+                assert r.terms == (op.apply(p) - lam * p).terms
+
     def test_ladder_builds_no_coefficient_fractions(self, monkeypatch):
         # eigen_sequence, residual on every pair and both tables form the
         # N + 1 eigenvalues and no Fraction of their own besides.  laurent's

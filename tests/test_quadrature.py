@@ -22,6 +22,7 @@ from dunkl_jacobi import (
     OutOfFloatRange,
     Polynomial,
     UnsupportedWeight,
+    basis_gram,
     big_operator,
     big_weight,
     build,
@@ -507,6 +508,37 @@ class TestGram:
         s = np.sqrt(np.cumprod([1.0] + [float(u) for _, u in recurrence_coefficients(w, 8)[1:]]))
         assert np.allclose(np.diag(g.entries)[:9], g.unit[0, 0] * s * s, rtol=1e-13, atol=0)
         assert np.array_equal(g.entries[9:, 9:], g.unit[9:, 9:])
+
+    @pytest.mark.parametrize("family", [(1, 1, HALF),
+                                        (Fraction(-99, 100), Fraction(5, 2),
+                                         Fraction(99999, 100000))])
+    @pytest.mark.parametrize("N", [4, 24, 40])
+    def test_basis_gram_is_the_gram_certify_scores(self, family, N, monkeypatch):
+        # certify's Gram is _gram on its unit frame; basis_gram, on its own
+        # rule and frame, gives it bit for bit, with an empty basis
+        family = BigJacobiParams(*family)
+        scored, real = [], quad_mod._gram
+        monkeypatch.setattr(quad_mod, "_gram", lambda *args: scored.append(real(*args))
+                            or scored[-1])
+        assert all(check.passed for check in quad_mod.certify(family, N))
+        monkeypatch.undo()
+        [ref] = scored
+        g = basis_gram(big_weight(family), N)
+        assert g.unit.tobytes() == ref.unit.tobytes()
+        assert g.entries.tobytes() == ref.entries.tobytes()
+        assert (g.basis, g.order) == ((), ref.order) and g.order == N // 2 + 11
+
+    def test_basis_gram_checks_its_weight_and_degree(self):
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            basis_gram(W_LITTLE_10, -1)
+        from dunkl_jacobi import OperatorParams
+
+        indefinite = solve_pearson(build(OperatorParams(tau1=2, xi=-1, eta=3)))
+        with pytest.raises(UnsupportedWeight, match="sign-indefinite"):
+            basis_gram(indefinite, 3)
+        empty = _positive_family_weight(Fraction(1), Fraction(1), Fraction(3, 2), Fraction(1))
+        with pytest.raises(UnsupportedWeight, match="empty support"):
+            basis_gram(empty, 3)
 
     def test_csv_export(self):
         g = gram_matrix(W_LITTLE_10, [Polynomial.one(), Polynomial.monomial(1)])
